@@ -28,7 +28,7 @@ from .gradient import refine
 from .greedy import greedy_place
 from .oracle import brute_force, check_definition_equivalence, check_submodular
 from .scenario import bundled_scenario_path, parse_scenario
-from .sensing import DetectionCache, detection_matrix, joint_detection
+from .sensing import DetectionCache, coverage, detection_matrix, joint_detection
 
 _VALIDATION_ERRORS = (
     ScenarioError,
@@ -199,8 +199,7 @@ def _dispatch(args) -> int:
 
 def _cmd_evaluate(run: _Run, args) -> int:
     positions = _read_positions(args.positions_file)
-    rows = detection_matrix(positions, run.space, run.grid.centers, run.sensor)
-    value = run.grid.integrate(joint_detection(rows))
+    value = coverage(positions, run.space, run.grid, run.sensor)
     print(f"agents: {len(positions)}")
     print(f"coverage: {_fmt(value)} of {_fmt(run.grid.total_mass())} attainable")
     return 0
@@ -251,6 +250,10 @@ def _cmd_bounds(run: _Run, args) -> int:
     cand = run.candidates()
     probs = detection_matrix(cand, run.space, run.grid.centers, run.sensor)
     report = bound_report(probs, run.grid, run.scenario.team_size, args.alpha_domain)
+    if report.dropped:
+        spots = cand[list(report.dropped)]
+        where = ", ".join(f"({_fmt(float(x))}, {_fmt(float(y))})" for x, y in spots)
+        print(f"dropped {len(spots)} of {len(cand)} candidates (no event mass): {where}")
     print(
         f"total curvature {_fmt(report.total_curvature)} (candidate {report.worst_candidate}), "
         f"elemental curvature {_fmt(report.elemental_curvature)} "

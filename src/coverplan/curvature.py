@@ -31,21 +31,34 @@ def _leave_one_out_miss(probs: np.ndarray) -> np.ndarray:
     return prefix * suffix
 
 
-def _total_curvature_argmax(probs: np.ndarray, grid: QuadratureGrid) -> tuple[float, int]:
+def _ground_set(probs, grid: QuadratureGrid):
+    """Checked probabilities, stand-alone masses, and the candidates covering mass.
+
+    A candidate that covers no event mass has zero gain on every set, so
+    leaving it out of the ground set changes neither the greedy value nor the
+    optimum, while its own discount ratio would be undefined.  The matrix is
+    not copied: callers index the kept rows through the returned indices.
+    """
     probs = _check_probs(probs, grid)
-    w = grid.weights
-    alone = probs @ w
-    bad = np.nonzero(alone <= 0.0)[0]
-    if len(bad):
+    alone = probs @ grid.weights
+    keep = np.nonzero(alone > 0.0)[0]
+    if len(keep) == 0:
+        rest = f" and neither does any of the other {len(probs) - 1}" if len(probs) > 1 else ""
         raise DegenerateCandidateError(
-            f"candidate {bad[0]} covers no event mass; its discount ratio is undefined"
+            f"candidate 0 covers no event mass{rest}; the curvatures are undefined"
         )
+    return probs, alone, keep
+
+
+def _total_curvature_argmax(probs, alone, keep, grid: QuadratureGrid) -> tuple[float, int]:
+    # A dropped row is zero wherever the weight is not, so it multiplies the
+    # leave-one-out products of the kept rows by exactly one there.
     others = _leave_one_out_miss(probs)
-    on_top = (probs * others) @ w
-    discounts = 1.0 - on_top / alone
+    on_top = (probs * others) @ grid.weights
+    discounts = 1.0 - on_top[keep] / alone[keep]
     j = int(np.argmax(discounts))
     c = float(discounts[j])
-    return min(1.0, max(0.0, c)), j
+    return min(1.0, max(0.0, c)), int(keep[j])
 
 
 def total_curvature(probs: np.ndarray, grid: QuadratureGrid) -> float:
@@ -53,10 +66,10 @@ def total_curvature(probs: np.ndarray, grid: QuadratureGrid) -> float:
 
     For each candidate j this compares its contribution on top of all other
     candidates with its stand-alone contribution; the curvature is one minus
-    the smallest such ratio.  A candidate whose stand-alone contribution is
-    zero covers no event mass and makes the ratio undefined.
+    the smallest such ratio.  Candidates that cover no event mass are left
+    out of the ground set; if none is left the ratio is undefined.
     """
-    return _total_curvature_argmax(probs, grid)[0]
+    return _total_curvature_argmax(*_ground_set(probs, grid), grid)[0]
 
 
 def _domain_mask(grid: QuadratureGrid, domain: str) -> np.ndarray:
@@ -72,16 +85,15 @@ def _domain_mask(grid: QuadratureGrid, domain: str) -> np.ndarray:
 
 
 def _elemental_curvature_argmin(
-    probs: np.ndarray, grid: QuadratureGrid, domain: str
+    probs, keep, grid: QuadratureGrid, domain: str
 ) -> tuple[float, tuple[int, int]]:
-    probs = _check_probs(probs, grid)
     mask = _domain_mask(grid, domain)
     cols = np.nonzero(mask)[0]
-    sub = probs[:, cols]
+    sub = probs[np.ix_(keep, cols)]
     flat = int(np.argmin(sub))
     j, k = np.unravel_index(flat, sub.shape)
     alpha = 1.0 - float(sub[j, k])
-    return min(1.0, max(0.0, alpha)), (int(j), int(cols[k]))
+    return min(1.0, max(0.0, alpha)), (int(keep[j]), int(cols[k]))
 
 
 def elemental_curvature(probs: np.ndarray, grid: QuadratureGrid, domain: str = "feasible") -> float:
@@ -90,9 +102,11 @@ def elemental_curvature(probs: np.ndarray, grid: QuadratureGrid, domain: str = "
     ``domain`` picks which cells participate: "feasible" uses cells of the
     feasible region, "omega" every cell inside the outer boundary (obstacle
     interiors included, where detection is always zero).  Any cell invisible
-    to some candidate drives the result to 1.
+    to some candidate drives the result to 1.  Candidates that cover no event
+    mass are left out, as for :func:`total_curvature`.
     """
-    return _elemental_curvature_argmin(probs, grid, domain)[0]
+    probs, _, keep = _ground_set(probs, grid)
+    return _elemental_curvature_argmin(probs, keep, grid, domain)[0]
 
 
 def _check_probs(probs, grid: QuadratureGrid) -> np.ndarray:
@@ -158,7 +172,9 @@ class BoundReport:
 
     ``worst_candidate`` is the candidate index achieving the total curvature;
     ``worst_pair`` is the (candidate index, grid cell index) achieving the
-    elemental one.
+    elemental one.  ``dropped`` lists the candidates left out of the ground
+    set because they cover no event mass.  All indices number the rows of the
+    full probability matrix.
     """
 
     total_curvature: float
@@ -170,6 +186,7 @@ class BoundReport:
     domain: str
     worst_candidate: int
     worst_pair: tuple[int, int]
+    dropped: tuple[int, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -182,6 +199,7 @@ class BoundReport:
             "domain": self.domain,
             "worst_candidate": self.worst_candidate,
             "worst_pair": list(self.worst_pair),
+            "dropped": list(self.dropped),
         }
 
 
@@ -193,11 +211,13 @@ def bound_report(
 ) -> BoundReport:
     """Compute both curvatures and the certified ratio max(T, E) in one pass."""
     n = _check_team(team_size)
-    c, worst_candidate = _total_curvature_argmax(probs, grid)
-    alpha, worst_pair = _elemental_curvature_argmin(probs, grid, domain)
+    probs, alone, keep = _ground_set(probs, grid)
+    c, worst_candidate = _total_curvature_argmax(probs, alone, keep, grid)
+    alpha, worst_pair = _elemental_curvature_argmin(probs, keep, grid, domain)
     t = bound_from_total(c, n)
     e = bound_from_elemental(alpha, n)
-    return BoundReport(c, alpha, t, e, max(t, e), n, domain, worst_candidate, worst_pair)
+    dropped = tuple(int(j) for j in np.nonzero(alone <= 0.0)[0])
+    return BoundReport(c, alpha, t, e, max(t, e), n, domain, worst_candidate, worst_pair, dropped)
 
 
 def sweep_bounds(

@@ -18,7 +18,7 @@ class EmptyCandidateSetError(CoverplanError):
 
 
 class DegenerateCandidateError(CoverplanError):
-    """A candidate position covers no event mass, so curvature ratios are undefined."""
+    """No candidate position covers event mass, so curvature ratios are undefined."""
 
 
 class InstanceTooLargeError(CoverplanError):

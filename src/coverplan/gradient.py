@@ -6,6 +6,12 @@ central finite differences of the coverage objective, with every iterate
 projected back into the feasible region.  Backtracking halves the move until
 the objective actually increases, so the refined placement never scores below
 its seed.
+
+Both schedules run one propose/accept loop: a proposal projects an agent's
+move and drops it when it lands on another agent.  The synchronous schedule
+takes a joint step and, when backtracking vetoes it, falls back to per-agent
+steps along the same directions; the sequential schedule is the per-agent
+step with each direction refreshed after the moves before it.
 """
 
 from __future__ import annotations
@@ -34,9 +40,10 @@ class RefineConfig:
     step_scale times the unit gradient direction.  ``grad_tolerance`` is the
     stopping threshold on the largest per-agent gradient norm; None picks
     1e-3 times the quadrature cell area when the loop starts.  ``schedule``
-    is "synchronous" (all moves proposed against the same configuration,
-    applied together) or "sequential" (agents move one at a time, each seeing
-    the moves before it).
+    is "synchronous" (a joint step proposed against the same configuration,
+    with a per-agent fallback when backtracking vetoes it) or "sequential"
+    (the per-agent step alone, each direction refreshed after the moves
+    before it).
     """
 
     step_scale: float = 0.5
@@ -247,7 +254,7 @@ def refine(
 
     for it in range(1, cfg.max_iterations + 1):
         # stopping-test gradients, always against the configuration as it stands;
-        # the sequential sweep recomputes its own as agents move
+        # the sequential schedule recomputes each agent's own as agents move
         grads = np.zeros((n, 2))
         for i in range(n):
             wm = grid.weights * _others_miss(rows, i)
@@ -259,14 +266,11 @@ def refine(
             reason = "converged"
             break
 
+        state = (pos, rows, value, space, grid, sensor, cfg)
         if cfg.schedule == "synchronous":
-            moved, pos, rows, value = _synchronous_sweep(
-                pos, rows, value, grads, space, grid, sensor, cfg
-            )
+            moved, pos, rows, value = _synchronous_sweep(*state, grads)
         else:
-            moved, pos, rows, value = _sequential_sweep(
-                pos, rows, value, space, grid, sensor, cfg
-            )
+            moved, pos, rows, value = _agent_sweep(*state)
         steps.append(RefineStep(it, pos.copy(), value, norms))
         if not moved:
             reason = "no_improvement"
@@ -274,31 +278,26 @@ def refine(
     return RefineResult(steps, reason)
 
 
-def _directions(grads: np.ndarray) -> np.ndarray:
+def _propose(pos, i, direction, scale, space, cfg):
+    """Projected move of agent i, or None when it lands on another agent."""
+    q = project_feasible(pos[i] + scale * direction, space)
+    return None if _collides(q, np.delete(pos, i, 0), cfg.collision_radius) else q
+
+
+def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, grads):
     norms = np.linalg.norm(grads, axis=1)
-    out = np.zeros_like(grads)
-    nz = norms > 0
-    out[nz] = grads[nz] / norms[nz, None]
-    return out
-
-
-def _synchronous_sweep(pos, rows, value, grads, space, grid, sensor, cfg):
-    n = len(pos)
-    dirs = _directions(grads)
-    if not np.any(np.linalg.norm(dirs, axis=1) > 0):
+    moving = np.nonzero(norms > 0)[0]
+    if len(moving) == 0:
         return False, pos, rows, value
+    dirs = np.zeros_like(grads)
+    dirs[moving] = grads[moving] / norms[moving, None]
     scale = cfg.step_scale
-    trials = cfg.max_halvings + 1 if cfg.backtracking else 1
-    for _ in range(trials):
+    for _ in range(cfg.max_halvings + 1 if cfg.backtracking else 1):
         cand = pos.copy()
-        for i in range(n):
-            if np.linalg.norm(dirs[i]) == 0:
-                continue
-            q = project_feasible(pos[i] + scale * dirs[i], space)
-            others = np.vstack([cand[:i], pos[i + 1 :]]) if n > 1 else np.empty((0, 2))
-            if _collides(q, others, cfg.collision_radius):
-                continue  # the later-indexed mover forfeits its step
-            cand[i] = q
+        for i in moving:
+            q = _propose(cand, i, dirs[i], scale, space, cfg)
+            if q is not None:  # else the later-indexed mover forfeits its step
+                cand[i] = q
         changed = np.nonzero(np.any(cand != pos, axis=1))[0]
         if len(changed) == 0:
             return False, pos, rows, value
@@ -313,68 +312,39 @@ def _synchronous_sweep(pos, rows, value, grads, space, grid, sensor, cfg):
     # cliff, where its difference estimate points into a negative jump.  Keep
     # the synchronously computed directions but accept moves one agent at a
     # time, so a stuck agent forfeits only its own step.
-    return _rescue_sweep(pos, rows, value, dirs, space, grid, sensor, cfg)
+    return _agent_sweep(pos, rows, value, space, grid, sensor, cfg, dirs)
 
 
-def _rescue_sweep(pos, rows, value, dirs, space, grid, sensor, cfg):
-    n = len(pos)
+def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, dirs=None):
+    """Move agents one at a time, each judged against the others as they stand.
+
+    Directions are the fixed unit rows of ``dirs``, or, without it, each
+    agent's gradient recomputed after the moves before it.
+    """
     moved = False
-    pos = pos.copy()
-    rows = rows.copy()
-    for i in range(n):
-        if np.linalg.norm(dirs[i]) == 0:
-            continue
+    pos, rows = pos.copy(), rows.copy()
+    for i in range(len(pos)):
         wm = grid.weights * _others_miss(rows, i)
+        if dirs is None:
+            d = _agent_gradient(pos[i], wm, space, grid, sensor, cfg.fd_epsilon)
+        else:
+            d = dirs[i]
+        norm = float(np.linalg.norm(d))
+        if norm == 0:
+            continue
+        if dirs is None:
+            d = d / norm
         base_term = _partial_term(wm, rows[i])
         scale = cfg.step_scale
-        for _ in range(cfg.max_halvings + 1):
-            q = project_feasible(pos[i] + scale * dirs[i], space)
-            others = np.vstack([pos[:i], pos[i + 1 :]]) if n > 1 else np.empty((0, 2))
-            if _collides(q, others, cfg.collision_radius):
-                scale *= 0.5
-                continue
-            new_row = detection_row(q, space, grid.centers, sensor)
-            if _partial_term(wm, new_row) > base_term:
-                pos[i] = q
-                rows[i] = new_row
-                moved = True
-                break
+        for _ in range(cfg.max_halvings + 1 if cfg.backtracking else 1):
+            q = _propose(pos, i, d, scale, space, cfg)
+            if q is not None:
+                new_row = detection_row(q, space, grid.centers, sensor)
+                if not cfg.backtracking or _partial_term(wm, new_row) > base_term:
+                    pos[i], rows[i] = q, new_row
+                    moved = True
+                    break
             scale *= 0.5
     if moved:
         value = coverage_from_rows(grid, rows)
-    return moved, pos, rows, value
-
-
-def _sequential_sweep(pos, rows, value, space, grid, sensor, cfg):
-    n = len(pos)
-    moved = False
-    pos = pos.copy()
-    rows = rows.copy()
-    for i in range(n):
-        wm = grid.weights * _others_miss(rows, i)
-        grad = _agent_gradient(pos[i], wm, space, grid, sensor, cfg.fd_epsilon)
-        norm = float(np.linalg.norm(grad))
-        if norm == 0:
-            continue
-        direction = grad / norm
-        base_term = _partial_term(wm, rows[i])
-        scale = cfg.step_scale
-        trials = cfg.max_halvings + 1 if cfg.backtracking else 1
-        for _ in range(trials):
-            q = project_feasible(pos[i] + scale * direction, space)
-            others = np.vstack([pos[:i], pos[i + 1 :]]) if n > 1 else np.empty((0, 2))
-            if _collides(q, others, cfg.collision_radius):
-                scale *= 0.5
-                continue
-            new_row = detection_row(q, space, grid.centers, sensor)
-            new_term = _partial_term(wm, new_row)
-            if not cfg.backtracking or new_term > base_term:
-                value = value - base_term + new_term
-                pos[i] = q
-                rows[i] = new_row
-                moved = True
-                break
-            scale *= 0.5
-    if moved:
-        value = coverage_from_rows(grid, rows)  # refresh against drift
     return moved, pos, rows, value

@@ -58,10 +58,8 @@ def brute_force(
     if count > cap:
         raise InstanceTooLargeError(count, cap)
 
-    rows = detection_matrix(cand, space, grid.centers, sensor)
-    q = 1.0 - rows
-    w = grid.weights
-    total = float(np.sum(w))
+    ev = _SubsetEvaluator(cand, space, grid, sensor)
+    q, w, total = ev.q, ev.w, ev.total
 
     best_subset: tuple[int, ...] | None = None
     best_value = -np.inf

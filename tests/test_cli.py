@@ -232,3 +232,41 @@ def test_bad_positions_file_exits_2(tmp_path, small_scenario, capsys):
                  "--positions-file", str(pos), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "pos.csv" in capsys.readouterr().err
+
+
+# Candidates on the outer boundary where an interior wall meets it see no cell.
+ZERO_MASS = {
+    "empty_60x50": [],
+    "wall_60x50": [],
+    "maze_60x50": ["(45, 0)"],
+    "random_60x50": [],
+    "rooms_60x50": ["(30, 0)", "(0, 25)", "(60, 25)", "(30, 50)"],
+}
+
+
+def _guarantee_rows(path):
+    # columns ... T, E, L: each guarantee in [1 - 1/e, 1] and L = max(T, E)
+    rows = [list(map(float, line.split(","))) for line in read_artifact(path)[1:]]
+    for *_, t, e, l in rows:
+        assert 1.0 - 1.0 / np.e - 1e-12 <= min(t, e)
+        assert l == max(t, e) <= 1.0 + 1e-12
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_MASS))
+def test_bounds_and_sweep_on_bundled_scenarios(tmp_path, capsys, name):
+    code = main(["bounds", "--scenario", name, "--out", str(tmp_path / "b")])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(_guarantee_rows(tmp_path / "b" / "bounds.csv")) == 1
+    dropped = [line for line in printed if line.startswith("dropped")]
+    spots = ZERO_MASS[name]
+    assert len(dropped) == (1 if spots else 0)
+    if spots:
+        assert dropped[0].startswith(f"dropped {len(spots)} of ")
+        assert dropped[0].endswith(": " + ", ".join(spots))
+
+    code = main(["sweep", "--scenario", name, "--out", str(tmp_path / "s"),
+                 "--sweep", "lambda:0.05:0.5:3"])
+    assert code == 0
+    assert len(_guarantee_rows(tmp_path / "s" / "sweep.csv")) == 3

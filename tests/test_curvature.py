@@ -164,6 +164,23 @@ def test_degenerate_candidate_rejected(empty_rect):
         total_curvature(probs, grid)
 
 
+def test_zero_mass_candidates_leave_the_ground_set(block_problem):
+    space, grid, sensor, cand = block_problem
+    probs = detection_matrix(cand, space, grid.centers, sensor)
+    blind = np.zeros((1, grid.cell_count))
+    plain = bound_report(probs, grid, 4)
+    report = bound_report(np.vstack([blind, probs, blind]), grid, 4)
+    assert report.dropped == (0, len(cand) + 1) and plain.dropped == ()
+    assert report.total_curvature == plain.total_curvature
+    assert report.elemental_curvature == plain.elemental_curvature
+    assert report.certified == plain.certified
+    # indices keep numbering the rows of the full matrix
+    assert report.worst_candidate == plain.worst_candidate + 1
+    assert report.worst_pair == (plain.worst_pair[0] + 1, plain.worst_pair[1])
+    with pytest.raises(DegenerateCandidateError, match="candidate 0"):
+        bound_report(np.vstack([blind, blind]), grid, 4)
+
+
 def test_total_curvature_handles_certain_detection(empty_rect):
     # decay zero makes every in-range probability exactly 1; the leave-one-out
     # products must survive without dividing by zero

@@ -189,3 +189,21 @@ def test_refine_agents_never_merge(empty_rect):
     for step in result.steps:
         d = np.linalg.norm(step.positions[0] - step.positions[1])
         assert d >= 1e-6
+
+
+@pytest.mark.parametrize("schedule", ["synchronous", "sequential"])
+def test_refine_without_backtracking_takes_full_steps(empty_rect, schedule):
+    # every move that is neither projected nor blocked covers exactly step_scale
+    grid, sensor, _ = make_problem(empty_rect, decay=0.3)
+    start = np.array([[4.0, 4.0], [15.0, 6.0], [10.0, 2.0]])
+    cfg = RefineConfig(max_iterations=8, backtracking=False, step_scale=0.75, schedule=schedule)
+    result = refine(start, empty_rect, grid, sensor, cfg)
+    assert result.reason == "max_iterations"
+    full = 0
+    for before, after in zip(result.steps, result.steps[1:]):
+        for i, (p, q) in enumerate(zip(before.positions, after.positions)):
+            interior = 0.0 < q[0] < 20.0 and 0.0 < q[1] < 10.0
+            if after.grad_norms[i] > 0 and interior:
+                assert np.linalg.norm(q - p) == pytest.approx(cfg.step_scale, rel=1e-12)
+                full += 1
+    assert full == 3 * cfg.max_iterations
