@@ -7,6 +7,12 @@ boundaries stay feasible.  A sight line is blocked only when it passes through
 an obstacle interior (or outside the boundary) for a stretch of positive
 length; grazing a vertex or sliding along an edge does not block it.
 
+Sight lines from many sources usually share one target set (the quadrature
+cell centers).  ``line_of_sight_many`` keeps the target-side work for the
+last target set on the mission space and reuses it for every later source,
+decides the transversal crossings of all ring edges in one vectorized pass,
+and falls back to an exact scalar test only for degenerate contacts.
+
 All predicates use the tolerance ``EPS`` (in length units) and assume inputs
 are well separated relative to it.
 """
@@ -93,6 +99,16 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
     if d4 == 0 and on_segment(p1, p2, q2):
         return True
     return False
+
+
+def _edge_dist2(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to each closed edge a-b: shape (E, T)."""
+    ab = b - a  # (E,2)
+    ab2 = np.maximum(np.sum(ab * ab, axis=1), 1e-300)  # (E,)
+    diff = pts[None, :, :] - a[:, None, :]  # (E,T,2)
+    t = np.clip(np.einsum("etk,ek->et", diff, ab) / ab2[:, None], 0.0, 1.0)
+    closest = a[:, None, :] + t[:, :, None] * ab[None, :, :].swapaxes(0, 1)
+    return np.sum((pts[None, :, :] - closest) ** 2, axis=-1)
 
 
 def closest_point_on_segment(p, a, b) -> np.ndarray:
@@ -214,14 +230,7 @@ class Polygon:
 
     def on_boundary_many(self, points, tol: float = EPS) -> np.ndarray:
         pts = as_points_array(points)
-        a, b = self.edges
-        ab = b - a  # (E,2)
-        ab2 = np.maximum(np.sum(ab * ab, axis=1), 1e-300)  # (E,)
-        diff = pts[None, :, :] - a[:, None, :]  # (E,T,2)
-        t = np.clip(np.einsum("etk,ek->et", diff, ab) / ab2[:, None], 0.0, 1.0)
-        closest = a[:, None, :] + t[:, :, None] * ab[None, :, :].swapaxes(0, 1)
-        d2 = np.sum((pts[None, :, :] - closest) ** 2, axis=-1)
-        return np.any(d2 <= tol * tol, axis=0)
+        return np.any(_edge_dist2(pts, *self.edges) <= tol * tol, axis=0)
 
     def _parity(self, pts: np.ndarray) -> np.ndarray:
         """Ray-casting parity with the half-open edge rule (boundary arbitrary)."""
@@ -260,6 +269,7 @@ class MissionSpace:
         self.boundary = boundary
         self.obstacles = list(obstacles or [])
         self._validate()
+        self._sight = None  # _SightMemo of the last target set sighted
 
     def _validate(self):
         ba, bb = self.boundary.edges
@@ -326,6 +336,13 @@ class MissionSpace:
         for obs in self.obstacles:
             ok &= ~obs.strictly_contains_many(pts)
         return ok
+
+    def _sight_memo(self, tgt: np.ndarray) -> _SightMemo:
+        """Target-side sight-line geometry for ``tgt``, kept for the last target set."""
+        key = tgt.tobytes()
+        if self._sight is None or self._sight.key != key:
+            self._sight = _SightMemo(self, tgt, key)
+        return self._sight
 
     def __repr__(self):
         return f"MissionSpace(boundary={self.boundary!r}, obstacles={len(self.obstacles)})"
@@ -410,61 +427,48 @@ def _segment_excursion(p, q, poly: Polygon, seek_outside: bool) -> bool:
     return False
 
 
-def _blocked_by_polygon(source, targets, poly: Polygon, seek_outside: bool) -> np.ndarray:
-    """Vectorized block test for one polygon against many targets.
+class _SightMemo:
+    """What line_of_sight_many needs of one target set, whatever the source.
 
-    Transversal edge crossings are decided in bulk; targets with a degenerate
-    contact (segment through a vertex, or both endpoints on the polygon) fall
-    back to the exact scalar excursion test.
+    Every ring that can block a sight line (a non-convex boundary, then each
+    obstacle) has its edges stacked into one array, ring by ring, so a source
+    meets all of them in one vectorized pass.  Per feasible target the memo
+    keeps its strict side of each edge line as two bool masks, and, built on
+    first use, whether it lies on each ring.
     """
-    src = np.asarray(source, dtype=float)
-    tgt = as_points_array(targets)
-    n_t = len(tgt)
-    a, b = poly.edges
-    ab = b - a
-    abn = np.maximum(np.linalg.norm(ab, axis=1), 1e-300)  # (E,)
 
-    d1 = ab[:, 0] * (src[1] - a[:, 1]) - ab[:, 1] * (src[0] - a[:, 0])  # (E,)
-    s1 = d1 / abn
-    d2 = ab[:, 0][:, None] * (tgt[:, 1][None, :] - a[:, 1][:, None]) - ab[:, 1][
-        :, None
-    ] * (tgt[:, 0][None, :] - a[:, 0][:, None])  # (E,T)
-    s2 = d2 / abn[:, None]
+    def __init__(self, ms: MissionSpace, tgt: np.ndarray, key: bytes):
+        self.key = key
+        self.feasible = ms.feasible_many(tgt)
+        self.idx = np.nonzero(self.feasible)[0]
+        self.pts = tgt[self.idx]
+        rings = [] if ms.boundary.is_convex else [(ms.boundary, True)]
+        self.rings = rings + [(obs, False) for obs in ms.obstacles]
+        self._on_ring = [None] * len(self.rings)
+        if not self.rings:
+            return
+        sizes = np.array([len(poly.vertices) for poly, _ in self.rings])
+        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        # vertex k + 1 of its own ring, so edge e runs from a[e] to a[nxt[e]]
+        self.nxt = np.arange(len(self.owner)) + 1
+        self.nxt[self.starts + sizes - 1] = self.starts
+        a = self.a = np.concatenate([poly.edges[0] for poly, _ in self.rings])
+        self.b = np.concatenate([poly.edges[1] for poly, _ in self.rings])
+        ab = self.ab = self.b - a
+        self.abn = np.maximum(np.linalg.norm(ab, axis=1), 1e-300)  # (E,)
+        pts = self.pts
+        s2 = ab[:, 0][:, None] * (pts[:, 1][None, :] - a[:, 1][:, None]) - ab[:, 1][
+            :, None
+        ] * (pts[:, 0][None, :] - a[:, 0][:, None])  # (E,T)
+        s2 /= self.abn[:, None]
+        # row e for a source strictly left of edge e, row E + e for strictly right
+        self.opposite = np.concatenate([s2 < -EPS, s2 > EPS])
 
-    sv = tgt - src[None, :]  # (T,2)
-    svn = np.linalg.norm(sv, axis=1)  # (T,)
-    svn_safe = np.maximum(svn, 1e-300)
-    # cross(sv, vertex - src) for both edge endpoints
-    d3 = sv[:, 0][None, :] * (a[:, 1] - src[1])[:, None] - sv[:, 1][None, :] * (
-        a[:, 0] - src[0]
-    )[:, None]  # (E,T)
-    d4 = sv[:, 0][None, :] * (b[:, 1] - src[1])[:, None] - sv[:, 1][None, :] * (
-        b[:, 0] - src[0]
-    )[:, None]
-    s3 = d3 / svn_safe[None, :]
-    s4 = d4 / svn_safe[None, :]
-
-    opp_edge = (s1[:, None] * s2 < 0) & (np.abs(s1) > EPS)[:, None] & (np.abs(s2) > EPS)
-    opp_seg = (s3 * s4 < 0) & (np.abs(s3) > EPS) & (np.abs(s4) > EPS)
-    blocked = np.any(opp_edge & opp_seg, axis=0)
-
-    live = svn > EPS  # zero-length segments are never blocked
-    blocked &= live
-
-    # degenerate contacts: vertex on the open segment, or endpoints on the ring
-    along = np.einsum("tk,ek->et", sv, a - src[None, :]) / svn_safe[None, :]  # (E,T)
-    vtx_touch = (
-        (np.abs(s3) <= EPS) & (along > EPS) & (along < (svn - EPS)[None, :])
-    ).any(axis=0)
-    suspect = vtx_touch & live & ~blocked
-    if poly.on_boundary(src):
-        tgt_on = poly.on_boundary_many(tgt)
-        suspect |= tgt_on & live & ~blocked
-    idx = np.nonzero(suspect)[0]
-    for t in idx:
-        if _segment_excursion(src, tgt[t], poly, seek_outside):
-            blocked[t] = True
-    return blocked
+    def on_ring(self, k: int) -> np.ndarray:
+        if self._on_ring[k] is None:
+            self._on_ring[k] = self.rings[k][0].on_boundary_many(self.pts)
+        return self._on_ring[k]
 
 
 def line_of_sight_many(source, targets, ms: MissionSpace) -> np.ndarray:
@@ -473,20 +477,64 @@ def line_of_sight_many(source, targets, ms: MissionSpace) -> np.ndarray:
     Range is not considered here; combine with a distance test for full
     visibility.  Targets outside the closed boundary or strictly inside an
     obstacle are never sighted.
+
+    Target-side work (feasibility, edge-line sides, on-ring masks) is kept on
+    ``ms`` and reused by later calls with the same targets.  Transversal edge
+    crossings are decided in bulk; targets with a degenerate contact (segment
+    through a vertex, or both endpoints on one ring) that are still clear fall
+    back to the exact scalar excursion test.
     """
     src = as_xy(source)
     tgt = as_points_array(targets)
-    if not is_feasible(src, ms):
+    if len(tgt) == 0 or not is_feasible(src, ms):
         return np.zeros(len(tgt), dtype=bool)
-    clear = ms.boundary.contains_many(tgt)
-    if not ms.boundary.is_convex:
-        clear &= ~_blocked_by_polygon(src, tgt, ms.boundary, seek_outside=True)
-    for obs in ms.obstacles:
-        if not np.any(clear):
-            break
-        clear &= ~obs.strictly_contains_many(tgt)
-        clear &= ~_blocked_by_polygon(src, tgt, obs, seek_outside=False)
-    return clear
+    memo = ms._sight_memo(tgt)
+    if not memo.rings:
+        return memo.feasible.copy()
+    pts, a, ab = memo.pts, memo.a, memo.ab
+
+    sv = pts - src[None, :]  # (T,2)
+    svn = np.linalg.norm(sv, axis=1)  # (T,)
+    svn_safe = np.maximum(svn, 1e-300)
+    live = svn > EPS  # zero-length segments are never blocked
+    s1 = (ab[:, 0] * (src[1] - a[:, 1]) - ab[:, 1] * (src[0] - a[:, 0])) / memo.abn  # (E,)
+    rel = a - src[None, :]
+    # side of each ring vertex against the sight line: cross(sv, vertex - src)
+    s3 = np.multiply.outer(rel[:, 1], sv[:, 0])  # (E,T)
+    s3 -= np.multiply.outer(rel[:, 0], sv[:, 1])
+    s3 /= svn_safe
+    left = s3 > EPS
+    right = s3 < -EPS
+
+    # a proper crossing: source and target strictly on opposite sides of the
+    # edge line, and the edge's two vertices strictly on opposite sides of the
+    # sight line
+    act = np.nonzero(np.abs(s1) > EPS)[0]
+    nxt = memo.nxt[act]
+    cross = memo.opposite[act + len(a) * (s1[act] < 0)]
+    cross &= (left[act] & right[nxt]) | (right[act] & left[nxt])
+    clear = ~cross.any(axis=0) | ~live
+
+    # degenerate contacts: a vertex on the open segment, or the source on a ring
+    near_e, near_t = np.nonzero(~(left | right))
+    along = np.einsum("nk,nk->n", sv[near_t], rel[near_e]) / svn_safe[near_t]
+    touch = (along > EPS) & (along < svn[near_t] - EPS)
+    suspect = np.zeros((len(memo.rings), len(pts)), dtype=bool)
+    suspect[memo.owner[near_e[touch]], near_t[touch]] = True
+    src_on = np.logical_or.reduceat(
+        _edge_dist2(src[None, :], a, memo.b)[:, 0] <= EPS * EPS, memo.starts
+    )
+    for k in np.nonzero(src_on)[0]:
+        suspect[k] |= memo.on_ring(k)
+    suspect &= clear & live
+    for k, t in zip(*np.nonzero(suspect)):
+        poly, seek_outside = memo.rings[k]
+        if clear[t] and _segment_excursion(src, pts[t], poly, seek_outside):
+            clear[t] = False
+
+    out = np.zeros(len(tgt), dtype=bool)
+    out[memo.idx] = clear
+    return out
 
 
 def visible_many(source, targets, ms: MissionSpace, radius: float) -> np.ndarray:

@@ -254,7 +254,7 @@ def refine(
 
     for it in range(1, cfg.max_iterations + 1):
         # stopping-test gradients, always against the configuration as it stands;
-        # the sequential schedule recomputes each agent's own as agents move
+        # the sequential schedule reuses them until an agent moves
         grads = np.zeros((n, 2))
         for i in range(n):
             wm = grid.weights * _others_miss(rows, i)
@@ -270,7 +270,7 @@ def refine(
         if cfg.schedule == "synchronous":
             moved, pos, rows, value = _synchronous_sweep(*state, grads)
         else:
-            moved, pos, rows, value = _agent_sweep(*state)
+            moved, pos, rows, value = _agent_sweep(*state, grads, refresh=True)
         steps.append(RefineStep(it, pos.copy(), value, norms))
         if not moved:
             reason = "no_improvement"
@@ -315,24 +315,27 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, grads):
     return _agent_sweep(pos, rows, value, space, grid, sensor, cfg, dirs)
 
 
-def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, dirs=None):
+def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, dirs, refresh=False):
     """Move agents one at a time, each judged against the others as they stand.
 
-    Directions are the fixed unit rows of ``dirs``, or, without it, each
-    agent's gradient recomputed after the moves before it.
+    Directions are the fixed unit rows of ``dirs``.  With ``refresh`` (the
+    sequential schedule), ``dirs`` holds the stopping-test gradients instead,
+    which hold until the first agent moves; from then on each agent's
+    gradient is recomputed against the moves before it, and every direction
+    is normalised.
     """
     moved = False
     pos, rows = pos.copy(), rows.copy()
     for i in range(len(pos)):
         wm = grid.weights * _others_miss(rows, i)
-        if dirs is None:
+        if refresh and moved:
             d = _agent_gradient(pos[i], wm, space, grid, sensor, cfg.fd_epsilon)
         else:
             d = dirs[i]
         norm = float(np.linalg.norm(d))
         if norm == 0:
             continue
-        if dirs is None:
+        if refresh:
             d = d / norm
         base_term = _partial_term(wm, rows[i])
         scale = cfg.step_scale

@@ -15,8 +15,9 @@ from coverplan import (
     project_feasible,
     refine,
 )
+from coverplan import gradient
 
-from conftest import make_problem
+from conftest import make_problem, random_space
 
 
 def secant_directional(positions, i, direction, space, grid, sensor, t=1e-4):
@@ -207,3 +208,81 @@ def test_refine_without_backtracking_takes_full_steps(empty_rect, schedule):
                 assert np.linalg.norm(q - p) == pytest.approx(cfg.step_scale, rel=1e-12)
                 full += 1
     assert full == 3 * cfg.max_iterations
+
+
+def _recomputing_sequential_sweep(pos, rows, value, space, grid, sensor, cfg, *_, **__):
+    """The sequential sweep as it was: every agent's gradient recomputed, moved or not."""
+    moved = False
+    pos, rows = pos.copy(), rows.copy()
+    for i in range(len(pos)):
+        wm = grid.weights * gradient._others_miss(rows, i)
+        d = gradient._agent_gradient(pos[i], wm, space, grid, sensor, cfg.fd_epsilon)
+        norm = float(np.linalg.norm(d))
+        if norm == 0:
+            continue
+        d = d / norm
+        base_term = gradient._partial_term(wm, rows[i])
+        scale = cfg.step_scale
+        for _ in range(cfg.max_halvings + 1 if cfg.backtracking else 1):
+            q = gradient._propose(pos, i, d, scale, space, cfg)
+            if q is not None:
+                new_row = gradient.detection_row(q, space, grid.centers, sensor)
+                if not cfg.backtracking or gradient._partial_term(wm, new_row) > base_term:
+                    pos[i], rows[i] = q, new_row
+                    moved = True
+                    break
+            scale *= 0.5
+    if moved:
+        value = gradient.coverage_from_rows(grid, rows)
+    return moved, pos, rows, value
+
+
+@pytest.mark.parametrize("backtracking", [True, False])
+@pytest.mark.parametrize("fixture", ["empty_rect", "one_block", "lshape", "random"])
+def test_sequential_reuse_matches_recomputing_sweep(fixture, backtracking, request, monkeypatch):
+    if fixture == "random":
+        space = random_space(np.random.default_rng(8))
+    else:
+        space = request.getfixturevalue(fixture)
+    grid, sensor, cand = make_problem(space, decay=0.3)
+    start = cand[[0, len(cand) // 2, len(cand) - 1]]
+    cfg = RefineConfig(max_iterations=6, schedule="sequential", backtracking=backtracking)
+    got = refine(start, space, grid, sensor, cfg)
+    monkeypatch.setattr(gradient, "_agent_sweep", _recomputing_sequential_sweep)
+    want = refine(start, space, grid, sensor, cfg)
+    assert got.reason == want.reason
+    assert len(got.steps) == len(want.steps) > 1
+    for a, b in zip(got.steps, want.steps):
+        assert a.iteration == b.iteration and a.value == b.value
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.grad_norms.tobytes() == b.grad_norms.tobytes()
+
+
+def test_sequential_sweep_computes_no_gradient_twice(empty_rect, monkeypatch):
+    grid, sensor, _ = make_problem(empty_rect, decay=0.3)
+    start = np.array([[4.0, 4.0], [15.0, 6.0], [10.0, 2.0]])
+    cfg = RefineConfig(max_iterations=4, schedule="sequential")
+    seen = []
+    rows = [0]
+    agent_gradient, detection_row = gradient._agent_gradient, gradient.detection_row
+
+    def spy_gradient(pos, wm, *rest):
+        seen.append(pos.tobytes() + wm.tobytes())
+        return agent_gradient(pos, wm, *rest)
+
+    def spy_row(*args):
+        rows[0] += 1
+        return detection_row(*args)
+
+    monkeypatch.setattr(gradient, "_agent_gradient", spy_gradient)
+    monkeypatch.setattr(gradient, "detection_row", spy_row)
+    refine(start, empty_rect, grid, sensor, cfg)
+    assert len(seen) == len(set(seen))
+    reused_rows = rows[0]
+
+    seen.clear()
+    rows[0] = 0
+    monkeypatch.setattr(gradient, "_agent_sweep", _recomputing_sequential_sweep)
+    refine(start, empty_rect, grid, sensor, cfg)
+    assert len(seen) > len(set(seen))
+    assert reused_rows < rows[0]
