@@ -10,7 +10,7 @@ simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,17 +235,11 @@ def sweep_bounds(
     candidate ground set, so each sweep point only pays for the probability
     rebuild, not for any geometry.
     """
-    from .sensing import SensorModel
-
     if parameter not in ("decay", "radius"):
         raise InvalidParameterError(f"sweep parameter must be 'decay' or 'radius', got {parameter!r}")
     out = []
     for v in values:
         v = float(v)
-        if parameter == "decay":
-            sensor = SensorModel(decay=v, radius=base_sensor.radius)
-        else:
-            sensor = SensorModel(decay=base_sensor.decay, radius=v)
-        probs = cache.probs(sensor)
+        probs = cache.probs(replace(base_sensor, **{parameter: v}))
         out.append((v, bound_report(probs, grid, team_size, domain)))
     return out

@@ -169,12 +169,6 @@ class Polygon:
         return float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
 
     @cached_property
-    def diameter(self) -> float:
-        v = self.vertices
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-        return float(np.sqrt(d2.max()))
-
-    @cached_property
     def is_convex(self) -> bool:
         a, b = self.edges
         e = b - a
@@ -324,10 +318,6 @@ class MissionSpace:
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
         return self.boundary.bbox
-
-    @cached_property
-    def diameter(self) -> float:
-        return self.boundary.diameter
 
     def feasible_many(self, points) -> np.ndarray:
         """True where a point is in the closed boundary and in no obstacle interior."""

@@ -29,7 +29,7 @@ from .geometry import (
     closest_point_on_segment,
     is_feasible,
 )
-from .sensing import SensorModel, coverage_from_rows, detection_matrix, detection_row
+from .sensing import SensorModel, coverage_from_rows, detection_matrix, detection_row, miss_product
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,7 @@ def project_feasible(p, space: MissionSpace) -> np.ndarray:
 
 def _others_miss(rows: np.ndarray, i: int) -> np.ndarray:
     """Per-cell probability that every agent except i misses."""
-    if len(rows) == 1:
-        return np.ones(rows.shape[1])
-    sel = np.ones(len(rows), dtype=bool)
-    sel[i] = False
-    return np.prod(1.0 - rows[sel], axis=0)
+    return miss_product(np.delete(rows, i, 0))
 
 
 def _partial_term(weighted_miss: np.ndarray, row: np.ndarray) -> float:

@@ -1,11 +1,15 @@
 """Greedy placement over a finite candidate set, eager and lazy variants.
 
-Both variants pick one candidate per round, the one with the largest marginal
-coverage gain, breaking exact ties toward the lowest candidate index.  The
-lazy variant keeps stale gains in a max-heap and recomputes only entries that
-reach the top; because gains never grow as the team fills in, a recomputed
-entry that stays on top is the true maximizer.  Both variants route every gain
-through the same dot product, so they select identical sequences.
+One loop places the agents: each round it takes the candidate with the
+largest marginal coverage gain, breaking exact ties toward the lowest
+candidate index, and updates the miss vector.  The variants differ only in
+the picker that finds that candidate.  The eager picker evaluates every
+remaining candidate (Nemhauser, Wolsey and Fisher 1978).  The lazy picker
+(Minoux 1978) keeps stale gains in a max-heap and recomputes only entries
+that reach the top; because gains never grow as the team fills in, a
+recomputed entry that stays on top is the true maximizer.  Both variants
+route every gain through the same dot product, so they select identical
+sequences.
 """
 
 from __future__ import annotations
@@ -52,11 +56,10 @@ def greedy_place(
     candidates,
     team_size: int,
     method: str = "lazy",
-    gain_tolerance: float = GAIN_TOLERANCE,
 ) -> GreedyResult:
     """Place ``team_size`` agents on candidate points by greedy selection.
 
-    Stops early when the best remaining gain is at most ``gain_tolerance``;
+    Stops early when the best remaining gain is at most ``GAIN_TOLERANCE``;
     the result then holds fewer positions than requested.  A team larger
     than the candidate set takes every candidate and is flagged as slack.
     """
@@ -67,92 +70,70 @@ def greedy_place(
         raise InvalidParameterError(f"team size must be a positive integer, got {team_size}")
     if method not in ("eager", "lazy"):
         raise InvalidParameterError(f"method must be 'eager' or 'lazy', got {method!r}")
-    # more agents than candidates: place everyone, the constraint is slack
-    rounds = min(int(team_size), len(cand))
 
     rows = detection_matrix(cand, space, grid.centers, sensor)
-    if method == "eager":
-        picker = _run_eager
-    else:
-        picker = _run_lazy
-    result = picker(grid, rows, rounds, gain_tolerance)
-    result.positions = cand[result.indices].copy()
-    result.method = method
-    result.constraint_slack = team_size > len(cand)
-    return result
-
-
-def _run_eager(grid, rows, team_size, tol) -> GreedyResult:
-    n_cand = len(rows)
     miss = np.ones(grid.cell_count)
+    evaluations = 0
+
+    def gain(j: int) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return marginal_gain(grid, miss, rows[j])
+
+    pick = (_eager if method == "eager" else _lazy)(gain, len(rows))
     chosen: list[int] = []
     gains: list[float] = []
     values: list[float] = []
-    taken = np.zeros(n_cand, dtype=bool)
-    evals = 0
     total = 0.0
     stopped = False
-    for _ in range(team_size):
-        best_j = -1
-        best_gain = -np.inf
-        for j in range(n_cand):
-            if taken[j]:
-                continue
-            g = marginal_gain(grid, miss, rows[j])
-            evals += 1
-            if g > best_gain:
-                best_gain = g
-                best_j = j
-        if best_gain <= tol:
+    # more agents than candidates: place everyone, the constraint is slack
+    for step in range(min(int(team_size), len(cand))):
+        j, g = pick(step)
+        if g <= GAIN_TOLERANCE:
             stopped = True
             break
-        taken[best_j] = True
-        chosen.append(best_j)
-        total += best_gain
-        gains.append(best_gain)
+        chosen.append(j)
+        total += g
+        gains.append(g)
         values.append(total)
-        miss *= 1.0 - rows[best_j]
-    return GreedyResult(chosen, np.empty((0, 2)), gains, values, evals, stopped)
+        miss *= 1.0 - rows[j]
+    return GreedyResult(
+        chosen, cand[chosen], gains, values, evaluations, stopped,
+        method=method, constraint_slack=team_size > len(cand),
+    )
 
 
-def _run_lazy(grid, rows, team_size, tol) -> GreedyResult:
-    n_cand = len(rows)
-    miss = np.ones(grid.cell_count)
-    chosen: list[int] = []
-    gains: list[float] = []
-    values: list[float] = []
-    evals = 0
-    total = 0.0
-    stopped = False
+def _eager(gain, n_cand: int):
+    """Picker that evaluates every remaining candidate each round."""
+    left = list(range(n_cand))
 
+    def pick(step: int) -> tuple[int, float]:
+        best_j, best_gain = -1, -np.inf
+        for j in left:
+            g = gain(j)
+            if g > best_gain:
+                best_j, best_gain = j, g
+        if best_j >= 0:
+            left.remove(best_j)
+        return best_j, best_gain
+
+    return pick
+
+
+def _lazy(gain, n_cand: int):
+    """Picker that recomputes only stale gains reaching the top of a max-heap."""
     # round 0 gains are exact, so every heap entry starts fresh
-    heap = []
-    fresh_round = np.zeros(n_cand, dtype=int)
-    for j in range(n_cand):
-        g = marginal_gain(grid, miss, rows[j])
-        evals += 1
-        heap.append((-g, j))
+    heap = [(-gain(j), j) for j in range(n_cand)]
     heapq.heapify(heap)
+    fresh_round = np.zeros(n_cand, dtype=int)
 
-    for step in range(team_size):
-        best_j = -1
-        best_gain = 0.0
+    def pick(step: int) -> tuple[int, float]:
         while heap:
             neg_g, j = heapq.heappop(heap)
             if fresh_round[j] == step:
-                best_j = j
-                best_gain = -neg_g
-                break
-            g = marginal_gain(grid, miss, rows[j])
-            evals += 1
+                return j, -neg_g
             fresh_round[j] = step
-            heapq.heappush(heap, (-g, j))
-        if best_j < 0 or best_gain <= tol:
-            stopped = True
-            break
-        chosen.append(best_j)
-        total += best_gain
-        gains.append(best_gain)
-        values.append(total)
-        miss *= 1.0 - rows[best_j]
-    return GreedyResult(chosen, np.empty((0, 2)), gains, values, evals, stopped)
+            heapq.heappush(heap, (-gain(j), j))
+        return -1, 0.0
+
+    return pick

@@ -2,9 +2,10 @@
 
 An agent at s detects an event at x with probability exp(-decay * |x - s|)
 when x is visible from s (segment inside the feasible region, range at most
-``radius``), and probability zero otherwise.  Agents detect independently, so
-a team misses an event only when every member misses it, and the objective is
-the density-weighted integral of the joint detection probability.
+``radius``), and probability zero otherwise; :meth:`SensorModel.detect` is the
+one place that rule is written.  Agents detect independently, so a team
+misses an event only when every member misses it, and the objective is the
+density-weighted integral of the joint detection probability.
 """
 
 from __future__ import annotations
@@ -31,27 +32,23 @@ class SensorModel:
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise InvalidParameterError(f"radius must be finite and > 0, got {self.radius}")
 
+    def detect(self, dist: np.ndarray, los: np.ndarray) -> np.ndarray:
+        """Detection probabilities at distances ``dist`` with sight lines ``los`` (any shape)."""
+        hit = los & (dist <= self.radius + EPS)
+        return np.exp(-self.decay * dist, out=np.zeros(dist.shape), where=hit)
+
+
+def _distances(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    # a (2,) source gives shape (T,), an (n, 1, 2) stack of sources (n, T)
+    d = targets - sources
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+
 
 def detection_row(position, space: MissionSpace, targets, sensor: SensorModel) -> np.ndarray:
     """Detection probability of one agent against each target point."""
     pos = as_xy(position)
     pts = as_points_array(targets)
-    d = np.linalg.norm(pts - pos[None, :], axis=1)
-    vis = line_of_sight_many(pos, pts, space) & (d <= sensor.radius + EPS)
-    row = np.zeros(len(pts))
-    row[vis] = np.exp(-sensor.decay * d[vis])
-    return row
-
-
-def _per_agent_models(sensor, count: int) -> list[SensorModel]:
-    if isinstance(sensor, SensorModel):
-        return [sensor] * count
-    models = list(sensor)
-    if len(models) != count:
-        raise InvalidParameterError(
-            f"got {len(models)} sensor models for {count} positions"
-        )
-    return models
+    return sensor.detect(_distances(pos, pts), line_of_sight_many(pos, pts, space))
 
 
 def detection_matrix(positions, space: MissionSpace, targets, sensor) -> np.ndarray:
@@ -62,7 +59,9 @@ def detection_matrix(positions, space: MissionSpace, targets, sensor) -> np.ndar
     """
     pos = as_points_array(positions)
     pts = as_points_array(targets)
-    models = _per_agent_models(sensor, len(pos))
+    models = [sensor] * len(pos) if isinstance(sensor, SensorModel) else list(sensor)
+    if len(models) != len(pos):
+        raise InvalidParameterError(f"got {len(models)} sensor models for {len(pos)} positions")
     rows = np.empty((len(pos), len(pts)))
     for i in range(len(pos)):
         rows[i] = detection_row(pos[i], space, pts, models[i])
@@ -79,15 +78,13 @@ class DetectionCache:
     def __init__(self, positions, space: MissionSpace, targets):
         self.positions = as_points_array(positions)
         self.targets = as_points_array(targets)
-        diff = self.targets[None, :, :] - self.positions[:, None, :]
-        self.dist = np.linalg.norm(diff, axis=-1)  # (n, T)
+        self.dist = _distances(self.positions[:, None, :], self.targets)  # (n, T)
         self.los = np.empty(self.dist.shape, dtype=bool)
         for i in range(len(self.positions)):
             self.los[i] = line_of_sight_many(self.positions[i], self.targets, space)
 
     def probs(self, sensor: SensorModel) -> np.ndarray:
-        mask = self.los & (self.dist <= sensor.radius + EPS)
-        return np.where(mask, np.exp(-sensor.decay * self.dist), 0.0)
+        return sensor.detect(self.dist, self.los)
 
 
 def miss_product(rows: np.ndarray) -> np.ndarray:
@@ -125,7 +122,6 @@ def marginal_gain(grid: QuadratureGrid, miss: np.ndarray, row: np.ndarray) -> fl
     """Increase of the objective from adding one agent with detection ``row``.
 
     ``miss`` is the current per-target miss probability; the gain integrates
-    miss * row against the weighted density.  Both the eager and the lazy
-    greedy drivers call this exact function so their arithmetic is identical.
+    miss * row against the weighted density.  Every greedy gain comes from here.
     """
     return float(np.dot(grid.weights * miss, row))

@@ -239,6 +239,18 @@ def test_sweep_bounds_tracks_single_reports(block_problem):
         sweep_bounds(cache, grid, 5, sensor, "wavelength", decays)
 
 
+def test_radius_sweep_tracks_single_reports(block_problem):
+    space, grid, sensor, cand = block_problem
+    cache = DetectionCache(cand, space, grid.centers)
+    radii = [2.5, 6.0, 30.0]
+    rows = sweep_bounds(cache, grid, 5, sensor, "radius", radii)
+    assert [v for v, _ in rows] == radii
+    for v, report in rows:
+        probe = SensorModel(decay=sensor.decay, radius=v)
+        probs = detection_matrix(cand, space, grid.centers, probe)
+        assert report == bound_report(probs, grid, 5)
+
+
 def test_elemental_curvature_rises_with_decay(block_problem):
     # weaker long-range detection can only worsen the worst cell
     space, grid, sensor, cand = block_problem

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coverplan.greedy as greedy_mod
 from coverplan import (
     EmptyCandidateSetError,
     InvalidParameterError,
@@ -12,7 +15,9 @@ from coverplan import (
     candidate_lattice,
     coverage,
     greedy_place,
+    marginal_gain,
 )
+from coverplan.greedy import GAIN_TOLERANCE
 
 from conftest import make_problem, random_space
 
@@ -124,3 +129,55 @@ def test_value_monotone_in_team_size(block_problem):
         value = greedy_place(space, grid, sensor, cand, n).value
         assert value >= prev - 1e-12
         prev = value
+
+
+TINY = MissionSpace(Polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 3.0)]))
+TINY_GRID = QuadratureGrid(TINY, 1.0, UniformDensity())
+
+
+@st.composite
+def synthetic_rows(draw):
+    """Rows over a few cell values, so gains tie exactly; rows repeat and may be zero."""
+    cells = TINY_GRID.cell_count
+    value = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    kinds = draw(st.lists(st.lists(value, min_size=cells, max_size=cells), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        kinds.append([0.0] * cells)
+    picks = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=8))
+    return np.array([kinds[k] for k in picks])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=synthetic_rows(), data=st.data())
+def test_eager_and_lazy_share_one_selection(rows, data):
+    n = len(rows)
+    team = data.draw(st.integers(1, n + 2))
+    cand = np.arange(2.0 * n).reshape(n, 2)
+    sensor = SensorModel(decay=0.1, radius=10.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy_mod, "detection_matrix", lambda *args: rows)
+        eager = greedy_place(TINY, TINY_GRID, sensor, cand, team, method="eager")
+        lazy = greedy_place(TINY, TINY_GRID, sensor, cand, team, method="lazy")
+    assert (lazy.indices, lazy.gains, lazy.values) == (eager.indices, eager.gains, eager.values)
+    assert lazy.stopped_early == eager.stopped_early
+    assert np.array_equal(eager.positions, cand[eager.indices])
+    # eager scans every remaining candidate in each round it runs
+    rounds_run = len(eager.indices) + eager.stopped_early
+    assert eager.evaluations == sum(n - k for k in range(rounds_run))
+    assert lazy.evaluations <= eager.evaluations
+    # replay: each pick is the lowest-index best gain, and the run stops
+    # exactly when the best gain left is at most the tolerance
+    miss = np.ones(TINY_GRID.cell_count)
+    left = list(range(n))
+    for k in range(min(team, n)):
+        gains = [marginal_gain(TINY_GRID, miss, rows[j]) for j in left]
+        best = max(gains)
+        if best <= GAIN_TOLERANCE:
+            assert eager.stopped_early and len(eager.indices) == k
+            break
+        j = left[gains.index(best)]
+        assert (eager.indices[k], eager.gains[k]) == (j, best)
+        left.remove(j)
+        miss *= 1.0 - rows[j]
+    else:
+        assert not eager.stopped_early and len(eager.indices) == min(team, n)

@@ -7,15 +7,19 @@ from coverplan import (
     QuadratureGrid,
     SensorModel,
     UniformDensity,
+    bundled_scenario_path,
     coverage,
     coverage_from_rows,
     detection_matrix,
     detection_row,
     is_visible,
     joint_detection,
+    line_of_sight_many,
     marginal_gain,
     miss_product,
+    parse_scenario,
 )
+from coverplan.geometry import EPS
 
 from conftest import make_problem
 
@@ -137,3 +141,47 @@ def test_mixed_team_uses_per_agent_models(empty_rect):
     assert mixed == pytest.approx(coverage_from_rows(grid, rows))
     with pytest.raises(InvalidParameterError):
         detection_matrix(pos, empty_rect, grid.centers, models[:1])
+
+
+def reference_row(pos, space, pts, sensor):
+    """Detection row by norm over the coordinate axis and a boolean-index exp."""
+    d = np.linalg.norm(pts - pos[None, :], axis=1)
+    vis = line_of_sight_many(pos, pts, space) & (d <= sensor.radius + EPS)
+    row = np.zeros(len(pts))
+    row[vis] = np.exp(-sensor.decay * d[vis])
+    return row
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50"]
+)
+def test_detection_paths_match_reference_rows(name):
+    # rows, matrices (shared and mixed teams) and cache probabilities all
+    # equal the reference bit for bit
+    sc = parse_scenario(bundled_scenario_path(name))
+    space = sc.build_space()
+    pts = sc.build_grid(space).centers
+    xmin, ymin, xmax, ymax = space.bbox
+    off = np.random.default_rng(5).uniform((xmin, ymin), (xmax, ymax), size=(40, 2))
+    src = np.vstack([sc.build_candidates(space)[::5], off[space.feasible_many(off)][:8]])
+    base = sc.build_sensor()
+    exact = float(np.linalg.norm(pts[len(pts) // 2] - src[0]))
+    sensors = [
+        base,
+        SensorModel(decay=0.0, radius=base.radius),
+        SensorModel(decay=0.3, radius=exact),  # a cell sits exactly at the cutoff
+    ]
+    cache = DetectionCache(src, space, pts)
+    for sensor in sensors:
+        ref = np.array([reference_row(p, space, pts, sensor) for p in src])
+        for p, r in zip(src, ref):
+            assert_same_bits(detection_row(p, space, pts, sensor), r)
+        assert_same_bits(detection_matrix(src, space, pts, sensor), ref)
+        assert_same_bits(cache.probs(sensor), ref)
+    team = [sensors[i % len(sensors)] for i in range(len(src))]
+    ref = np.array([reference_row(p, space, pts, m) for p, m in zip(src, team)])
+    assert_same_bits(detection_matrix(src, space, pts, team), ref)
