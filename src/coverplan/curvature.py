@@ -25,10 +25,13 @@ def _leave_one_out_miss(probs: np.ndarray) -> np.ndarray:
     would break a divide-by-total approach) cost nothing extra.
     """
     q = 1.0 - probs
-    n, m = q.shape
-    prefix = np.vstack([np.ones((1, m)), np.cumprod(q, axis=0)[:-1]])
-    suffix = np.vstack([np.cumprod(q[::-1], axis=0)[::-1][1:], np.ones((1, m))])
-    return prefix * suffix
+    prefix = np.empty_like(q)
+    suffix = np.empty_like(q)
+    prefix[0] = suffix[-1] = 1.0
+    np.cumprod(q[:-1], axis=0, out=prefix[1:])
+    np.cumprod(q[:0:-1], axis=0, out=suffix[-2::-1])  # from the last row back
+    prefix *= suffix
+    return prefix
 
 
 def _ground_set(probs, grid: QuadratureGrid):
@@ -54,7 +57,8 @@ def _total_curvature_argmax(probs, alone, keep, grid: QuadratureGrid) -> tuple[f
     # A dropped row is zero wherever the weight is not, so it multiplies the
     # leave-one-out products of the kept rows by exactly one there.
     others = _leave_one_out_miss(probs)
-    on_top = (probs * others) @ grid.weights
+    others *= probs
+    on_top = others @ grid.weights
     discounts = 1.0 - on_top[keep] / alone[keep]
     j = int(np.argmax(discounts))
     c = float(discounts[j])

@@ -7,11 +7,20 @@ boundaries stay feasible.  A sight line is blocked only when it passes through
 an obstacle interior (or outside the boundary) for a stretch of positive
 length; grazing a vertex or sliding along an edge does not block it.
 
+The edges of every ring (the boundary, then each obstacle) are stacked once
+per mission space.  ``MissionSpace.feasible_many`` computes the ray-casting
+parity of all rings in one pass and runs the EPS on-edge test only at the
+(ring, point) pairs where it can change the answer: a point outside the
+boundary by parity, or inside an obstacle by parity.  A feasible interior
+point, the common case, needs no distance at all.
+
 Sight lines from many sources usually share one target set (the quadrature
 cell centers).  ``line_of_sight_many`` keeps the target-side work for the
 last target set on the mission space and reuses it for every later source,
-decides the transversal crossings of all ring edges in one vectorized pass,
-and falls back to an exact scalar test only for degenerate contacts.
+and decides the transversal crossings of all ring edges in one vectorized
+pass.  Degenerate contacts fall back to an exact test, batched per source
+and ring: the contact parameters of every (target, edge) pair are sorted
+row by row and every gap midpoint is probed in one containment call.
 
 All predicates use the tolerance ``EPS`` (in length units) and assume inputs
 are well separated relative to it.
@@ -101,28 +110,42 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
-def _edge_dist2(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to each closed edge a-b: shape (E, T)."""
-    ab = b - a  # (E,2)
-    ab2 = np.maximum(np.sum(ab * ab, axis=1), 1e-300)  # (E,)
-    diff = pts[None, :, :] - a[:, None, :]  # (E,T,2)
-    t = np.clip(np.einsum("etk,ek->et", diff, ab) / ab2[:, None], 0.0, 1.0)
-    closest = a[:, None, :] + t[:, :, None] * ab[None, :, :].swapaxes(0, 1)
-    return np.sum((pts[None, :, :] - closest) ** 2, axis=-1)
+def _edge_dist2(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from points p to closed edges a-b; broadcasts over leading axes."""
+    ab = b - a
+    ab2 = np.maximum(ab[..., 0] * ab[..., 0] + ab[..., 1] * ab[..., 1], 1e-300)
+    d = p - a
+    t = np.clip((d[..., 0] * ab[..., 0] + d[..., 1] * ab[..., 1]) / ab2, 0.0, 1.0)
+    r = p - (a + t[..., None] * ab)
+    return r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v over the last axis, rounded exactly as the 1-D ``u @ v`` is."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def closest_point_on_segment(p, a, b) -> np.ndarray:
-    """Orthogonal projection of p onto segment a-b, clamped to the endpoints."""
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Orthogonal projection of p onto segment a-b, clamped to the endpoints.
+
+    Broadcasts over leading axes, so one point projects onto a stack of edges
+    at once.  A segment no longer than EPS projects everything onto a.
+    """
+    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
     ab = b - a
-    denom = float(ab @ ab)
-    if denom <= EPS * EPS:
-        return a.copy()
-    t = float((p - a) @ ab) / denom
-    t = min(1.0, max(0.0, t))
-    return a + t * ab
+    denom = _dot(ab, ab)
+    short = denom <= EPS * EPS
+    t = np.clip(_dot(p - a, ab) / np.where(short, 1.0, denom), 0.0, 1.0)
+    return np.where(short[..., None], a, a + t[..., None] * ab)
+
+
+def _ray_crossings(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(E, T): edge a-b crosses the ray from each point toward +x (half-open rule)."""
+    y = pts[:, 1]
+    ax, ay, bx, by = (c[:, None] for c in (a[:, 0], a[:, 1], b[:, 0], b[:, 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = ax + (y - ay) * (bx - ax) / (by - ay)
+    return ((ay > y) != (by > y)) & (pts[:, 0] < xint)
 
 
 class Polygon:
@@ -224,22 +247,12 @@ class Polygon:
 
     def on_boundary_many(self, points, tol: float = EPS) -> np.ndarray:
         pts = as_points_array(points)
-        return np.any(_edge_dist2(pts, *self.edges) <= tol * tol, axis=0)
+        a, b = self.edges
+        return np.any(_edge_dist2(pts[None], a[:, None], b[:, None]) <= tol * tol, axis=0)
 
     def _parity(self, pts: np.ndarray) -> np.ndarray:
         """Ray-casting parity with the half-open edge rule (boundary arbitrary)."""
-        x = pts[:, 0]
-        y = pts[:, 1]
-        a, b = self.edges
-        ay = a[:, 1][:, None]
-        by = b[:, 1][:, None]
-        ax = a[:, 0][:, None]
-        bx = b[:, 0][:, None]
-        straddles = (ay > y[None, :]) != (by > y[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = ax + (y[None, :] - ay) * (bx - ax) / (by - ay)
-        crossings = straddles & (x[None, :] < xint)
-        return (np.sum(crossings, axis=0) % 2).astype(bool)
+        return np.logical_xor.reduce(_ray_crossings(pts, *self.edges), axis=0)
 
     # -- scalar conveniences -------------------------------------------------
 
@@ -256,6 +269,36 @@ class Polygon:
         return f"Polygon({len(self.vertices)} vertices, area={self.area:.6g})"
 
 
+class _Rings:
+    """The edges of several polygons stacked into one array, ring by ring.
+
+    Edge e runs from ``a[e]`` to ``b[e]``, which is vertex ``nxt[e]`` of the
+    same ring; ``owner[e]`` numbers its ring and ``starts[k]`` is the first
+    edge of ring k.
+    """
+
+    def __init__(self, polys: list[Polygon]):
+        self.polys = polys
+        self.sizes = np.array([len(poly.vertices) for poly in polys])
+        self.starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
+        self.owner = np.repeat(np.arange(len(polys)), self.sizes)
+        self.nxt = np.arange(len(self.owner)) + 1
+        self.nxt[self.starts + self.sizes - 1] = self.starts
+        self.a = np.concatenate([poly.edges[0] for poly in polys])
+        self.b = np.concatenate([poly.edges[1] for poly in polys])
+        self.ab = self.b - self.a
+        self.abn = np.maximum(np.linalg.norm(self.ab, axis=1), 1e-300)
+
+    def touches(self, k: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Whether ``pts[i]`` lies within EPS of an edge of ring ``k[i]``, for each i."""
+        sizes = self.sizes[k]
+        first = np.cumsum(sizes) - sizes
+        pair = np.repeat(np.arange(len(k)), sizes)
+        e = np.arange(len(pair)) + np.repeat(self.starts[k] - first, sizes)
+        d2 = _edge_dist2(pts[pair], self.a[e], self.b[e])
+        return np.logical_or.reduceat(d2 <= EPS * EPS, first)
+
+
 class MissionSpace:
     """Outer boundary polygon minus the open interiors of obstacle polygons."""
 
@@ -263,6 +306,7 @@ class MissionSpace:
         self.boundary = boundary
         self.obstacles = list(obstacles or [])
         self._validate()
+        self._rings = _Rings([boundary] + self.obstacles)
         self._sight = None  # _SightMemo of the last target set sighted
 
     def _validate(self):
@@ -319,12 +363,27 @@ class MissionSpace:
     def bbox(self) -> tuple[float, float, float, float]:
         return self.boundary.bbox
 
+    @property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, ends) of every ring edge: the boundary's, then each obstacle's."""
+        return self._rings.a, self._rings.b
+
     def feasible_many(self, points) -> np.ndarray:
-        """True where a point is in the closed boundary and in no obstacle interior."""
+        """True where a point is in the closed boundary and in no obstacle interior.
+
+        One parity pass decides every ring.  A point within EPS of a ring is on
+        that ring, which only matters outside the boundary by parity (it is
+        still inside) or inside an obstacle by parity (it is not strictly
+        inside), so only those (ring, point) pairs are measured.
+        """
         pts = as_points_array(points)
-        ok = self.boundary.contains_many(pts)
-        for obs in self.obstacles:
-            ok &= ~obs.strictly_contains_many(pts)
+        r = self._rings
+        check = np.logical_xor.reduceat(_ray_crossings(pts, r.a, r.b), r.starts, axis=0)
+        check[0] = ~check[0]
+        ok = np.ones(len(pts), dtype=bool)
+        k, t = np.nonzero(check)
+        if len(k):
+            ok[t[~r.touches(k, pts[t])]] = False
         return ok
 
     def _sight_memo(self, tgt: np.ndarray) -> _SightMemo:
@@ -368,61 +427,59 @@ def _properly_cross(p1, p2, q1, q2) -> bool:
     )
 
 
-def _segment_excursion(p, q, poly: Polygon, seek_outside: bool) -> bool:
-    """Exact check: does p-q spend positive length outside (or inside) poly?
+def _excursions(p: np.ndarray, q: np.ndarray, poly: Polygon, seek_outside: bool) -> np.ndarray:
+    """Exact check per target: does p-q spend positive length outside (or inside) poly?
 
-    Collects every contact parameter of the segment with the polygon edges and
-    probes the midpoint of each gap; ``seek_outside`` chooses whether an
+    Collects the contact parameters of every (target, edge) pair, padded with
+    0.0, sorts them row by row and probes the midpoint of each gap longer than
+    2 EPS in one containment call; ``seek_outside`` chooses whether an
     excursion means leaving the closed polygon or entering its interior.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = q - p
-    length = float(np.hypot(r[0], r[1]))
-    if length <= EPS:
-        return False
-    eps_t = EPS / length
-    ts = [0.0, 1.0]
+    r = q - p  # (N,2)
+    rx, ry = r[:, 0][:, None], r[:, 1][:, None]
+    lcol = np.hypot(r[:, 0], r[:, 1])[:, None]  # (N,1)
     a, b = poly.edges
-    for i in range(len(a)):
-        s = b[i] - a[i]
-        slen = float(np.hypot(s[0], s[1]))
-        denom = r[0] * s[1] - r[1] * s[0]
-        if abs(denom) > 1e-12 * length * slen:
-            ap = a[i] - p
-            t = (ap[0] * s[1] - ap[1] * s[0]) / denom
-            u = (ap[0] * r[1] - ap[1] * r[0]) / denom
-            eps_u = EPS / slen
-            if -eps_t <= t <= 1 + eps_t and -eps_u <= u <= 1 + eps_u:
-                ts.append(min(1.0, max(0.0, t)))
-        else:
-            # parallel; collect overlap endpoints when collinear
-            off = abs((a[i][0] - p[0]) * r[1] - (a[i][1] - p[1]) * r[0]) / length
-            if off <= EPS:
-                for v in (a[i], b[i]):
-                    t = float((v - p) @ r) / (length * length)
-                    if -eps_t <= t <= 1 + eps_t:
-                        ts.append(min(1.0, max(0.0, t)))
-    ts.sort()
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        if (t1 - t0) * length <= 2 * EPS:
-            continue
-        m = p + (0.5 * (t0 + t1)) * r
-        if seek_outside:
-            if not poly.contains(m):
-                return True
-        else:
-            if poly.strictly_contains(m):
-                return True
-    return False
+    s = b - a  # (M,2)
+    slen = np.hypot(s[:, 0], s[:, 1])  # (M,)
+    ap = a - p
+    denom = rx * s[:, 1] - ry * s[:, 0]  # (N,M)
+    un = ap[:, 0] * ry - ap[:, 1] * rx  # (N,M)
+    crossing = np.abs(denom) > 1e-12 * lcol * slen
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps_t = EPS / lcol
+        t = (ap[:, 0] * s[:, 1] - ap[:, 1] * s[:, 0]) / denom
+        u = un / denom
+        # a parallel edge counts only when collinear: then its endpoints are contacts
+        collinear = ~crossing & (np.abs(un) / lcol <= EPS)
+        ends = [_dot(v - p, r[:, None, :]) / (lcol * lcol) for v in (a, b)]
+    eps_u = EPS / slen
+    crossing &= (-eps_u <= u) & (u <= 1 + eps_u)
+    hits = [crossing & (-eps_t <= t) & (t <= 1 + eps_t)]
+    hits += [collinear & (-eps_t <= tv) & (tv <= 1 + eps_t) for tv in ends]
+    ts = np.concatenate(
+        [np.zeros_like(lcol), np.ones_like(lcol)]
+        + [np.where(hit, np.clip(tv, 0.0, 1.0), 0.0) for hit, tv in zip(hits, [t] + ends)],
+        axis=1,
+    )
+    ts.sort(axis=1)
+    t0, t1 = ts[:, :-1], ts[:, 1:]
+    row, gap = np.nonzero(((t1 - t0) * lcol > 2 * EPS) & (lcol > EPS))
+    mid = p + (0.5 * (t0[row, gap] + t1[row, gap]))[:, None] * r[row]
+    if seek_outside:
+        found = ~poly.contains_many(mid)
+    else:
+        found = poly.strictly_contains_many(mid)
+    out = np.zeros(len(q), dtype=bool)
+    out[row[found]] = True
+    return out
 
 
 class _SightMemo:
     """What line_of_sight_many needs of one target set, whatever the source.
 
     Every ring that can block a sight line (a non-convex boundary, then each
-    obstacle) has its edges stacked into one array, ring by ring, so a source
-    meets all of them in one vectorized pass.  Per feasible target the memo
+    obstacle) is a run of rows of the space's ring stack, so a source meets
+    all of their edges in one vectorized pass.  Per feasible target the memo
     keeps its strict side of each edge line as two bool masks, and, built on
     first use, whether it lies on each ring.
     """
@@ -432,21 +489,19 @@ class _SightMemo:
         self.feasible = ms.feasible_many(tgt)
         self.idx = np.nonzero(self.feasible)[0]
         self.pts = tgt[self.idx]
-        rings = [] if ms.boundary.is_convex else [(ms.boundary, True)]
-        self.rings = rings + [(obs, False) for obs in ms.obstacles]
+        # rows of the space's ring stack, without a convex boundary's ring 0
+        r = ms._rings
+        skip = 1 if ms.boundary.is_convex else 0
+        self.rings = [(poly, k == 0) for k, poly in enumerate(r.polys)][skip:]
         self._on_ring = [None] * len(self.rings)
         if not self.rings:
             return
-        sizes = np.array([len(poly.vertices) for poly, _ in self.rings])
-        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self.owner = np.repeat(np.arange(len(sizes)), sizes)
-        # vertex k + 1 of its own ring, so edge e runs from a[e] to a[nxt[e]]
-        self.nxt = np.arange(len(self.owner)) + 1
-        self.nxt[self.starts + sizes - 1] = self.starts
-        a = self.a = np.concatenate([poly.edges[0] for poly, _ in self.rings])
-        self.b = np.concatenate([poly.edges[1] for poly, _ in self.rings])
-        ab = self.ab = self.b - a
-        self.abn = np.maximum(np.linalg.norm(ab, axis=1), 1e-300)  # (E,)
+        e0 = r.starts[skip]
+        self.starts = r.starts[skip:] - e0
+        self.owner = r.owner[e0:] - skip
+        self.nxt = r.nxt[e0:] - e0
+        a, ab = self.a, self.ab = r.a[e0:], r.ab[e0:]
+        self.b, self.abn = r.b[e0:], r.abn[e0:]
         pts = self.pts
         s2 = ab[:, 0][:, None] * (pts[:, 1][None, :] - a[:, 1][:, None]) - ab[:, 1][
             :, None
@@ -472,7 +527,7 @@ def line_of_sight_many(source, targets, ms: MissionSpace) -> np.ndarray:
     ``ms`` and reused by later calls with the same targets.  Transversal edge
     crossings are decided in bulk; targets with a degenerate contact (segment
     through a vertex, or both endpoints on one ring) that are still clear fall
-    back to the exact scalar excursion test.
+    back to the exact excursion test, one batch per ring.
     """
     src = as_xy(source)
     tgt = as_points_array(targets)
@@ -511,16 +566,14 @@ def line_of_sight_many(source, targets, ms: MissionSpace) -> np.ndarray:
     touch = (along > EPS) & (along < svn[near_t] - EPS)
     suspect = np.zeros((len(memo.rings), len(pts)), dtype=bool)
     suspect[memo.owner[near_e[touch]], near_t[touch]] = True
-    src_on = np.logical_or.reduceat(
-        _edge_dist2(src[None, :], a, memo.b)[:, 0] <= EPS * EPS, memo.starts
-    )
+    src_on = np.logical_or.reduceat(_edge_dist2(src, a, memo.b) <= EPS * EPS, memo.starts)
     for k in np.nonzero(src_on)[0]:
         suspect[k] |= memo.on_ring(k)
-    suspect &= clear & live
-    for k, t in zip(*np.nonzero(suspect)):
-        poly, seek_outside = memo.rings[k]
-        if clear[t] and _segment_excursion(src, pts[t], poly, seek_outside):
-            clear[t] = False
+    suspect &= live
+    for k in np.nonzero(suspect.any(axis=1))[0]:
+        t = np.nonzero(suspect[k] & clear)[0]
+        if len(t):
+            clear[t] = ~_excursions(src, pts[t], *memo.rings[k])
 
     out = np.zeros(len(tgt), dtype=bool)
     out[memo.idx] = clear

@@ -122,26 +122,20 @@ def project_feasible(p, space: MissionSpace) -> np.ndarray:
     """Return p unchanged when feasible, else its nearest feasible boundary point.
 
     Candidates are the projections of p onto every boundary and obstacle edge;
-    the closest feasible one wins.
+    the closest feasible one wins, the first edge (boundary, then obstacles in
+    order) on a tie.
     """
     pt = as_xy(p)
     if is_feasible(pt, space):
         return pt.copy()
-    best = None
-    best_d2 = np.inf
-    polys = [space.boundary] + space.obstacles
-    for poly in polys:
-        a, b = poly.edges
-        for i in range(len(a)):
-            q = closest_point_on_segment(pt, a[i], b[i])
-            d2 = float((q - pt) @ (q - pt))
-            if d2 < best_d2 and is_feasible(q, space):
-                best = q
-                best_d2 = d2
-    if best is None:
+    q = closest_point_on_segment(pt, *space.edges)  # (E,2)
+    ok = np.nonzero(space.feasible_many(q))[0]
+    if len(ok) == 0:
         # no feasible edge projection exists only for pathological spaces
         raise InvalidParameterError("could not project point onto the feasible region")
-    return best
+    d = q[ok] - pt
+    d2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # rounded as the 1-D d @ d is
+    return q[ok[np.argmin(d2)]].copy()
 
 
 def _others_miss(rows: np.ndarray, i: int) -> np.ndarray:
@@ -163,13 +157,12 @@ def _agent_gradient(
     fd_epsilon: float,
 ) -> np.ndarray:
     grad = np.zeros(2)
+    offsets = fd_epsilon * np.eye(2)
+    probes = np.concatenate([pos + offsets, pos - offsets])  # +x, +y, -x, -y
+    feasible = space.feasible_many(probes)
     for d in range(2):
-        offset = np.zeros(2)
-        offset[d] = fd_epsilon
-        plus_raw = pos + offset
-        minus_raw = pos - offset
-        plus_ok = is_feasible(plus_raw, space)
-        minus_ok = is_feasible(minus_raw, space)
+        plus_raw, minus_raw = probes[d], probes[2 + d]
+        plus_ok, minus_ok = feasible[d], feasible[2 + d]
         if not plus_ok and not minus_ok:
             continue
         plus = plus_raw if plus_ok else project_feasible(plus_raw, space)

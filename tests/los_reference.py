@@ -1,22 +1,122 @@
-"""Reference line of sight: one polygon at a time, target masks decided per call.
+"""Reference geometry: one polygon at a time, decided per call.
 
-This is the per-polygon kernel that ``coverplan.geometry.line_of_sight_many``
-replaced.  It re-decides every target-side fact on each call and loops over
-the obstacles in Python, so it is slow, but it is the equivalence oracle the
-stacked kernel must match bit for bit.
+These are the per-polygon kernels that ``coverplan.geometry`` replaced:
+containment by one parity count and one dense edge distance per polygon,
+feasibility as a loop over the obstacles, the scalar excursion test that
+probes one gap midpoint at a time, and line of sight with target masks
+re-decided on every call.  They are slow, but they are the equivalence
+oracles the stacked kernels must match bit for bit, so they take nothing
+from ``coverplan`` but the polygon's vertex ring and ``EPS``.
 """
 
 import numpy as np
 
-from coverplan.geometry import (
-    EPS,
-    MissionSpace,
-    Polygon,
-    _segment_excursion,
-    as_points_array,
-    as_xy,
-    is_feasible,
-)
+from coverplan.geometry import EPS, MissionSpace, Polygon
+
+
+def _points(points) -> np.ndarray:
+    return np.asarray(points, dtype=float).reshape(-1, 2)
+
+
+def _edge_dist2(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to each closed edge a-b: shape (E, T)."""
+    ab = b - a  # (E,2)
+    ab2 = np.maximum(np.sum(ab * ab, axis=1), 1e-300)  # (E,)
+    diff = pts[None, :, :] - a[:, None, :]  # (E,T,2)
+    t = np.clip(np.einsum("etk,ek->et", diff, ab) / ab2[:, None], 0.0, 1.0)
+    closest = a[:, None, :] + t[:, :, None] * ab[None, :, :].swapaxes(0, 1)
+    return np.sum((pts[None, :, :] - closest) ** 2, axis=-1)
+
+
+def _parity(poly: Polygon, pts: np.ndarray) -> np.ndarray:
+    """Ray-casting parity with the half-open edge rule (boundary arbitrary)."""
+    x = pts[:, 0]
+    y = pts[:, 1]
+    a, b = poly.edges
+    ay = a[:, 1][:, None]
+    by = b[:, 1][:, None]
+    ax = a[:, 0][:, None]
+    bx = b[:, 0][:, None]
+    straddles = (ay > y[None, :]) != (by > y[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = ax + (y[None, :] - ay) * (bx - ax) / (by - ay)
+    crossings = straddles & (x[None, :] < xint)
+    return (np.sum(crossings, axis=0) % 2).astype(bool)
+
+
+def on_boundary_many(poly: Polygon, points) -> np.ndarray:
+    pts = _points(points)
+    return np.any(_edge_dist2(pts, *poly.edges) <= EPS * EPS, axis=0)
+
+
+def contains_many(poly: Polygon, points) -> np.ndarray:
+    """Closed containment: boundary points count as inside."""
+    pts = _points(points)
+    return _parity(poly, pts) | on_boundary_many(poly, pts)
+
+
+def strictly_contains_many(poly: Polygon, points) -> np.ndarray:
+    """Inside and farther than EPS from the boundary."""
+    pts = _points(points)
+    return _parity(poly, pts) & ~on_boundary_many(poly, pts)
+
+
+def reference_feasible_many(ms: MissionSpace, points) -> np.ndarray:
+    """In the closed boundary and in no obstacle interior, one obstacle at a time."""
+    pts = _points(points)
+    ok = contains_many(ms.boundary, pts)
+    for obs in ms.obstacles:
+        ok &= ~strictly_contains_many(obs, pts)
+    return ok
+
+
+def _segment_excursion(p, q, poly: Polygon, seek_outside: bool) -> bool:
+    """Exact check: does p-q spend positive length outside (or inside) poly?
+
+    Collects every contact parameter of the segment with the polygon edges and
+    probes the midpoint of each gap; ``seek_outside`` chooses whether an
+    excursion means leaving the closed polygon or entering its interior.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    r = q - p
+    length = float(np.hypot(r[0], r[1]))
+    if length <= EPS:
+        return False
+    eps_t = EPS / length
+    ts = [0.0, 1.0]
+    a, b = poly.edges
+    for i in range(len(a)):
+        s = b[i] - a[i]
+        slen = float(np.hypot(s[0], s[1]))
+        denom = r[0] * s[1] - r[1] * s[0]
+        if abs(denom) > 1e-12 * length * slen:
+            ap = a[i] - p
+            t = (ap[0] * s[1] - ap[1] * s[0]) / denom
+            u = (ap[0] * r[1] - ap[1] * r[0]) / denom
+            eps_u = EPS / slen
+            if -eps_t <= t <= 1 + eps_t and -eps_u <= u <= 1 + eps_u:
+                ts.append(min(1.0, max(0.0, t)))
+        else:
+            # parallel; collect overlap endpoints when collinear
+            off = abs((a[i][0] - p[0]) * r[1] - (a[i][1] - p[1]) * r[0]) / length
+            if off <= EPS:
+                for v in (a[i], b[i]):
+                    t = float((v - p) @ r) / (length * length)
+                    if -eps_t <= t <= 1 + eps_t:
+                        ts.append(min(1.0, max(0.0, t)))
+    ts.sort()
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        if (t1 - t0) * length <= 2 * EPS:
+            continue
+        m = p + (0.5 * (t0 + t1)) * r
+        if seek_outside:
+            if not contains_many(poly, m)[0]:
+                return True
+        else:
+            if strictly_contains_many(poly, m)[0]:
+                return True
+    return False
 
 
 def _blocked_by_polygon(source, targets, poly: Polygon, seek_outside: bool) -> np.ndarray:
@@ -27,7 +127,7 @@ def _blocked_by_polygon(source, targets, poly: Polygon, seek_outside: bool) -> n
     back to the exact scalar excursion test.
     """
     src = np.asarray(source, dtype=float)
-    tgt = as_points_array(targets)
+    tgt = _points(targets)
     a, b = poly.edges
     ab = b - a
     abn = np.maximum(np.linalg.norm(ab, axis=1), 1e-300)  # (E,)
@@ -65,8 +165,8 @@ def _blocked_by_polygon(source, targets, poly: Polygon, seek_outside: bool) -> n
         (np.abs(s3) <= EPS) & (along > EPS) & (along < (svn - EPS)[None, :])
     ).any(axis=0)
     suspect = vtx_touch & live & ~blocked
-    if poly.on_boundary(src):
-        tgt_on = poly.on_boundary_many(tgt)
+    if on_boundary_many(poly, src)[0]:
+        tgt_on = on_boundary_many(poly, tgt)
         suspect |= tgt_on & live & ~blocked
     idx = np.nonzero(suspect)[0]
     for t in idx:
@@ -77,16 +177,16 @@ def _blocked_by_polygon(source, targets, poly: Polygon, seek_outside: bool) -> n
 
 def reference_line_of_sight_many(source, targets, ms: MissionSpace) -> np.ndarray:
     """True where the segment source-target stays inside the feasible region."""
-    src = as_xy(source)
-    tgt = as_points_array(targets)
-    if not is_feasible(src, ms):
+    src = np.asarray(source, dtype=float)
+    tgt = _points(targets)
+    if not reference_feasible_many(ms, src)[0]:
         return np.zeros(len(tgt), dtype=bool)
-    clear = ms.boundary.contains_many(tgt)
+    clear = contains_many(ms.boundary, tgt)
     if not ms.boundary.is_convex:
         clear &= ~_blocked_by_polygon(src, tgt, ms.boundary, seek_outside=True)
     for obs in ms.obstacles:
         if not np.any(clear):
             break
-        clear &= ~obs.strictly_contains_many(tgt)
+        clear &= ~strictly_contains_many(obs, tgt)
         clear &= ~_blocked_by_polygon(src, tgt, obs, seek_outside=False)
     return clear

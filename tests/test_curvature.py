@@ -18,6 +18,7 @@ from coverplan import (
     sweep_bounds,
     total_curvature,
 )
+from coverplan.curvature import _leave_one_out_miss
 
 
 def naive_total_bound(c, n):
@@ -258,3 +259,31 @@ def test_elemental_curvature_rises_with_decay(block_problem):
     rows = sweep_bounds(cache, grid, 5, sensor, "decay", [0.02, 0.1, 0.3, 0.9])
     alphas = [r.elemental_curvature for _, r in rows]
     assert np.all(np.diff(alphas) >= -1e-12)
+
+
+def stacked_leave_one_out_miss(probs):
+    """The leave-one-out products as built before they were written in place."""
+    q = 1.0 - probs
+    n, m = q.shape
+    prefix = np.vstack([np.ones((1, m)), np.cumprod(q, axis=0)[:-1]])
+    suffix = np.vstack([np.cumprod(q[::-1], axis=0)[::-1][1:], np.ones((1, m))])
+    return prefix * suffix
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_leave_one_out_miss_matches_stacked_products(n):
+    rng = np.random.default_rng(n)
+    probs = rng.uniform(size=(n, 40))
+    probs[rng.uniform(size=probs.shape) < 0.2] = 0.0
+    probs[rng.uniform(size=probs.shape) < 0.2] = 1.0
+    probs[0, :5] = 1.0  # certain detection in the first row, which every other row multiplies
+    got = _leave_one_out_miss(probs)
+    want = stacked_leave_one_out_miss(probs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    grid = QuadratureGrid(MissionSpace(Polygon([(0, 0), (8, 0), (8, 5), (0, 5)])), 1.0, UniformDensity())
+    alone = probs @ grid.weights
+    keep = alone > 0
+    if keep.any():
+        on_top = (probs * want) @ grid.weights
+        c = float(np.max(1.0 - on_top[keep] / alone[keep]))
+        assert total_curvature(probs, grid) == min(1.0, max(0.0, c))

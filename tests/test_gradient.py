@@ -286,3 +286,51 @@ def test_sequential_sweep_computes_no_gradient_twice(empty_rect, monkeypatch):
     refine(start, empty_rect, grid, sensor, cfg)
     assert len(seen) > len(set(seen))
     assert reused_rows < rows[0]
+
+
+def _per_probe_agent_gradient(pos, weighted_miss, space, grid, sensor, fd_epsilon):
+    """The finite-difference gradient with one is_feasible call per probe."""
+    grad = np.zeros(2)
+    for d in range(2):
+        offset = np.zeros(2)
+        offset[d] = fd_epsilon
+        plus_raw = pos + offset
+        minus_raw = pos - offset
+        plus_ok = is_feasible(plus_raw, space)
+        minus_ok = is_feasible(minus_raw, space)
+        if not plus_ok and not minus_ok:
+            continue
+        plus = plus_raw if plus_ok else project_feasible(plus_raw, space)
+        minus = minus_raw if minus_ok else project_feasible(minus_raw, space)
+        h_plus = gradient._partial_term(
+            weighted_miss, gradient.detection_row(plus, space, grid.centers, sensor)
+        )
+        h_minus = gradient._partial_term(
+            weighted_miss, gradient.detection_row(minus, space, grid.centers, sensor)
+        )
+        grad[d] = (h_plus - h_minus) / (2.0 * fd_epsilon)
+    return grad
+
+
+@pytest.mark.parametrize("schedule", ["synchronous", "sequential"])
+@pytest.mark.parametrize("fixture", ["one_block", "lshape"])
+def test_stacked_probe_feasibility_keeps_refine_bit_identical(
+    fixture, schedule, request, monkeypatch
+):
+    space = request.getfixturevalue(fixture)
+    grid, sensor, _ = make_problem(space, decay=0.3)
+    # agents on a corner, on obstacle or notch walls and within fd_epsilon of them,
+    # so probes land outside the region and are projected
+    start = {
+        "one_block": [[0.0, 0.0], [8.0, 5.0], [12.0005, 3.0], [14.0, 9.9995]],
+        "lshape": [[20.0, 0.0], [10.0, 7.0], [14.0, 5.0], [9.9995, 9.0]],
+    }[fixture]
+    cfg = RefineConfig(max_iterations=5, schedule=schedule)
+    got = refine(start, space, grid, sensor, cfg)
+    monkeypatch.setattr(gradient, "_agent_gradient", _per_probe_agent_gradient)
+    want = refine(start, space, grid, sensor, cfg)
+    assert got.reason == want.reason and len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        assert a.value == b.value
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.grad_norms.tobytes() == b.grad_norms.tobytes()

@@ -24,8 +24,10 @@ from coverplan import (
     project_feasible,
 )
 
+from coverplan.geometry import _excursions
+
 from conftest import random_space
-from los_reference import reference_line_of_sight_many
+from los_reference import _segment_excursion, reference_line_of_sight_many
 
 BUNDLED = ("empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50")
 
@@ -150,3 +152,32 @@ def test_sources_on_rings():
     assert is_visible((10, 8), (15, 4), space, radius=50)
     assert is_visible((10, 8), (5, 15), space, radius=50)
     assert not is_visible((10, 8), (25, 15), space, radius=50)  # crosses the notch
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    snap=st.sampled_from(["vertex", "edge", "free"]),
+    nonconvex=st.booleans(),
+)
+def test_batched_excursions_match_the_scalar_test(seed, snap, nonconvex):
+    rng = np.random.default_rng(seed)
+    space = u_space() if nonconvex else random_space(rng)
+    a, b = space.edges
+    k = int(rng.integers(len(a)))
+    if snap == "vertex":
+        src = a[k]
+    elif snap == "edge":
+        src = a[k] + rng.uniform() * (b[k] - a[k])
+    else:
+        src = projected_points(space, 1, seed)[0]
+    # ring vertices and edge points (collinear contacts, shared edges), a few
+    # free points, and the source itself (a zero-length segment)
+    on_edges = a + rng.uniform(size=(len(a), 1)) * (b - a)
+    xmin, ymin, xmax, ymax = space.bbox
+    free = rng.uniform((xmin, ymin), (xmax, ymax), size=(8, 2))
+    targets = np.concatenate([ring_points(space), on_edges, free, src[None, :]])
+    for poly, seek_outside in [(space.boundary, True)] + [(o, False) for o in space.obstacles]:
+        want = [_segment_excursion(src, t, poly, seek_outside) for t in targets]
+        assert _excursions(src, targets, poly, seek_outside).tolist() == want
+        assert _excursions(src, targets[:0], poly, seek_outside).shape == (0,)
