@@ -91,13 +91,15 @@ def _domain_mask(grid: QuadratureGrid, domain: str) -> np.ndarray:
 def _elemental_curvature_argmin(
     probs, keep, grid: QuadratureGrid, domain: str
 ) -> tuple[float, tuple[int, int]]:
+    # the first kept row reaching the smallest masked entry, then its first
+    # column there: the row-major argmin, without copying the kept block
     mask = _domain_mask(grid, domain)
-    cols = np.nonzero(mask)[0]
-    sub = probs[np.ix_(keep, cols)]
-    flat = int(np.argmin(sub))
-    j, k = np.unravel_index(flat, sub.shape)
-    alpha = 1.0 - float(sub[j, k])
-    return min(1.0, max(0.0, alpha)), (int(keep[j]), int(cols[k]))
+    low = np.minimum.reduce(probs, axis=1, where=mask, initial=np.inf)[keep]
+    m = int(np.argmin(low))
+    j = int(keep[m])
+    k = int(np.flatnonzero(mask & (probs[j] == low[m]))[0])
+    alpha = 1.0 - float(probs[j, k])
+    return min(1.0, max(0.0, alpha)), (j, k)
 
 
 def elemental_curvature(probs: np.ndarray, grid: QuadratureGrid, domain: str = "feasible") -> float:

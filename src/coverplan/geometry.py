@@ -15,12 +15,14 @@ boundary by parity, or inside an obstacle by parity.  A feasible interior
 point, the common case, needs no distance at all.
 
 Sight lines from many sources usually share one target set (the quadrature
-cell centers).  ``line_of_sight_many`` keeps the target-side work for the
-last target set on the mission space and reuses it for every later source,
-and decides the transversal crossings of all ring edges in one vectorized
-pass.  Degenerate contacts fall back to an exact test, batched per source
-and ring: the contact parameters of every (target, edge) pair are sorted
-row by row and every gap midpoint is probed in one containment call.
+cell centers).  ``line_of_sight_many`` takes one source or a stack of them.
+It keeps the target-side work for the last target set on the mission space
+and reuses it for every later call, decides the feasibility and on-ring
+tests of all sources of a stack at once, and decides the transversal
+crossings of all ring edges in one vectorized pass per source.  Degenerate
+contacts fall back to an exact test, batched per ring for the whole stack:
+the contact parameters of every (segment, edge) pair are sorted row by row
+and every gap midpoint is probed in one containment call.
 
 All predicates use the tolerance ``EPS`` (in length units) and assume inputs
 are well separated relative to it.
@@ -28,6 +30,7 @@ are well separated relative to it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -262,9 +265,6 @@ class Polygon:
     def strictly_contains(self, p) -> bool:
         return bool(self.strictly_contains_many(as_xy(p)[None, :])[0])
 
-    def on_boundary(self, p, tol: float = EPS) -> bool:
-        return bool(self.on_boundary_many(as_xy(p)[None, :], tol)[0])
-
     def __repr__(self):
         return f"Polygon({len(self.vertices)} vertices, area={self.area:.6g})"
 
@@ -345,19 +345,28 @@ class MissionSpace:
 
     @staticmethod
     def _interior_samples(poly: Polygon, rng, count: int = 16) -> np.ndarray:
+        """Up to ``count`` uniform points strictly inside ``poly``, by rejection.
+
+        All 200 * count tries are drawn in one block from a copy of ``rng``;
+        ``rng`` itself then advances by exactly the pairs a one-at-a-time
+        loop stopping at the count-th acceptance would have drawn, so the
+        samples and the stream left for the next polygon match that loop.
+        The first 8 * count tries usually hold count acceptances, so the
+        rest are tested only when they do not.
+        """
         xmin, ymin, xmax, ymax = poly.bbox
-        picked = []
-        for _ in range(200 * count):
-            p = rng.uniform((xmin, ymin), (xmax, ymax))
-            if poly.strictly_contains(p):
-                picked.append(p)
-                if len(picked) == count:
-                    break
-        if not picked:
-            # extremely thin obstacle: fall back to edge midpoints nudged inward
-            a, b = poly.edges
-            picked = [0.5 * (a[i] + b[i]) for i in range(len(a))]
-        return np.asarray(picked)
+        tries = 200 * count
+        pts = copy.deepcopy(rng).uniform((xmin, ymin), (xmax, ymax), size=(tries, 2))
+        hit = np.flatnonzero(poly.strictly_contains_many(pts[: 8 * count]))
+        if len(hit) < count:
+            hit = np.flatnonzero(poly.strictly_contains_many(pts))
+        hit = hit[:count]
+        rng.random((hit[-1] + 1 if len(hit) == count else tries, 2))
+        if len(hit):
+            return pts[hit]
+        # extremely thin obstacle: fall back to edge midpoints nudged inward
+        a, b = poly.edges
+        return 0.5 * (a + b)
 
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -428,12 +437,17 @@ def _properly_cross(p1, p2, q1, q2) -> bool:
 
 
 def _excursions(p: np.ndarray, q: np.ndarray, poly: Polygon, seek_outside: bool) -> np.ndarray:
-    """Exact check per target: does p-q spend positive length outside (or inside) poly?
+    """Exact check per row: does p[i]-q[i] spend positive length outside (or inside) poly?
 
-    Collects the contact parameters of every (target, edge) pair, padded with
-    0.0, sorts them row by row and probes the midpoint of each gap longer than
-    2 EPS in one containment call; ``seek_outside`` chooses whether an
-    excursion means leaving the closed polygon or entering its interior.
+    Each row is one segment, so a stack of sources is decided in one call.
+    Collects the contact parameters of every (segment, edge) pair, padded
+    with 0.0, sorts them row by row and probes the midpoint of each gap
+    longer than 2 EPS in one containment call; ``seek_outside`` chooses
+    whether an excursion means leaving the closed polygon or entering its
+    interior.  An edge parallel to the segment adds no contact: where it
+    overlaps the segment, the overlap ends at vertices whose non-parallel
+    edges cross the segment there, and a gap along the overlap stays on the
+    boundary.
     """
     r = q - p  # (N,2)
     rx, ry = r[:, 0][:, None], r[:, 1][:, None]
@@ -441,30 +455,22 @@ def _excursions(p: np.ndarray, q: np.ndarray, poly: Polygon, seek_outside: bool)
     a, b = poly.edges
     s = b - a  # (M,2)
     slen = np.hypot(s[:, 0], s[:, 1])  # (M,)
-    ap = a - p
+    ap = a - p[:, None, :]  # (N,M,2)
     denom = rx * s[:, 1] - ry * s[:, 0]  # (N,M)
-    un = ap[:, 0] * ry - ap[:, 1] * rx  # (N,M)
-    crossing = np.abs(denom) > 1e-12 * lcol * slen
     with np.errstate(divide="ignore", invalid="ignore"):
         eps_t = EPS / lcol
-        t = (ap[:, 0] * s[:, 1] - ap[:, 1] * s[:, 0]) / denom
-        u = un / denom
-        # a parallel edge counts only when collinear: then its endpoints are contacts
-        collinear = ~crossing & (np.abs(un) / lcol <= EPS)
-        ends = [_dot(v - p, r[:, None, :]) / (lcol * lcol) for v in (a, b)]
+        t = (ap[..., 0] * s[:, 1] - ap[..., 1] * s[:, 0]) / denom
+        u = (ap[..., 0] * ry - ap[..., 1] * rx) / denom
     eps_u = EPS / slen
-    crossing &= (-eps_u <= u) & (u <= 1 + eps_u)
-    hits = [crossing & (-eps_t <= t) & (t <= 1 + eps_t)]
-    hits += [collinear & (-eps_t <= tv) & (tv <= 1 + eps_t) for tv in ends]
+    hit = np.abs(denom) > 1e-12 * lcol * slen
+    hit &= (-eps_u <= u) & (u <= 1 + eps_u) & (-eps_t <= t) & (t <= 1 + eps_t)
     ts = np.concatenate(
-        [np.zeros_like(lcol), np.ones_like(lcol)]
-        + [np.where(hit, np.clip(tv, 0.0, 1.0), 0.0) for hit, tv in zip(hits, [t] + ends)],
-        axis=1,
+        [np.zeros_like(lcol), np.ones_like(lcol), np.where(hit, np.clip(t, 0.0, 1.0), 0.0)], axis=1
     )
     ts.sort(axis=1)
     t0, t1 = ts[:, :-1], ts[:, 1:]
     row, gap = np.nonzero(((t1 - t0) * lcol > 2 * EPS) & (lcol > EPS))
-    mid = p + (0.5 * (t0[row, gap] + t1[row, gap]))[:, None] * r[row]
+    mid = p[row] + (0.5 * (t0[row, gap] + t1[row, gap]))[:, None] * r[row]
     if seek_outside:
         found = ~poly.contains_many(mid)
     else:
@@ -516,67 +522,96 @@ class _SightMemo:
         return self._on_ring[k]
 
 
-def line_of_sight_many(source, targets, ms: MissionSpace) -> np.ndarray:
+def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
     """True where the segment source-target stays inside the feasible region.
 
-    Range is not considered here; combine with a distance test for full
-    visibility.  Targets outside the closed boundary or strictly inside an
-    obstacle are never sighted.
+    ``sources`` is one location, giving a (T,) mask, or a (k, 2) stack of
+    them, giving one row per source: shape (k, T).  Range is not considered
+    here; combine with a distance test for full visibility.  Infeasible
+    sources see nothing, and targets outside the closed boundary or
+    strictly inside an obstacle are never sighted.
 
     Target-side work (feasibility, edge-line sides, on-ring masks) is kept on
-    ``ms`` and reused by later calls with the same targets.  Transversal edge
-    crossings are decided in bulk; targets with a degenerate contact (segment
-    through a vertex, or both endpoints on one ring) that are still clear fall
-    back to the exact excursion test, one batch per ring.
+    ``ms`` and reused by later calls with the same targets; source
+    feasibility and source-on-ring tests are decided for the whole stack.
+    Transversal edge crossings are decided in bulk, one source at a time, so
+    memory stays at one (E, T) pass.  Targets with a degenerate contact
+    (segment through a vertex, or both endpoints on one ring) that are still
+    clear fall back to the exact excursion test, one batch per ring for the
+    whole stack.
     """
-    src = as_xy(source)
+    if isinstance(sources, Point) or np.ndim(sources) == 1:
+        return line_of_sight_many(as_xy(sources)[None, :], targets, ms)[0]
+    src = as_points_array(sources)
     tgt = as_points_array(targets)
-    if len(tgt) == 0 or not is_feasible(src, ms):
-        return np.zeros(len(tgt), dtype=bool)
+    out = np.zeros((len(src), len(tgt)), dtype=bool)
+    if len(tgt) == 0:
+        return out
+    rows = np.flatnonzero(ms.feasible_many(src))
+    if len(rows) == 0:
+        return out
     memo = ms._sight_memo(tgt)
     if not memo.rings:
-        return memo.feasible.copy()
+        out[rows] = memo.feasible
+        return out
+    src = src[rows]
     pts, a, ab = memo.pts, memo.a, memo.ab
+    n_edges, n_pts = len(a), len(pts)
 
-    sv = pts - src[None, :]  # (T,2)
-    svn = np.linalg.norm(sv, axis=1)  # (T,)
-    svn_safe = np.maximum(svn, 1e-300)
-    live = svn > EPS  # zero-length segments are never blocked
-    s1 = (ab[:, 0] * (src[1] - a[:, 1]) - ab[:, 1] * (src[0] - a[:, 0])) / memo.abn  # (E,)
-    rel = a - src[None, :]
-    # side of each ring vertex against the sight line: cross(sv, vertex - src)
-    s3 = np.multiply.outer(rel[:, 1], sv[:, 0])  # (E,T)
-    s3 -= np.multiply.outer(rel[:, 0], sv[:, 1])
-    s3 /= svn_safe
-    left = s3 > EPS
-    right = s3 < -EPS
+    # source-side terms of the whole stack: signed distance to each edge
+    # line, and whether the source lies on each ring
+    s1 = ab[:, 0] * (src[:, 1:] - a[:, 1]) - ab[:, 1] * (src[:, :1] - a[:, 0])  # (k,E)
+    s1 /= memo.abn
+    off_line = np.abs(s1) > EPS
+    src_on = np.logical_or.reduceat(
+        _edge_dist2(src[:, None, :], a, memo.b) <= EPS * EPS, memo.starts, axis=1
+    )  # (k,R)
 
-    # a proper crossing: source and target strictly on opposite sides of the
-    # edge line, and the edge's two vertices strictly on opposite sides of the
-    # sight line
-    act = np.nonzero(np.abs(s1) > EPS)[0]
-    nxt = memo.nxt[act]
-    cross = memo.opposite[act + len(a) * (s1[act] < 0)]
-    cross &= (left[act] & right[nxt]) | (right[act] & left[nxt])
-    clear = ~cross.any(axis=0) | ~live
+    pending = []  # (ring, source, target) triples still clear after the bulk pass
+    for i, p in enumerate(src):
+        sv = pts - p  # (T,2)
+        svn = np.sqrt(sv[:, 0] * sv[:, 0] + sv[:, 1] * sv[:, 1])  # (T,)
+        svn_safe = np.maximum(svn, 1e-300)
+        live = svn > EPS  # zero-length segments are never blocked
+        rel = a - p
+        # side of each ring vertex against the sight line: cross(sv, vertex - src)
+        s3 = np.multiply.outer(rel[:, 1], sv[:, 0])  # (E,T)
+        s3 -= np.multiply.outer(rel[:, 0], sv[:, 1])
+        s3 /= svn_safe
+        left = s3 > EPS
+        right = s3 < -EPS
 
-    # degenerate contacts: a vertex on the open segment, or the source on a ring
-    near_e, near_t = np.nonzero(~(left | right))
-    along = np.einsum("nk,nk->n", sv[near_t], rel[near_e]) / svn_safe[near_t]
-    touch = (along > EPS) & (along < svn[near_t] - EPS)
-    suspect = np.zeros((len(memo.rings), len(pts)), dtype=bool)
-    suspect[memo.owner[near_e[touch]], near_t[touch]] = True
-    src_on = np.logical_or.reduceat(_edge_dist2(src, a, memo.b) <= EPS * EPS, memo.starts)
-    for k in np.nonzero(src_on)[0]:
-        suspect[k] |= memo.on_ring(k)
-    suspect &= live
-    for k in np.nonzero(suspect.any(axis=1))[0]:
-        t = np.nonzero(suspect[k] & clear)[0]
-        if len(t):
-            clear[t] = ~_excursions(src, pts[t], *memo.rings[k])
+        # a proper crossing: source and target strictly on opposite sides of
+        # the edge line, and the edge's two vertices strictly on opposite
+        # sides of the sight line
+        act = np.flatnonzero(off_line[i])
+        nxt = memo.nxt[act]
+        cross = memo.opposite[act + n_edges * (s1[i, act] < 0)]
+        cross &= (left[act] & right[nxt]) | (right[act] & left[nxt])
+        clear = ~cross.any(axis=0) | ~live
+        out[rows[i], memo.idx] = clear
 
-    out = np.zeros(len(tgt), dtype=bool)
-    out[memo.idx] = clear
+        # degenerate contacts: a vertex on the open segment, or the source on a ring
+        near_e, near_t = np.divmod(np.flatnonzero(~(left | right)), n_pts)
+        along = np.einsum("nk,nk->n", sv[near_t], rel[near_e]) / svn_safe[near_t]
+        touch = (along > EPS) & (along < svn[near_t] - EPS)
+        suspect = np.zeros((len(memo.rings), n_pts), dtype=bool)
+        suspect[memo.owner[near_e[touch]], near_t[touch]] = True
+        for k in np.flatnonzero(src_on[i]):
+            suspect[k] |= memo.on_ring(k)
+        suspect &= live & clear
+        ring, t = np.divmod(np.flatnonzero(suspect), n_pts)
+        pending.append((ring, np.full(len(t), i), t))
+
+    # exact fallback, ring by ring: a target blocked by an earlier ring is
+    # not tested again
+    ring, i, t = (np.concatenate(c) for c in zip(*pending))
+    oi, ot = rows[i], memo.idx[t]  # the same pairs, indexing ``out``
+    for k in np.unique(ring):
+        sel = np.flatnonzero(ring == k)
+        sel = sel[out[oi[sel], ot[sel]]]
+        if len(sel):
+            out[oi[sel], ot[sel]] = ~_excursions(src[i[sel]], pts[t[sel]], *memo.rings[k])
     return out
 
 

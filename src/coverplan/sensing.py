@@ -6,6 +6,10 @@ when x is visible from s (segment inside the feasible region, range at most
 one place that rule is written.  Agents detect independently, so a team
 misses an event only when every member misses it, and the objective is the
 density-weighted integral of the joint detection probability.
+
+Rows for several positions take their sight lines from one stacked
+``line_of_sight_many`` call; the float rows are still built one at a time,
+so a matrix holds no (n, T) float array besides the result.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ def detection_matrix(positions, space: MissionSpace, targets, sensor) -> np.ndar
     models = [sensor] * len(pos) if isinstance(sensor, SensorModel) else list(sensor)
     if len(models) != len(pos):
         raise InvalidParameterError(f"got {len(models)} sensor models for {len(pos)} positions")
+    los = line_of_sight_many(pos, pts, space)
     rows = np.empty((len(pos), len(pts)))
     for i in range(len(pos)):
-        rows[i] = detection_row(pos[i], space, pts, models[i])
+        rows[i] = models[i].detect(_distances(pos[i], pts), los[i])
     return rows
 
 
@@ -79,9 +84,7 @@ class DetectionCache:
         self.positions = as_points_array(positions)
         self.targets = as_points_array(targets)
         self.dist = _distances(self.positions[:, None, :], self.targets)  # (n, T)
-        self.los = np.empty(self.dist.shape, dtype=bool)
-        for i in range(len(self.positions)):
-            self.los[i] = line_of_sight_many(self.positions[i], self.targets, space)
+        self.los = line_of_sight_many(self.positions, self.targets, space)  # (n, T)
 
     def probs(self, sensor: SensorModel) -> np.ndarray:
         return sensor.detect(self.dist, self.los)

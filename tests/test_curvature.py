@@ -18,7 +18,7 @@ from coverplan import (
     sweep_bounds,
     total_curvature,
 )
-from coverplan.curvature import _leave_one_out_miss
+from coverplan.curvature import _domain_mask, _elemental_curvature_argmin, _ground_set, _leave_one_out_miss
 
 
 def naive_total_bound(c, n):
@@ -287,3 +287,37 @@ def test_leave_one_out_miss_matches_stacked_products(n):
         on_top = (probs * want) @ grid.weights
         c = float(np.max(1.0 - on_top[keep] / alone[keep]))
         assert total_curvature(probs, grid) == min(1.0, max(0.0, c))
+
+
+def copied_elemental_argmin(probs, keep, mask):
+    """The elemental argmin over a copy of the kept rows and domain columns."""
+    cols = np.nonzero(mask)[0]
+    sub = probs[np.ix_(keep, cols)]
+    j, k = np.unravel_index(int(np.argmin(sub)), sub.shape)
+    return 1.0 - float(sub[j, k]), (int(keep[j]), int(cols[k]))
+
+
+@pytest.mark.parametrize("domain", ["feasible", "omega"])
+@pytest.mark.parametrize("seed", range(8))
+def test_elemental_argmin_matches_the_copied_block(domain, seed):
+    # an L boundary holding a square: cells outside the boundary and inside
+    # the obstacle sit outside one domain or both
+    space = MissionSpace(
+        Polygon([(0, 0), (20, 0), (20, 5), (10, 5), (10, 10), (0, 10)]),
+        [Polygon([(2, 2), (5, 2), (5, 5), (2, 5)])],
+    )
+    grid = QuadratureGrid(space, 1.0, UniformDensity())
+    mask = _domain_mask(grid, domain)
+    rng = np.random.default_rng(seed)
+    # few distinct values, so the minimum ties across rows and columns
+    probs = rng.choice([0.25, 0.5, 0.75, 1.0], size=(9, grid.cell_count))
+    probs[:, ~mask] = 0.125  # below every domain entry: must be ignored
+    probs[rng.integers(9, size=2)] = 0.0  # rows covering no mass are dropped
+    probs = probs.clip(max=np.where(grid.weights > 0, 1.0, 0.0))
+    probs[rng.integers(9), rng.choice(np.flatnonzero(mask), 3)] = 0.0
+    probs, _, keep = _ground_set(probs, grid)
+    got = _elemental_curvature_argmin(probs, keep, grid, domain)
+    want = copied_elemental_argmin(probs, keep, mask)
+    assert got[0] == want[0] and got[1] == want[1]
+    report = bound_report(probs, grid, 3, domain)
+    assert (report.elemental_curvature, report.worst_pair) == want

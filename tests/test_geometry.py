@@ -234,3 +234,42 @@ def test_los_source_on_obstacle_edge(one_block):
 
 def test_zero_length_segment_is_visible(one_block):
     assert is_visible((8, 3), (8, 3), one_block, radius=1.0)
+
+
+def loop_interior_samples(poly, rng, count=16):
+    """Rejection sampling one pair at a time, stopping at the count-th acceptance."""
+    xmin, ymin, xmax, ymax = poly.bbox
+    picked = []
+    for _ in range(200 * count):
+        p = rng.uniform((xmin, ymin), (xmax, ymax))
+        if poly.strictly_contains(p):
+            picked.append(p)
+            if len(picked) == count:
+                break
+    if not picked:
+        a, b = poly.edges
+        picked = [0.5 * (a[i] + b[i]) for i in range(len(a))]
+    return np.asarray(picked)
+
+
+def test_interior_samples_match_the_rejection_loop():
+    # full acceptance, a sliver that accepts fewer than count tries, and one
+    # that accepts none (edge midpoints instead); one stream runs through
+    # every polygon, as in the overlap check
+    polys = [
+        Polygon(CONVEX),
+        Polygon(CONCAVE),
+        Polygon([(0, 0), (10, 10), (10, 10.05)]),
+        Polygon([(0, 0), (10, 10), (10, 10.0005)]),
+    ]
+    counts = set()
+    for seed in range(2):
+        for count in (16, 3):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for poly in polys:
+                got = MissionSpace._interior_samples(poly, got_rng, count)
+                want = loop_interior_samples(poly, want_rng, count)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                counts.add(len(got) if poly.strictly_contains_many(got).all() else 0)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert 0 in counts and 16 in counts and any(0 < c < 16 for c in counts - {3})

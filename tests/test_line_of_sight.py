@@ -2,8 +2,9 @@
 
 Every mask must match the reference bit for bit: on the bundled scenarios, on
 a non-convex boundary holding obstacles, on random spaces with sources
-snapped to vertices and edges, and across interleaved target sets, so the
-target-side memo kept on the mission space is never stale.
+snapped to vertices and edges, on rings with collinear neighbouring edges,
+for stacks of sources decided in one call, and across interleaved target
+sets, so the target-side memo kept on the mission space is never stale.
 """
 
 import numpy as np
@@ -37,6 +38,22 @@ def u_space():
     return MissionSpace(
         Polygon([(0, 0), (30, 0), (30, 20), (20, 20), (20, 8), (10, 8), (10, 20), (0, 20)]),
         [Polygon([(2, 2), (6, 2), (6, 6), (2, 6)]), Polygon([(22, 10), (27, 12), (24, 16)])],
+    )
+
+
+def l_space():
+    """An L-shaped boundary (top-right quarter missing), no obstacles."""
+    return MissionSpace(Polygon([(0, 0), (20, 0), (20, 5), (10, 5), (10, 10), (0, 10)]))
+
+
+def collinear_space():
+    """A notched boundary and an obstacle whose rings hold collinear neighbouring edges."""
+    return MissionSpace(
+        Polygon(
+            [(0, 0), (5, 0), (10, 0), (10, 4), (12, 4), (14, 4), (14, 0), (20, 0),
+             (20, 10), (15, 10), (10, 10), (0, 10), (0, 5)]
+        ),
+        [Polygon([(3, 6), (5, 6), (7, 6), (7, 8), (5, 8), (3, 8), (3, 7)])],
     )
 
 
@@ -177,7 +194,93 @@ def test_batched_excursions_match_the_scalar_test(seed, snap, nonconvex):
     xmin, ymin, xmax, ymax = space.bbox
     free = rng.uniform((xmin, ymin), (xmax, ymax), size=(8, 2))
     targets = np.concatenate([ring_points(space), on_edges, free, src[None, :]])
+    # one source per row: this one and a second, random ring vertex
+    sources = np.stack([src, a[int(rng.integers(len(a)))]])
+    p = np.repeat(sources, len(targets), axis=0)
+    q = np.tile(targets, (len(sources), 1))
     for poly, seek_outside in [(space.boundary, True)] + [(o, False) for o in space.obstacles]:
-        want = [_segment_excursion(src, t, poly, seek_outside) for t in targets]
-        assert _excursions(src, targets, poly, seek_outside).tolist() == want
-        assert _excursions(src, targets[:0], poly, seek_outside).shape == (0,)
+        want = [_segment_excursion(s, t, poly, seek_outside) for s, t in zip(p, q)]
+        assert _excursions(p, q, poly, seek_outside).tolist() == want
+        assert _excursions(p[:0], q[:0], poly, seek_outside).shape == (0,)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["random", "random_open", "u", "l"]),
+    k=st.integers(0, 6),
+    no_targets=st.booleans(),
+)
+def test_stacked_rows_match_reference(seed, shape, k, no_targets):
+    rng = np.random.default_rng(seed)
+    space = {
+        "random": lambda: random_space(rng),
+        "random_open": lambda: random_space(rng, with_obstacle=False),
+        "u": u_space,
+        "l": l_space,
+    }[shape]()
+    a, b = space.edges
+    xmin, ymin, xmax, ymax = space.bbox
+    infeasible = [(xmin - 1.0, 0.5 * (ymin + ymax)), (15.0, 15.0)]  # outside; the U's notch
+    infeasible += [obs.vertices.mean(axis=0) for obs in space.obstacles]
+    pool = np.concatenate(
+        [a, a + rng.uniform(size=(len(a), 1)) * (b - a), projected_points(space, 4, seed),
+         np.array(infeasible)]
+    )
+    sources = pool[rng.integers(len(pool), size=k)]
+    if k >= 2:
+        sources[-1] = sources[0]  # a duplicate source
+    grid = QuadratureGrid(space, 1.0, UniformDensity())
+    targets = np.concatenate([grid.centers, ring_points(space)])[: 0 if no_targets else None]
+    got = line_of_sight_many(sources, targets, space)
+    assert got.shape == (k, len(targets)) and got.dtype == bool
+    for row, src in zip(got, sources):
+        assert np.array_equal(row, reference_line_of_sight_many(src, targets, space))
+        assert np.array_equal(row, line_of_sight_many(src, targets, space))
+
+
+def test_stack_shapes():
+    space = u_space()
+    targets = QuadratureGrid(space, 1.0, UniformDensity()).centers
+    one = np.array([15.0, 4.0])
+    assert line_of_sight_many(one, targets, space).shape == (len(targets),)
+    assert line_of_sight_many(one[None, :], targets, space).shape == (1, len(targets))
+    assert line_of_sight_many(np.empty((0, 2)), targets, space).shape == (0, len(targets))
+    assert line_of_sight_many([(15.0, 4.0), (4.0, 4.0)], targets[:0], space).shape == (2, 0)
+    both = line_of_sight_many([(15.0, 4.0), (4.0, 4.0)], targets, space)
+    assert np.array_equal(both[0], line_of_sight_many(one, targets, space))
+    assert not both[1].any()  # inside the square obstacle
+
+
+def test_collinear_neighbouring_edges_match_reference():
+    # sight lines sliding along runs of collinear edges, from and to the
+    # vertices that split them: the kernel takes no contact from a parallel
+    # edge, the reference collects its endpoints, and the two must agree
+    space = collinear_space()
+    grid = QuadratureGrid(space, 0.5, UniformDensity())
+    ring = ring_points(space)
+    assert_matches_reference(ring, np.concatenate([grid.centers, ring]), space)
+    pts = np.concatenate([ring, [(2.0, 0.0), (16.0, 0.0), (11.0, 4.0), (0.0, 8.0), (4.0, 6.0)]])
+    p = np.repeat(pts, len(pts), axis=0)
+    q = np.tile(pts, (len(pts), 1))
+    for poly, seek_outside in [(space.boundary, True), (space.obstacles[0], False)]:
+        want = [_segment_excursion(s, t, poly, seek_outside) for s, t in zip(p, q)]
+        assert _excursions(p, q, poly, seek_outside).tolist() == want
+
+
+def test_a_block_found_by_the_exact_test_survives_later_rings():
+    # the diagonal through the square touches it only at vertices, so only
+    # the exact test sees it pass through the interior; the same line then
+    # grazes the triangle's apex, which the exact test of that ring clears
+    space = MissionSpace(
+        Polygon([(0, 0), (12, 0), (12, 12), (0, 12)]),
+        [Polygon([(5, 5), (7, 5), (7, 7), (5, 7)]), Polygon([(8.5, 8.5), (9.5, 8), (9, 7)])],
+    )
+    sources = np.array([[1.0, 1.0], [2.0, 2.0], [8.0, 8.0]])
+    targets = np.array([[9.9, 9.9], [10.5, 10.5], [3.0, 3.0]])
+    assert_matches_reference(sources, targets, space)
+    assert line_of_sight_many(sources, targets, space).tolist() == [
+        [False, False, True],
+        [False, False, True],
+        [True, True, False],
+    ]

@@ -185,3 +185,22 @@ def test_detection_paths_match_reference_rows(name):
     team = [sensors[i % len(sensors)] for i in range(len(src))]
     ref = np.array([reference_row(p, space, pts, m) for p, m in zip(src, team)])
     assert_same_bits(detection_matrix(src, space, pts, team), ref)
+
+
+@pytest.mark.parametrize(
+    "name", ["empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50"]
+)
+def test_stacked_rows_equal_single_rows(name):
+    # matrices and cache probabilities take their sight lines from one stacked
+    # call; every row must equal the single-source row, infeasible sources too
+    sc = parse_scenario(bundled_scenario_path(name))
+    space = sc.build_space()
+    pts = sc.build_grid(space).centers
+    verts = np.concatenate([p.vertices for p in [space.boundary] + space.obstacles])
+    xmin, ymin, xmax, ymax = space.bbox
+    off = np.random.default_rng(6).uniform((xmin - 2, ymin - 2), (xmax + 2, ymax + 2), size=(12, 2))
+    src = np.vstack([sc.build_candidates(space), verts, off])
+    sensor = sc.build_sensor()
+    rows = np.array([detection_row(p, space, pts, sensor) for p in src])
+    assert_same_bits(detection_matrix(src, space, pts, sensor), rows)
+    assert_same_bits(DetectionCache(src, space, pts).probs(sensor), rows)
