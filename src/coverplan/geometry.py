@@ -351,16 +351,11 @@ class MissionSpace:
         ``rng`` itself then advances by exactly the pairs a one-at-a-time
         loop stopping at the count-th acceptance would have drawn, so the
         samples and the stream left for the next polygon match that loop.
-        The first 8 * count tries usually hold count acceptances, so the
-        rest are tested only when they do not.
         """
         xmin, ymin, xmax, ymax = poly.bbox
         tries = 200 * count
         pts = copy.deepcopy(rng).uniform((xmin, ymin), (xmax, ymax), size=(tries, 2))
-        hit = np.flatnonzero(poly.strictly_contains_many(pts[: 8 * count]))
-        if len(hit) < count:
-            hit = np.flatnonzero(poly.strictly_contains_many(pts))
-        hit = hit[:count]
+        hit = np.flatnonzero(poly.strictly_contains_many(pts))[:count]
         rng.random((hit[-1] + 1 if len(hit) == count else tries, 2))
         if len(hit):
             return pts[hit]
@@ -522,6 +517,16 @@ class _SightMemo:
         return self._on_ring[k]
 
 
+def _is_one_location(p) -> bool:
+    """A Point or a numeric (2,) array-like, as opposed to a stack of locations."""
+    if isinstance(p, Point):
+        return True
+    try:
+        return np.shape(np.asarray(p, dtype=float)) == (2,)
+    except (TypeError, ValueError):  # e.g. a list of Points
+        return False
+
+
 def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
     """True where the segment source-target stays inside the feasible region.
 
@@ -540,7 +545,7 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
     clear fall back to the exact excursion test, one batch per ring for the
     whole stack.
     """
-    if isinstance(sources, Point) or np.ndim(sources) == 1:
+    if _is_one_location(sources):
         return line_of_sight_many(as_xy(sources)[None, :], targets, ms)[0]
     src = as_points_array(sources)
     tgt = as_points_array(targets)

@@ -160,18 +160,16 @@ def _agent_gradient(
     offsets = fd_epsilon * np.eye(2)
     probes = np.concatenate([pos + offsets, pos - offsets])  # +x, +y, -x, -y
     feasible = space.feasible_many(probes)
-    # an axis with both probes infeasible keeps a zero component; the others
-    # take the rows of their plus and minus probes from one matrix
-    axes = [d for d in range(2) if feasible[d] or feasible[2 + d]]
-    if axes:
-        at = [
-            probes[j] if feasible[j] else project_feasible(probes[j], space)
-            for d in axes
-            for j in (d, 2 + d)
-        ]
-        rows = detection_matrix(np.array(at), space, grid.centers, sensor)
-        h = np.array([_partial_term(weighted_miss, row) for row in rows])
-        grad[axes] = (h[::2] - h[1::2]) / (2.0 * fd_epsilon)
+    for d in range(2):
+        plus_raw, minus_raw = probes[d], probes[2 + d]
+        plus_ok, minus_ok = feasible[d], feasible[2 + d]
+        if not plus_ok and not minus_ok:
+            continue
+        plus = plus_raw if plus_ok else project_feasible(plus_raw, space)
+        minus = minus_raw if minus_ok else project_feasible(minus_raw, space)
+        h_plus = _partial_term(weighted_miss, detection_row(plus, space, grid.centers, sensor))
+        h_minus = _partial_term(weighted_miss, detection_row(minus, space, grid.centers, sensor))
+        grad[d] = (h_plus - h_minus) / (2.0 * fd_epsilon)
     return grad
 
 
@@ -293,7 +291,8 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, grads):
         if len(changed) == 0:
             return False, pos, rows, value
         new_rows = rows.copy()
-        new_rows[changed] = detection_matrix(cand[changed], space, grid.centers, sensor)
+        for i in changed:
+            new_rows[i] = detection_row(cand[i], space, grid.centers, sensor)
         new_value = coverage_from_rows(grid, new_rows)
         if not cfg.backtracking or new_value > value:
             return True, cand, new_rows, new_value

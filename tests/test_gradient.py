@@ -265,7 +265,6 @@ def test_sequential_sweep_computes_no_gradient_twice(empty_rect, monkeypatch):
     seen = []
     rows = [0]
     agent_gradient, detection_row = gradient._agent_gradient, gradient.detection_row
-    detection_matrix = gradient.detection_matrix
 
     def spy_gradient(pos, wm, *rest):
         seen.append(pos.tobytes() + wm.tobytes())
@@ -275,13 +274,8 @@ def test_sequential_sweep_computes_no_gradient_twice(empty_rect, monkeypatch):
         rows[0] += 1
         return detection_row(*args)
 
-    def spy_matrix(positions, *rest):
-        rows[0] += len(positions)
-        return detection_matrix(positions, *rest)
-
     monkeypatch.setattr(gradient, "_agent_gradient", spy_gradient)
     monkeypatch.setattr(gradient, "detection_row", spy_row)
-    monkeypatch.setattr(gradient, "detection_matrix", spy_matrix)
     refine(start, empty_rect, grid, sensor, cfg)
     assert len(seen) == len(set(seen))
     reused_rows = rows[0]

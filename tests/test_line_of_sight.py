@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from coverplan import (
     MissionSpace,
     Polygon,
+    Point,
     QuadratureGrid,
     UniformDensity,
     bundled_scenario_path,
@@ -250,6 +251,11 @@ def test_stack_shapes():
     both = line_of_sight_many([(15.0, 4.0), (4.0, 4.0)], targets, space)
     assert np.array_equal(both[0], line_of_sight_many(one, targets, space))
     assert not both[1].any()  # inside the square obstacle
+    assert np.array_equal(line_of_sight_many(Point(15.0, 4.0), targets, space), both[0])
+    assert np.array_equal(
+        line_of_sight_many([Point(15.0, 4.0), Point(4.0, 4.0)], targets, space), both
+    )
+    assert np.array_equal(line_of_sight_many([Point(15.0, 4.0)], targets, space), both[:1])
 
 
 def test_collinear_neighbouring_edges_match_reference():
