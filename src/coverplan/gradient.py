@@ -1,11 +1,11 @@
 """Continuous refinement of a placement by projected gradient ascent.
 
 Starting from a discrete placement (typically the greedy result), each agent
-repeatedly moves a fixed distance along its own ascent direction, estimated by
-central finite differences of the coverage objective, with every iterate
-projected back into the feasible region.  Backtracking halves the move until
-the objective actually increases, so the refined placement never scores below
-its seed.
+repeatedly moves a fixed distance along the area term of the coverage
+objective's gradient (Zhong and Cassandras, IEEE TAC 2011), with every
+iterate projected back into the feasible region.  Backtracking halves the
+move until the objective increases, never below ``fd_epsilon``, so the
+refined placement never scores below its seed.
 
 Both schedules run one propose/accept loop: a proposal projects an agent's
 move and drops it when it lands on another agent.  The synchronous schedule
@@ -37,13 +37,14 @@ class RefineConfig:
     """Knobs of the ascent loop.
 
     ``step_scale`` is the travel distance per accepted full step: the move is
-    step_scale times the unit gradient direction.  ``grad_tolerance`` is the
-    stopping threshold on the largest per-agent gradient norm; None picks
-    1e-3 times the quadrature cell area when the loop starts.  ``schedule``
-    is "synchronous" (a joint step proposed against the same configuration,
-    with a per-agent fallback when backtracking vetoes it) or "sequential"
-    (the per-agent step alone, each direction refreshed after the moves
-    before it).
+    step_scale times the unit gradient direction.  ``fd_epsilon`` is the
+    smallest halved step a line search tries, and ``max_halvings`` caps its
+    halvings.  ``grad_tolerance`` is the stopping threshold on the largest
+    per-agent gradient norm; None picks 1e-3 times the quadrature cell area
+    when the loop starts.  ``schedule`` is "synchronous" (a joint step
+    proposed against the same configuration, with a per-agent fallback when
+    backtracking vetoes it) or "sequential" (the per-agent step alone, each
+    direction refreshed after the moves before it).
     """
 
     step_scale: float = 0.5
@@ -96,6 +97,8 @@ class RefineResult:
 
     steps: list[RefineStep]
     reason: str  # "converged" | "max_iterations" | "no_improvement"
+    rows: int = 0  # detection rows computed, the starting matrix included
+    halvings: int = 0  # line-search step halvings, both sweeps together
 
     @property
     def positions(self) -> np.ndarray:
@@ -148,29 +151,17 @@ def _partial_term(weighted_miss: np.ndarray, row: np.ndarray) -> float:
     return float(np.dot(weighted_miss, row))
 
 
-def _agent_gradient(
-    pos: np.ndarray,
-    weighted_miss: np.ndarray,
-    space: MissionSpace,
-    grid: QuadratureGrid,
-    sensor: SensorModel,
-    fd_epsilon: float,
-) -> np.ndarray:
-    grad = np.zeros(2)
-    offsets = fd_epsilon * np.eye(2)
-    probes = np.concatenate([pos + offsets, pos - offsets])  # +x, +y, -x, -y
-    feasible = space.feasible_many(probes)
-    for d in range(2):
-        plus_raw, minus_raw = probes[d], probes[2 + d]
-        plus_ok, minus_ok = feasible[d], feasible[2 + d]
-        if not plus_ok and not minus_ok:
-            continue
-        plus = plus_raw if plus_ok else project_feasible(plus_raw, space)
-        minus = minus_raw if minus_ok else project_feasible(minus_raw, space)
-        h_plus = _partial_term(weighted_miss, detection_row(plus, space, grid.centers, sensor))
-        h_minus = _partial_term(weighted_miss, detection_row(minus, space, grid.centers, sensor))
-        grad[d] = (h_plus - h_minus) / (2.0 * fd_epsilon)
-    return grad
+def _agent_gradient(pos, weighted_miss, row, grid: QuadratureGrid, sensor: SensorModel):
+    """Area term of the objective's gradient in one agent's position.
+
+    Each cell x adds decay * w * Π_{j≠i}(1 - p_j) * p_i * (x - s_i) / |x - s_i|:
+    the exact derivative wherever no cell's sight line or range flips.  A cell
+    centred on the agent adds nothing.
+    """
+    d = grid.centers - pos
+    dist = np.hypot(d[:, 0], d[:, 1])
+    pull = np.divide(weighted_miss * row, dist, out=np.zeros_like(dist), where=dist > 0)
+    return sensor.decay * (pull @ d)
 
 
 def objective_gradient(
@@ -181,12 +172,10 @@ def objective_gradient(
     sensor: SensorModel,
     config: RefineConfig | None = None,
 ) -> np.ndarray:
-    """Central-difference estimate of the objective's rate of change for one agent.
+    """The area-term gradient of the objective in one agent's position, as refine uses it.
 
-    Probe positions are projected to the feasible region; a component is zero
-    when both probes along its axis are infeasible.
+    ``config`` is accepted for symmetry with :func:`refine` and changes nothing.
     """
-    cfg = config or RefineConfig()
     pos = as_points_array(positions)
     if not 0 <= agent_index < len(pos):
         raise InvalidParameterError(f"agent index {agent_index} out of range for {len(pos)} agents")
@@ -194,7 +183,7 @@ def objective_gradient(
         raise InvalidParameterError(f"agent {agent_index} is at an infeasible position")
     rows = detection_matrix(pos, space, grid.centers, sensor)
     wm = grid.weights * _others_miss(rows, agent_index)
-    return _agent_gradient(pos[agent_index], wm, space, grid, sensor, cfg.fd_epsilon)
+    return _agent_gradient(pos[agent_index], wm, rows[agent_index], grid, sensor)
 
 
 def _collides(candidate: np.ndarray, others: np.ndarray, radius: float) -> bool:
@@ -232,11 +221,10 @@ def refine(
     for i in range(n):
         if _collides(pos[i], pos[i + 1 :], cfg.collision_radius):
             raise InvalidParameterError("initial positions must be pairwise distinct")
-    tol = cfg.grad_tolerance
-    if tol is None:
-        tol = 1e-3 * grid.cell_size**2
+    tol = 1e-3 * grid.cell_size**2 if cfg.grad_tolerance is None else cfg.grad_tolerance
 
     rows = detection_matrix(pos, space, grid.centers, sensor)
+    tally = {"rows": n, "halvings": 0}
     value = coverage_from_rows(grid, rows)
     steps = [RefineStep(0, pos.copy(), value, np.zeros(n))]
     reason = "max_iterations"
@@ -247,7 +235,7 @@ def refine(
         grads = np.zeros((n, 2))
         for i in range(n):
             wm = grid.weights * _others_miss(rows, i)
-            grads[i] = _agent_gradient(pos[i], wm, space, grid, sensor, cfg.fd_epsilon)
+            grads[i] = _agent_gradient(pos[i], wm, rows[i], grid, sensor)
         norms = np.linalg.norm(grads, axis=1)
         if it == 1:
             steps[0].grad_norms = norms.copy()
@@ -255,7 +243,7 @@ def refine(
             reason = "converged"
             break
 
-        state = (pos, rows, value, space, grid, sensor, cfg)
+        state = (pos, rows, value, space, grid, sensor, cfg, tally)
         if cfg.schedule == "synchronous":
             moved, pos, rows, value = _synchronous_sweep(*state, grads)
         else:
@@ -264,7 +252,7 @@ def refine(
         if not moved:
             reason = "no_improvement"
             break
-    return RefineResult(steps, reason)
+    return RefineResult(steps, reason, tally["rows"], tally["halvings"])
 
 
 def _propose(pos, i, direction, scale, space, cfg):
@@ -273,15 +261,26 @@ def _propose(pos, i, direction, scale, space, cfg):
     return None if _collides(q, np.delete(pos, i, 0), cfg.collision_radius) else q
 
 
-def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, grads):
+def _scales(cfg, tally):
+    """Step lengths of one line search: step_scale, then halvings down to fd_epsilon."""
+    scale = cfg.step_scale
+    yield scale
+    for _ in range(cfg.max_halvings if cfg.backtracking else 0):
+        scale *= 0.5
+        if scale < cfg.fd_epsilon:
+            return
+        tally["halvings"] += 1
+        yield scale
+
+
+def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, tally, grads):
     norms = np.linalg.norm(grads, axis=1)
     moving = np.nonzero(norms > 0)[0]
     if len(moving) == 0:
         return False, pos, rows, value
     dirs = np.zeros_like(grads)
     dirs[moving] = grads[moving] / norms[moving, None]
-    scale = cfg.step_scale
-    for _ in range(cfg.max_halvings + 1 if cfg.backtracking else 1):
+    for scale in _scales(cfg, tally):
         cand = pos.copy()
         for i in moving:
             q = _propose(cand, i, dirs[i], scale, space, cfg)
@@ -293,18 +292,18 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, grads):
         new_rows = rows.copy()
         for i in changed:
             new_rows[i] = detection_row(cand[i], space, grid.centers, sensor)
+        tally["rows"] += len(changed)
         new_value = coverage_from_rows(grid, new_rows)
         if not cfg.backtracking or new_value > value:
             return True, cand, new_rows, new_value
-        scale *= 0.5
     # The joint step can be vetoed by a single agent sitting on a visibility
-    # cliff, where its difference estimate points into a negative jump.  Keep
-    # the synchronously computed directions but accept moves one agent at a
+    # cliff, where the area term misses the jump in coverage.  Keep the
+    # synchronously computed directions but accept moves one agent at a
     # time, so a stuck agent forfeits only its own step.
-    return _agent_sweep(pos, rows, value, space, grid, sensor, cfg, dirs)
+    return _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs)
 
 
-def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, dirs, refresh=False):
+def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs, refresh=False):
     """Move agents one at a time, each judged against the others as they stand.
 
     Directions are the fixed unit rows of ``dirs``.  With ``refresh`` (the
@@ -317,26 +316,23 @@ def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, dirs, refresh=False
     pos, rows = pos.copy(), rows.copy()
     for i in range(len(pos)):
         wm = grid.weights * _others_miss(rows, i)
-        if refresh and moved:
-            d = _agent_gradient(pos[i], wm, space, grid, sensor, cfg.fd_epsilon)
-        else:
-            d = dirs[i]
+        d = _agent_gradient(pos[i], wm, rows[i], grid, sensor) if refresh and moved else dirs[i]
         norm = float(np.linalg.norm(d))
         if norm == 0:
             continue
         if refresh:
             d = d / norm
         base_term = _partial_term(wm, rows[i])
-        scale = cfg.step_scale
-        for _ in range(cfg.max_halvings + 1 if cfg.backtracking else 1):
+        for scale in _scales(cfg, tally):
             q = _propose(pos, i, d, scale, space, cfg)
-            if q is not None:
-                new_row = detection_row(q, space, grid.centers, sensor)
-                if not cfg.backtracking or _partial_term(wm, new_row) > base_term:
-                    pos[i], rows[i] = q, new_row
-                    moved = True
-                    break
-            scale *= 0.5
+            if q is None:
+                continue
+            new_row = detection_row(q, space, grid.centers, sensor)
+            tally["rows"] += 1
+            if not cfg.backtracking or _partial_term(wm, new_row) > base_term:
+                pos[i], rows[i] = q, new_row
+                moved = True
+                break
     if moved:
         value = coverage_from_rows(grid, rows)
     return moved, pos, rows, value
