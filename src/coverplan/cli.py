@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__
 from .curvature import bound_report, sweep_bounds
 from .errors import (
-    CoverplanError,
     DegenerateCandidateError,
     EmptyCandidateSetError,
     GeometryError,
@@ -99,9 +98,6 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CoverplanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

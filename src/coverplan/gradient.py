@@ -7,11 +7,10 @@ iterate projected back into the feasible region.  Backtracking halves the
 move until the objective increases, never below ``fd_epsilon``, so the
 refined placement never scores below its seed.
 
-Both schedules run one propose/accept loop: a proposal projects an agent's
-move and drops it when it lands on another agent.  The synchronous schedule
-takes a joint step and, when backtracking vetoes it, falls back to per-agent
-steps along the same directions; the sequential schedule is the per-agent
-step with each direction refreshed after the moves before it.
+Each iteration proposes a joint step of all agents against the same
+configuration.  When backtracking vetoes it, the agents step one at a time
+along the same directions instead.  A proposal projects an agent's move and
+drops it when it lands within ``COLLISION_RADIUS`` of another agent.
 """
 
 from __future__ import annotations
@@ -31,33 +30,29 @@ from .geometry import (
 )
 from .sensing import SensorModel, coverage_from_rows, detection_matrix, detection_row, miss_product
 
+# Agents closer than this count as one; a move that lands there is dropped.
+COLLISION_RADIUS = 1e-6
+
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Knobs of the ascent loop.
+    """Settings of the ascent loop.
 
     ``step_scale`` is the travel distance per accepted full step: the move is
     step_scale times the unit gradient direction.  ``fd_epsilon`` is the
-    smallest halved step a line search tries, and ``max_halvings`` caps its
-    halvings.  ``grad_tolerance`` is the stopping threshold on the largest
-    per-agent gradient norm; None picks 1e-3 times the quadrature cell area
-    when the loop starts.  ``schedule`` is "synchronous" (a joint step
-    proposed against the same configuration, with a per-agent fallback when
-    backtracking vetoes it) or "sequential" (the per-agent step alone, each
-    direction refreshed after the moves before it).
+    smallest halved step a line search tries.  ``grad_tolerance`` is the
+    stopping threshold on the largest per-agent gradient norm; None picks
+    1e-3 times the quadrature cell area when the loop starts.
+    ``max_iterations`` caps the iterations.
     """
 
     step_scale: float = 0.5
     fd_epsilon: float = 1e-3
     grad_tolerance: float | None = None
     max_iterations: int = 500
-    backtracking: bool = True
-    max_halvings: int = 20
-    schedule: str = "synchronous"
-    collision_radius: float = 1e-6
 
     def __post_init__(self):
-        for name in ("step_scale", "fd_epsilon", "collision_radius"):
+        for name in ("step_scale", "fd_epsilon"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise InvalidParameterError(f"{name} must be finite and > 0, got {v}")
@@ -70,14 +65,6 @@ class RefineConfig:
         if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise InvalidParameterError(
                 f"max_iterations must be a positive integer, got {self.max_iterations}"
-            )
-        if not isinstance(self.max_halvings, (int, np.integer)) or self.max_halvings < 0:
-            raise InvalidParameterError(
-                f"max_halvings must be a non-negative integer, got {self.max_halvings}"
-            )
-        if self.schedule not in ("synchronous", "sequential"):
-            raise InvalidParameterError(
-                f"schedule must be 'synchronous' or 'sequential', got {self.schedule!r}"
             )
 
 
@@ -170,12 +157,8 @@ def objective_gradient(
     space: MissionSpace,
     grid: QuadratureGrid,
     sensor: SensorModel,
-    config: RefineConfig | None = None,
 ) -> np.ndarray:
-    """The area-term gradient of the objective in one agent's position, as refine uses it.
-
-    ``config`` is accepted for symmetry with :func:`refine` and changes nothing.
-    """
+    """The area-term gradient of the objective in one agent's position, as refine uses it."""
     pos = as_points_array(positions)
     if not 0 <= agent_index < len(pos):
         raise InvalidParameterError(f"agent index {agent_index} out of range for {len(pos)} agents")
@@ -186,10 +169,10 @@ def objective_gradient(
     return _agent_gradient(pos[agent_index], wm, rows[agent_index], grid, sensor)
 
 
-def _collides(candidate: np.ndarray, others: np.ndarray, radius: float) -> bool:
+def _collides(candidate: np.ndarray, others: np.ndarray) -> bool:
     if len(others) == 0:
         return False
-    return bool(np.min(np.linalg.norm(others - candidate[None, :], axis=1)) < radius)
+    return bool(np.min(np.linalg.norm(others - candidate[None, :], axis=1)) < COLLISION_RADIUS)
 
 
 def refine(
@@ -203,9 +186,8 @@ def refine(
 
     Stops when the largest per-agent gradient norm drops to the tolerance
     ("converged"), when no halved step raises the objective any more
-    ("no_improvement", backtracking only), or at the iteration cap
-    ("max_iterations").  With backtracking on, the objective trace never
-    decreases.
+    ("no_improvement"), or at the iteration cap ("max_iterations").  The
+    objective trace never decreases.
     """
     cfg = config or RefineConfig()
     pos = as_points_array(initial).copy()
@@ -219,7 +201,7 @@ def refine(
             f"initial position {k} at ({pos[k, 0]:g}, {pos[k, 1]:g}) is infeasible"
         )
     for i in range(n):
-        if _collides(pos[i], pos[i + 1 :], cfg.collision_radius):
+        if _collides(pos[i], pos[i + 1 :]):
             raise InvalidParameterError("initial positions must be pairwise distinct")
     tol = 1e-3 * grid.cell_size**2 if cfg.grad_tolerance is None else cfg.grad_tolerance
 
@@ -230,8 +212,6 @@ def refine(
     reason = "max_iterations"
 
     for it in range(1, cfg.max_iterations + 1):
-        # stopping-test gradients, always against the configuration as it stands;
-        # the sequential schedule reuses them until an agent moves
         grads = np.zeros((n, 2))
         for i in range(n):
             wm = grid.weights * _others_miss(rows, i)
@@ -243,11 +223,9 @@ def refine(
             reason = "converged"
             break
 
-        state = (pos, rows, value, space, grid, sensor, cfg, tally)
-        if cfg.schedule == "synchronous":
-            moved, pos, rows, value = _synchronous_sweep(*state, grads)
-        else:
-            moved, pos, rows, value = _agent_sweep(*state, grads, refresh=True)
+        moved, pos, rows, value = _synchronous_sweep(
+            pos, rows, value, space, grid, sensor, cfg, tally, grads
+        )
         steps.append(RefineStep(it, pos.copy(), value, norms))
         if not moved:
             reason = "no_improvement"
@@ -255,17 +233,17 @@ def refine(
     return RefineResult(steps, reason, tally["rows"], tally["halvings"])
 
 
-def _propose(pos, i, direction, scale, space, cfg):
+def _propose(pos, i, direction, scale, space):
     """Projected move of agent i, or None when it lands on another agent."""
     q = project_feasible(pos[i] + scale * direction, space)
-    return None if _collides(q, np.delete(pos, i, 0), cfg.collision_radius) else q
+    return None if _collides(q, np.delete(pos, i, 0)) else q
 
 
 def _scales(cfg, tally):
     """Step lengths of one line search: step_scale, then halvings down to fd_epsilon."""
     scale = cfg.step_scale
     yield scale
-    for _ in range(cfg.max_halvings if cfg.backtracking else 0):
+    while True:
         scale *= 0.5
         if scale < cfg.fd_epsilon:
             return
@@ -283,7 +261,7 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, tally, grads)
     for scale in _scales(cfg, tally):
         cand = pos.copy()
         for i in moving:
-            q = _propose(cand, i, dirs[i], scale, space, cfg)
+            q = _propose(cand, i, dirs[i], scale, space)
             if q is not None:  # else the later-indexed mover forfeits its step
                 cand[i] = q
         changed = np.nonzero(np.any(cand != pos, axis=1))[0]
@@ -294,7 +272,7 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, tally, grads)
             new_rows[i] = detection_row(cand[i], space, grid.centers, sensor)
         tally["rows"] += len(changed)
         new_value = coverage_from_rows(grid, new_rows)
-        if not cfg.backtracking or new_value > value:
+        if new_value > value:
             return True, cand, new_rows, new_value
     # The joint step can be vetoed by a single agent sitting on a visibility
     # cliff, where the area term misses the jump in coverage.  Keep the
@@ -303,33 +281,26 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, tally, grads)
     return _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs)
 
 
-def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs, refresh=False):
-    """Move agents one at a time, each judged against the others as they stand.
+def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs):
+    """Move agents one at a time along the unit rows of ``dirs``.
 
-    Directions are the fixed unit rows of ``dirs``.  With ``refresh`` (the
-    sequential schedule), ``dirs`` holds the stopping-test gradients instead,
-    which hold until the first agent moves; from then on each agent's
-    gradient is recomputed against the moves before it, and every direction
-    is normalised.
+    Each agent is judged against the others as they stand after the moves
+    before it; an agent with a zero direction stays put.
     """
     moved = False
     pos, rows = pos.copy(), rows.copy()
     for i in range(len(pos)):
-        wm = grid.weights * _others_miss(rows, i)
-        d = _agent_gradient(pos[i], wm, rows[i], grid, sensor) if refresh and moved else dirs[i]
-        norm = float(np.linalg.norm(d))
-        if norm == 0:
+        if not np.any(dirs[i]):
             continue
-        if refresh:
-            d = d / norm
+        wm = grid.weights * _others_miss(rows, i)
         base_term = _partial_term(wm, rows[i])
         for scale in _scales(cfg, tally):
-            q = _propose(pos, i, d, scale, space, cfg)
+            q = _propose(pos, i, dirs[i], scale, space)
             if q is None:
                 continue
             new_row = detection_row(q, space, grid.centers, sensor)
             tally["rows"] += 1
-            if not cfg.backtracking or _partial_term(wm, new_row) > base_term:
+            if _partial_term(wm, new_row) > base_term:
                 pos[i], rows[i] = q, new_row
                 moved = True
                 break

@@ -10,7 +10,7 @@ path, and the parsed scenario is proven constructible before it is returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +40,7 @@ _TOP_FIELDS = {
     "seed",
 }
 _SENSOR_FIELDS = {"decay", "radius"}
-_REFINE_FIELDS = {
-    "step_scale",
-    "fd_epsilon",
-    "grad_tolerance",
-    "max_iterations",
-    "backtracking",
-    "max_halvings",
-    "schedule",
-    "collision_radius",
-}
+_REFINE_FIELDS = {f.name for f in fields(RefineConfig)}
 _DENSITY_TYPES = {"uniform", "gaussian_mixture", "sampled"}
 
 
@@ -278,21 +269,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(refine, dict):
         raise ScenarioError("expected an object", field="refine")
     _check_unknown(refine, _REFINE_FIELDS, "refine")
-    for key in ("step_scale", "fd_epsilon", "collision_radius"):
+    for key in ("step_scale", "fd_epsilon"):
         if key in refine:
             _want_number(refine[key], f"refine.{key}", strict_minimum=0.0)
     if "grad_tolerance" in refine and refine["grad_tolerance"] is not None:
         _want_number(refine["grad_tolerance"], "refine.grad_tolerance", strict_minimum=0.0)
     if "max_iterations" in refine:
         _want_int(refine["max_iterations"], "refine.max_iterations", minimum=1)
-    if "max_halvings" in refine:
-        _want_int(refine["max_halvings"], "refine.max_halvings", minimum=0)
-    if "backtracking" in refine and not isinstance(refine["backtracking"], bool):
-        raise ScenarioError("expected true or false", field="refine.backtracking")
-    if "schedule" in refine and refine["schedule"] not in ("synchronous", "sequential"):
-        raise ScenarioError(
-            "must be 'synchronous' or 'sequential'", field="refine.schedule"
-        )
 
     seed = _want_int(data.get("seed", 0), "seed", minimum=0)
 

@@ -225,6 +225,14 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_removed_refine_key_exits_2(tmp_path, capsys):
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps({**SMALL, "refine": {"max_iterations": 8, "schedule": "sequential"}}))
+    code = main(["gga", "--scenario", str(bad), "--out", str(tmp_path / "a")])
+    assert code == 2
+    assert "refine.schedule: unknown field" in capsys.readouterr().err
+
+
 def test_bad_positions_file_exits_2(tmp_path, small_scenario, capsys):
     pos = tmp_path / "pos.csv"
     pos.write_text("agent,x,y\n0,5.0\n")

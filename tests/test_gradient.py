@@ -26,7 +26,7 @@ from coverplan import (
 )
 from coverplan import gradient
 
-from conftest import make_problem, random_space
+from conftest import make_problem
 
 
 def secant_directional(positions, i, direction, space, grid, sensor, t=1e-4):
@@ -116,10 +116,6 @@ def test_refine_config_validation():
         RefineConfig(fd_epsilon=-1.0)
     with pytest.raises(InvalidParameterError):
         RefineConfig(max_iterations=0)
-    with pytest.raises(InvalidParameterError):
-        RefineConfig(schedule="parallel")
-    with pytest.raises(InvalidParameterError):
-        RefineConfig(collision_radius=-1e-3)
 
 
 def test_refine_improves_and_stays_feasible(one_block):
@@ -138,13 +134,11 @@ def test_refine_improves_and_stays_feasible(one_block):
     )
 
 
-def test_refine_schedules_both_improve(empty_rect):
+def test_refine_improves_a_close_pair(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [5.0, 6.0]])
-    for schedule in ("synchronous", "sequential"):
-        cfg = RefineConfig(max_iterations=30, schedule=schedule)
-        result = refine(start, empty_rect, grid, sensor, cfg)
-        assert result.value > result.initial_value
+    result = refine(start, empty_rect, grid, sensor, RefineConfig(max_iterations=30))
+    assert result.value > result.initial_value
 
 
 def test_refine_huge_tolerance_converges_in_place(empty_rect):
@@ -194,101 +188,10 @@ def test_refine_agents_never_merge(empty_rect):
     # two agents pulled toward the same optimum must keep their spacing
     grid, sensor, _ = make_problem(empty_rect, decay=0.4)
     start = np.array([[9.9, 5.0], [10.1, 5.0]])
-    cfg = RefineConfig(max_iterations=50, collision_radius=1e-6)
-    result = refine(start, empty_rect, grid, sensor, cfg)
+    result = refine(start, empty_rect, grid, sensor, RefineConfig(max_iterations=50))
     for step in result.steps:
         d = np.linalg.norm(step.positions[0] - step.positions[1])
-        assert d >= 1e-6
-
-
-@pytest.mark.parametrize("schedule", ["synchronous", "sequential"])
-def test_refine_without_backtracking_takes_full_steps(empty_rect, schedule):
-    # every move that is neither projected nor blocked covers exactly step_scale
-    grid, sensor, _ = make_problem(empty_rect, decay=0.3)
-    start = np.array([[4.0, 4.0], [15.0, 6.0], [10.0, 2.0]])
-    cfg = RefineConfig(max_iterations=8, backtracking=False, step_scale=0.75, schedule=schedule)
-    result = refine(start, empty_rect, grid, sensor, cfg)
-    assert result.reason == "max_iterations"
-    full = 0
-    for before, after in zip(result.steps, result.steps[1:]):
-        for i, (p, q) in enumerate(zip(before.positions, after.positions)):
-            interior = 0.0 < q[0] < 20.0 and 0.0 < q[1] < 10.0
-            if after.grad_norms[i] > 0 and interior:
-                assert np.linalg.norm(q - p) == pytest.approx(cfg.step_scale, rel=1e-12)
-                full += 1
-    assert full == 3 * cfg.max_iterations
-
-
-def _recomputing_sequential_sweep(pos, rows, value, space, grid, sensor, cfg, tally, *_, **__):
-    """The sequential sweep as it was: every agent's gradient recomputed, moved or not."""
-    moved = False
-    pos, rows = pos.copy(), rows.copy()
-    for i in range(len(pos)):
-        wm = grid.weights * gradient._others_miss(rows, i)
-        d = gradient._agent_gradient(pos[i], wm, rows[i], grid, sensor)
-        norm = float(np.linalg.norm(d))
-        if norm == 0:
-            continue
-        d = d / norm
-        base_term = gradient._partial_term(wm, rows[i])
-        for scale in gradient._scales(cfg, tally):
-            q = gradient._propose(pos, i, d, scale, space, cfg)
-            if q is None:
-                continue
-            new_row = gradient.detection_row(q, space, grid.centers, sensor)
-            tally["rows"] += 1
-            if not cfg.backtracking or gradient._partial_term(wm, new_row) > base_term:
-                pos[i], rows[i] = q, new_row
-                moved = True
-                break
-    if moved:
-        value = gradient.coverage_from_rows(grid, rows)
-    return moved, pos, rows, value
-
-
-@pytest.mark.parametrize("backtracking", [True, False])
-@pytest.mark.parametrize("fixture", ["empty_rect", "one_block", "lshape", "random"])
-def test_sequential_reuse_matches_recomputing_sweep(fixture, backtracking, request, monkeypatch):
-    if fixture == "random":
-        space = random_space(np.random.default_rng(8))
-    else:
-        space = request.getfixturevalue(fixture)
-    grid, sensor, cand = make_problem(space, decay=0.3)
-    start = cand[[0, len(cand) // 2, len(cand) - 1]]
-    cfg = RefineConfig(max_iterations=6, schedule="sequential", backtracking=backtracking)
-    got = refine(start, space, grid, sensor, cfg)
-    monkeypatch.setattr(gradient, "_agent_sweep", _recomputing_sequential_sweep)
-    want = refine(start, space, grid, sensor, cfg)
-    assert got.reason == want.reason
-    assert (got.rows, got.halvings) == (want.rows, want.halvings)
-    assert len(got.steps) == len(want.steps) > 1
-    for a, b in zip(got.steps, want.steps):
-        assert a.iteration == b.iteration and a.value == b.value
-        assert a.positions.tobytes() == b.positions.tobytes()
-        assert a.grad_norms.tobytes() == b.grad_norms.tobytes()
-
-
-def test_sequential_sweep_computes_no_gradient_twice(empty_rect, monkeypatch):
-    grid, sensor, _ = make_problem(empty_rect, decay=0.3)
-    start = np.array([[4.0, 4.0], [15.0, 6.0], [10.0, 2.0]])
-    cfg = RefineConfig(max_iterations=4, schedule="sequential")
-    seen = []
-    agent_gradient = gradient._agent_gradient
-
-    def spy_gradient(pos, wm, row, *rest):
-        seen.append(pos.tobytes() + wm.tobytes() + row.tobytes())
-        return agent_gradient(pos, wm, row, *rest)
-
-    monkeypatch.setattr(gradient, "_agent_gradient", spy_gradient)
-    refine(start, empty_rect, grid, sensor, cfg)
-    assert len(seen) == len(set(seen))
-    reused_calls = len(seen)
-
-    seen.clear()
-    monkeypatch.setattr(gradient, "_agent_sweep", _recomputing_sequential_sweep)
-    refine(start, empty_rect, grid, sensor, cfg)
-    assert len(seen) > len(set(seen))
-    assert reused_calls < len(seen)
+        assert d >= gradient.COLLISION_RADIUS
 
 
 def central_difference(pos, weighted_miss, space, grid, sensor, fd_epsilon):
@@ -400,12 +303,11 @@ def _spy_scales(monkeypatch):
     return scales
 
 
-@pytest.mark.parametrize("schedule", ["synchronous", "sequential"])
-def test_line_search_stops_halving_at_fd_epsilon(one_block, schedule, monkeypatch):
+def test_line_search_stops_halving_at_fd_epsilon(one_block, monkeypatch):
     grid, sensor, _ = make_problem(one_block, decay=0.3)
     start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
     scales = _spy_scales(monkeypatch)
-    cfg = RefineConfig(max_iterations=30, step_scale=2.0, fd_epsilon=0.2, schedule=schedule)
+    cfg = RefineConfig(max_iterations=30, step_scale=2.0, fd_epsilon=0.2)
     result = refine(start, one_block, grid, sensor, cfg)
     assert min(scales) >= cfg.fd_epsilon
     assert set(scales) <= {2.0, 1.0, 0.5, 0.25}
@@ -413,8 +315,6 @@ def test_line_search_stops_halving_at_fd_epsilon(one_block, schedule, monkeypatc
     # a joint step proposes one move per agent at each scale it tries
     halved = sum(s < cfg.step_scale for s in scales)
     assert 0 < result.halvings <= halved
-    if schedule == "sequential":
-        assert result.halvings == halved
 
 
 def test_step_below_fd_epsilon_is_tried_once(one_block, monkeypatch):
@@ -427,19 +327,19 @@ def test_step_below_fd_epsilon_is_tried_once(one_block, monkeypatch):
     assert result.halvings == 0
 
 
-def test_max_halvings_still_caps_the_search(one_block, monkeypatch):
-    grid, sensor, _ = make_problem(one_block, decay=0.3)
-    start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
-    scales = _spy_scales(monkeypatch)
-    cfg = RefineConfig(max_iterations=30, step_scale=2.0, fd_epsilon=1e-6, max_halvings=2)
-    result = refine(start, one_block, grid, sensor, cfg)
-    assert set(scales) <= {2.0, 1.0, 0.5}
-    assert 0.5 in scales
-    assert 0 < result.halvings <= sum(s < cfg.step_scale for s in scales)
+@pytest.mark.parametrize(
+    "step_scale, fd_epsilon, halvings",
+    [(0.5, 1e-3, 8), (1e-4, 1e-3, 0), (2.0**-5, 2.0**-30, 25)],
+)
+def test_scales_halve_down_to_fd_epsilon(step_scale, fd_epsilon, halvings):
+    tally = {"halvings": 0}
+    cfg = RefineConfig(step_scale=step_scale, fd_epsilon=fd_epsilon)
+    scales = list(gradient._scales(cfg, tally))
+    assert scales == [step_scale * 0.5**k for k in range(halvings + 1)]
+    assert tally["halvings"] == halvings
 
 
-@pytest.mark.parametrize("schedule", ["synchronous", "sequential"])
-def test_rows_counts_every_row_refine_asks_for(one_block, schedule, monkeypatch):
+def test_rows_counts_every_row_refine_asks_for(one_block, monkeypatch):
     grid, sensor, _ = make_problem(one_block, decay=0.3)
     start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
     asked = [0]
@@ -455,7 +355,7 @@ def test_rows_counts_every_row_refine_asks_for(one_block, schedule, monkeypatch)
 
     monkeypatch.setattr(gradient, "detection_row", spy_row)
     monkeypatch.setattr(gradient, "detection_matrix", spy_matrix)
-    result = refine(start, one_block, grid, sensor, RefineConfig(max_iterations=20, schedule=schedule))
+    result = refine(start, one_block, grid, sensor, RefineConfig(max_iterations=20))
     assert result.rows == asked[0] > len(start)
 
 

@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from coverplan import (
+    RefineConfig,
     Scenario,
     ScenarioError,
     bundled_scenario_path,
@@ -65,6 +67,24 @@ def test_unknown_field_rejected_with_path():
         scenario_from_dict(variant(colour="red"))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("schedule", "sequential"), ("backtracking", False), ("max_halvings", 9),
+     ("collision_radius", 1e-6)],
+)
+def test_removed_refine_keys_are_unknown(key, value):
+    with pytest.raises(ScenarioError, match=f"refine.{key}: unknown field"):
+        scenario_from_dict(variant(refine={"max_iterations": 5, key: value}))
+
+
+def test_refine_keys_are_the_config_fields():
+    keys = {"step_scale", "fd_epsilon", "grad_tolerance", "max_iterations"}
+    assert {f.name for f in fields(RefineConfig)} == keys
+    refine = {"step_scale": 0.25, "fd_epsilon": 1e-4, "grad_tolerance": 0.5, "max_iterations": 7}
+    cfg = scenario_from_dict(variant(refine=refine)).build_refine_config()
+    assert cfg == RefineConfig(**refine)
+
+
 def test_missing_required_fields():
     for field in ("boundary", "team_size", "sensor"):
         d = variant()
@@ -115,7 +135,7 @@ def test_round_trip_identity(tmp_path):
                  "components": [{"center": [4, 4], "weight": 2.0, "sigma": 3.0}]},
         grid_cell_size=0.5,
         candidate_spacing=2.0,
-        refine={"max_iterations": 25, "schedule": "sequential"},
+        refine={"max_iterations": 25, "step_scale": 0.25},
         seed=42,
     )
     sc = scenario_from_dict(d)
