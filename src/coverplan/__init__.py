@@ -38,7 +38,6 @@ from .geometry import (
     is_feasible,
     is_visible,
     line_of_sight_many,
-    point_in_polygon,
     visible_many,
 )
 from .gradient import (
@@ -125,7 +124,6 @@ __all__ = [
     "miss_product",
     "objective_gradient",
     "parse_scenario",
-    "point_in_polygon",
     "project_feasible",
     "refine",
     "save_scenario",

@@ -22,7 +22,9 @@ tests of all sources of a stack at once, and decides the transversal
 crossings of all ring edges in one vectorized pass per source.  Degenerate
 contacts fall back to an exact test, batched per ring for the whole stack:
 the contact parameters of every (segment, edge) pair are sorted row by row
-and every gap midpoint is probed in one containment call.
+and every gap midpoint is probed in one containment call.  The same exact
+test decides whether a space is valid: an obstacle edge may not leave the
+boundary, nor run inside another obstacle, for a stretch of positive length.
 
 All predicates use the tolerance ``EPS`` (in length units) and assume inputs
 are well separated relative to it.
@@ -30,7 +32,6 @@ are well separated relative to it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -226,7 +227,8 @@ class Polygon:
                         v = other_j - shared
                         if float(u @ v) > EPS:
                             raise GeometryError(
-                                f"polygon folds back on itself at vertex {tuple(shared)}"
+                                "polygon folds back on itself at vertex "
+                                f"({shared[0]:g}, {shared[1]:g})"
                             )
                     continue
                 if segments_intersect(a[i], b[i], a[j], b[j]):
@@ -310,7 +312,14 @@ class MissionSpace:
         self._sight = None  # _SightMemo of the last target set sighted
 
     def _validate(self):
-        ba, bb = self.boundary.edges
+        """Obstacles lie in the closed boundary and have pairwise disjoint interiors.
+
+        Each obstacle's edges are one stack of segments for the exact
+        excursion test.  An edge that leaves the boundary for a positive
+        length crosses it.  Two obstacles overlap when an edge of either
+        runs strictly inside the other, or when no edge of the first leaves
+        the second: their boundaries then coincide.
+        """
         for k, obs in enumerate(self.obstacles):
             inside = self.boundary.contains_many(obs.vertices)
             if not np.all(inside):
@@ -318,50 +327,18 @@ class MissionSpace:
                 raise GeometryError(
                     f"obstacle {k} has vertex ({v[0]:g}, {v[1]:g}) outside the boundary"
                 )
-            oa, ob = obs.edges
-            for i in range(len(oa)):
-                for j in range(len(ba)):
-                    if _properly_cross(oa[i], ob[i], ba[j], bb[j]):
-                        raise GeometryError(
-                            f"obstacle {k} crosses the boundary (edge {i})"
-                        )
-        # pairwise disjoint interiors: edge crossings plus sampled interior points
-        rng = np.random.default_rng(0)
-        samples = [self._interior_samples(obs, rng) for obs in self.obstacles]
-        for k in range(len(self.obstacles)):
+            out = _excursions(*obs.edges, self.boundary, seek_outside=True)
+            if out.any():
+                raise GeometryError(f"obstacle {k} crosses the boundary (edge {np.argmax(out)})")
+        for k, obs in enumerate(self.obstacles):
             for m in range(k + 1, len(self.obstacles)):
-                ka, kb = self.obstacles[k].edges
-                ma, mb = self.obstacles[m].edges
-                for i in range(len(ka)):
-                    for j in range(len(ma)):
-                        if _properly_cross(ka[i], kb[i], ma[j], mb[j]):
-                            raise GeometryError(
-                                f"obstacles {k} and {m} overlap (crossing edges)"
-                            )
-                if np.any(self.obstacles[m].strictly_contains_many(samples[k])) or np.any(
-                    self.obstacles[k].strictly_contains_many(samples[m])
+                other = self.obstacles[m]
+                if (
+                    _excursions(*obs.edges, other, seek_outside=False).any()
+                    or _excursions(*other.edges, obs, seek_outside=False).any()
+                    or not _excursions(*obs.edges, other, seek_outside=True).any()
                 ):
                     raise GeometryError(f"obstacles {k} and {m} have overlapping interiors")
-
-    @staticmethod
-    def _interior_samples(poly: Polygon, rng, count: int = 16) -> np.ndarray:
-        """Up to ``count`` uniform points strictly inside ``poly``, by rejection.
-
-        All 200 * count tries are drawn in one block from a copy of ``rng``;
-        ``rng`` itself then advances by exactly the pairs a one-at-a-time
-        loop stopping at the count-th acceptance would have drawn, so the
-        samples and the stream left for the next polygon match that loop.
-        """
-        xmin, ymin, xmax, ymax = poly.bbox
-        tries = 200 * count
-        pts = copy.deepcopy(rng).uniform((xmin, ymin), (xmax, ymax), size=(tries, 2))
-        hit = np.flatnonzero(poly.strictly_contains_many(pts))[:count]
-        rng.random((hit[-1] + 1 if len(hit) == count else tries, 2))
-        if len(hit):
-            return pts[hit]
-        # extremely thin obstacle: fall back to edge midpoints nudged inward
-        a, b = poly.edges
-        return 0.5 * (a + b)
 
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -401,34 +378,12 @@ class MissionSpace:
         return f"MissionSpace(boundary={self.boundary!r}, obstacles={len(self.obstacles)})"
 
 
-def point_in_polygon(p, poly: Polygon) -> bool:
-    """Closed membership: boundary points count as inside."""
-    return poly.contains(p)
-
-
 def is_feasible(p, ms: MissionSpace) -> bool:
     """True iff p lies in the closed boundary and outside every obstacle interior."""
     return bool(ms.feasible_many(as_xy(p)[None, :])[0])
 
 
 # -- line of sight -----------------------------------------------------------
-
-
-def _properly_cross(p1, p2, q1, q2) -> bool:
-    """Transversal crossing at points interior to both segments."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    lq = np.hypot(q2[0] - q1[0], q2[1] - q1[1])
-    lp = np.hypot(p2[0] - p1[0], p2[1] - p1[1])
-    if lq <= EPS or lp <= EPS:
-        return False
-    t1, t2 = d1 / lq, d2 / lq
-    t3, t4 = d3 / lp, d4 / lp
-    return (t1 * t2 < 0 and abs(t1) > EPS and abs(t2) > EPS) and (
-        t3 * t4 < 0 and abs(t3) > EPS and abs(t4) > EPS
-    )
 
 
 def _excursions(p: np.ndarray, q: np.ndarray, poly: Polygon, seek_outside: bool) -> np.ndarray:
@@ -442,7 +397,8 @@ def _excursions(p: np.ndarray, q: np.ndarray, poly: Polygon, seek_outside: bool)
     interior.  An edge parallel to the segment adds no contact: where it
     overlaps the segment, the overlap ends at vertices whose non-parallel
     edges cross the segment there, and a gap along the overlap stays on the
-    boundary.
+    boundary.  Besides the sight-line fallback, ``MissionSpace._validate``
+    runs it on obstacle edges to decide whether a space is valid.
     """
     r = q - p  # (N,2)
     rx, ry = r[:, 0][:, None], r[:, 1][:, None]

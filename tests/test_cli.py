@@ -225,6 +225,16 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_obstacle_through_the_notch_exits_2(tmp_path, capsys):
+    bad = tmp_path / "notch.json"
+    l_shape = [[0, 0], [12, 0], [12, 6], [6, 6], [6, 12], [0, 12]]
+    bad.write_text(json.dumps({**SMALL, "boundary": l_shape,
+                               "obstacles": [[[5, 6], [7, 6], [6, 7]]]}))
+    code = main(["greedy", "--scenario", str(bad), "--out", str(tmp_path / "a")])
+    assert code == 2
+    assert "obstacle 0 crosses the boundary (edge 1)" in capsys.readouterr().err
+
+
 def test_removed_refine_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "old.json"
     bad.write_text(json.dumps({**SMALL, "refine": {"max_iterations": 8, "schedule": "sequential"}}))

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coverplan import GeometryError, MissionSpace, Point, Polygon, is_feasible, is_visible
 from coverplan.geometry import (
@@ -9,6 +13,8 @@ from coverplan.geometry import (
     segments_intersect,
     visible_many,
 )
+
+from validation_reference import validate_reference
 
 
 def winding_inside(p, verts):
@@ -44,17 +50,33 @@ def test_polygon_area_and_convexity():
     assert concave.area == pytest.approx(12 * 9 - 3 * 5)
 
 
+def error_text(build, *args) -> str:
+    with pytest.raises(GeometryError) as info:
+        build(*args)
+    return str(info.value)
+
+
 def test_polygon_rejects_bad_rings():
-    with pytest.raises(GeometryError):
-        Polygon([(0, 0), (1, 0)])
-    with pytest.raises(GeometryError):
-        Polygon([(0, 0), (4, 0), (4, 0), (0, 4)])  # repeated vertex
-    with pytest.raises(GeometryError):
-        Polygon([(0, 0), (4, 4), (4, 0), (0, 4)])  # bowtie
-    with pytest.raises(GeometryError):
-        Polygon([(0, 0), (4, 0), (2, 0), (2, 4)])  # spur folds back along an edge
-    with pytest.raises(GeometryError):
-        Polygon([(0, 0), (6, 0), (6, 1e-15), (0, 1e-15)])  # zero area
+    assert error_text(Polygon, [(0, 0), (1, 0)]) == "polygon needs at least 3 vertices, got 2"
+    assert (
+        error_text(Polygon, [(0, 0), (4, 0), (4, 0), (0, 4)])
+        == "polygon has a zero-length edge (repeated vertex)"
+    )
+    # a sliver whose short edges fall under EPS is caught as a repeated vertex
+    assert (
+        error_text(Polygon, [(0, 0), (6, 0), (6, 1e-15), (0, 1e-15)])
+        == "polygon has a zero-length edge (repeated vertex)"
+    )
+    assert error_text(Polygon, [(0, 0), (1e-6, 0), (0, 1e-6)]) == "polygon has zero area"
+    # a spur folds back along an edge
+    assert (
+        error_text(Polygon, [(0, 0), (4, 0), (2, 0), (2, 4)])
+        == "polygon folds back on itself at vertex (4, 0)"
+    )
+    assert (
+        error_text(Polygon, [(0, 0), (4, 4), (4, 0), (0, 4)])  # bowtie
+        == "polygon is self-intersecting (edges 0 and 2 touch)"
+    )
 
 
 def test_polygon_accepts_explicitly_closed_ring():
@@ -103,35 +125,93 @@ def test_closest_point_on_segment():
     assert closest_point_on_segment((14, -2), (0, 0), (10, 0)).tolist() == [10, 0]
 
 
+SQUARE_12 = [(0, 0), (12, 0), (12, 12), (0, 12)]
+L_12 = [(0, 0), (12, 0), (12, 6), (6, 6), (6, 12), (0, 12)]
+# a third of its perimeter runs through the L's notch, yet every vertex is on
+# the boundary and no edge properly crosses a boundary edge
+NOTCH_TRIANGLE = [(5, 6), (7, 6), (6, 7)]
+
+
+def space_error(boundary, *obstacles) -> str:
+    return error_text(MissionSpace, Polygon(boundary), [Polygon(o) for o in obstacles])
+
+
 def test_mission_space_validation():
-    boundary = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-    with pytest.raises(GeometryError, match="obstacle 0"):
-        MissionSpace(boundary, [Polygon([(8, 8), (14, 8), (14, 12), (8, 12)])])
-    with pytest.raises(GeometryError, match="overlap"):
-        MissionSpace(
-            boundary,
-            [
-                Polygon([(1, 1), (5, 1), (5, 5), (1, 5)]),
-                Polygon([(4, 4), (8, 4), (8, 8), (4, 8)]),
-            ],
-        )
-    # touching at a corner is fine: interiors stay disjoint
-    MissionSpace(
-        boundary,
-        [
-            Polygon([(1, 1), (5, 1), (5, 5), (1, 5)]),
-            Polygon([(5, 5), (8, 5), (8, 8), (5, 8)]),
-        ],
+    boundary = [(0, 0), (10, 0), (10, 10), (0, 10)]
+    assert (
+        space_error(boundary, [(8, 8), (14, 8), (14, 12), (8, 12)])
+        == "obstacle 0 has vertex (14, 8) outside the boundary"
     )
-    # obstacle nested inside another is an overlap of interiors
-    with pytest.raises(GeometryError, match="overlap"):
-        MissionSpace(
-            boundary,
-            [
-                Polygon([(1, 1), (9, 1), (9, 9), (1, 9)]),
-                Polygon([(3, 3), (6, 3), (6, 6), (3, 6)]),
-            ],
-        )
+    # every vertex inside the L, one edge through its notch
+    assert (
+        space_error(L_12, [(1, 1), (11, 3), (3, 11)])
+        == "obstacle 0 crosses the boundary (edge 1)"
+    )
+    assert (
+        space_error(L_12, [(3, 11), (1, 1), (11, 3)])
+        == "obstacle 0 crosses the boundary (edge 2)"
+    )
+    square = [(1, 1), (5, 1), (5, 5), (1, 5)]
+    overlaps = {
+        "identical": [square, square],
+        "identical, one with a collinear extra vertex": [
+            square,
+            [(1, 1), (3, 1), (5, 1), (5, 5), (1, 5)],
+        ],
+        "strictly nested": [[(1, 1), (9, 1), (9, 9), (1, 9)], [(3, 3), (6, 3), (6, 6), (3, 6)]],
+        "nested, sharing an edge": [square, [(1, 1), (3, 1), (3, 3), (1, 3)]],
+        "proper crossing": [square, [(4, 4), (8, 4), (8, 8), (4, 8)]],
+    }
+    for case, obstacles in overlaps.items():
+        assert space_error(boundary, *obstacles) == (
+            "obstacles 0 and 1 have overlapping interiors"
+        ), case
+        # the message names the pair, in order
+        clear = [(9.2, 9.2), (9.8, 9.2), (9.8, 9.8)]
+        assert space_error(boundary, clear, *obstacles) == (
+            "obstacles 1 and 2 have overlapping interiors"
+        ), case
+
+
+def test_touching_obstacles_are_accepted():
+    boundary = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+    square = [(1, 1), (4, 1), (4, 4), (1, 4)]
+    layouts = {
+        "shared full edge": [square, [(4, 1), (7, 1), (7, 4), (4, 4)]],
+        "shared partial edge": [square, [(4, 2), (7, 2), (7, 6), (4, 6)]],
+        "corner touch": [square, [(4, 4), (8, 4), (8, 8), (4, 8)]],
+        "wall across the whole space": [[(4, 0), (6, 0), (6, 10), (4, 10)]],
+        "lying on a boundary edge": [[(2, 0), (5, 0), (5, 3), (2, 3)]],
+    }
+    for case, obstacles in layouts.items():
+        space = MissionSpace(boundary, [Polygon(o) for o in obstacles])
+        assert len(space.obstacles) == len(obstacles), case
+    # an L-shaped obstacle hugging the notch's inner corner, two edges on the boundary
+    MissionSpace(Polygon(L_12), [Polygon([(4, 4), (8, 4), (8, 6), (6, 6), (6, 8), (4, 8)])])
+
+
+def test_obstacle_through_the_notch_is_rejected():
+    # the triangles the replaced check let through on fuzzed lattice layouts:
+    # every vertex on the boundary, one edge across the notch
+    crossings = {
+        "obstacle 0 crosses the boundary (edge 1)": [
+            NOTCH_TRIANGLE,
+            [(4, 6), (8, 6), (6, 8)],
+            [(3, 6), (9, 6), (6, 9)],
+            [(6, 6), (9, 6), (6, 9)],
+            [(6, 6), (10, 6), (6, 10)],
+        ],
+        "obstacle 0 crosses the boundary (edge 2)": [
+            [(6, 8), (6, 4), (8, 6)],
+            [(6, 9), (6, 3), (9, 6)],
+        ],
+    }
+    boundary = Polygon(L_12)
+    for message, triangles in crossings.items():
+        for triangle in triangles:
+            obstacles = [Polygon(triangle)]
+            validate_reference(boundary, obstacles)
+            assert error_text(MissionSpace, boundary, obstacles) == message, triangle
 
 
 def test_feasibility_semantics(one_block):
@@ -236,40 +316,99 @@ def test_zero_length_segment_is_visible(one_block):
     assert is_visible((8, 3), (8, 3), one_block, radius=1.0)
 
 
-def loop_interior_samples(poly, rng, count=16):
-    """Rejection sampling one pair at a time, stopping at the count-th acceptance."""
-    xmin, ymin, xmax, ymax = poly.bbox
-    picked = []
-    for _ in range(200 * count):
-        p = rng.uniform((xmin, ymin), (xmax, ymax))
-        if poly.strictly_contains(p):
-            picked.append(p)
-            if len(picked) == count:
-                break
-    if not picked:
-        a, b = poly.edges
-        picked = [0.5 * (a[i] + b[i]) for i in range(len(a))]
-    return np.asarray(picked)
+# lattice shapes, rotated by quarter turns, scaled and placed on the lattice
+SHAPES = [
+    [(0, 0), (1, 0), (1, 1), (0, 1)],
+    [(0, 0), (2, 0), (1, 1)],
+    [(0, 0), (1, 0), (0, 1)],
+]
 
 
-def test_interior_samples_match_the_rejection_loop():
-    # full acceptance, a sliver that accepts fewer than count tries, and one
-    # that accepts none (edge midpoints instead); one stream runs through
-    # every polygon, as in the overlap check
-    polys = [
-        Polygon(CONVEX),
-        Polygon(CONCAVE),
-        Polygon([(0, 0), (10, 10), (10, 10.05)]),
-        Polygon([(0, 0), (10, 10), (10, 10.0005)]),
-    ]
-    counts = set()
-    for seed in range(2):
-        for count in (16, 3):
-            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for poly in polys:
-                got = MissionSpace._interior_samples(poly, got_rng, count)
-                want = loop_interior_samples(poly, want_rng, count)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                counts.add(len(got) if poly.strictly_contains_many(got).all() else 0)
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert 0 in counts and 16 in counts and any(0 < c < 16 for c in counts - {3})
+@st.composite
+def lattice_layouts(draw):
+    """A square or L boundary and 1-5 lattice-snapped obstacles, some nudged by EPS."""
+    boundary = Polygon(draw(st.sampled_from([SQUARE_12, L_12])))
+    obstacles = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = np.array(draw(st.sampled_from(SHAPES)), dtype=float)
+        for _ in range(draw(st.integers(0, 3))):
+            shape = shape @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+        size = draw(st.integers(1, 4)) * draw(st.sampled_from([1.0, 0.3]))
+        corner = np.array([draw(st.integers(0, 12)), draw(st.integers(0, 12))], dtype=float)
+        verts = corner + size * shape
+        nudges = st.tuples(
+            st.integers(0, len(verts) - 1), st.integers(0, 1), st.sampled_from([-EPS, EPS])
+        )
+        for v, axis, d in draw(st.lists(nudges, max_size=2)):
+            verts[v, axis] += d
+        obstacles.append(Polygon(verts))
+    return boundary, obstacles
+
+
+def verdict(check, boundary, obstacles):
+    """None if ``check`` accepts, else what it names: (k,) or (k, m)."""
+    try:
+        check(boundary, obstacles)
+    except GeometryError as exc:
+        named = re.match(r"obstacles? (\d+)(?: and (\d+))?", str(exc)).groups()
+        return tuple(int(n) for n in named if n)
+    return None
+
+
+def check_order(name):
+    """Every obstacle is checked against the boundary before any pair."""
+    return (len(name), name)
+
+
+def edge_points(poly) -> np.ndarray:
+    ts = np.linspace(0.0, 1.0, 2001)[:, None, None]
+    a, b = poly.edges
+    return (a + ts * (b - a)).reshape(-1, 2)
+
+
+def shown_invalid(name, boundary, obstacles, depth) -> bool:
+    """Dense points show the named obstacle or pair invalid, deeper than ``depth``.
+
+    An obstacle is invalid when a point of its edges lies farther than
+    ``depth`` outside the boundary; a pair when a point of one's edges lies
+    farther than ``depth`` inside the other, or a grid point does in both.
+    """
+    def beyond(poly, pts, inside=True):
+        return (poly._parity(pts) == inside) & ~poly.on_boundary_many(pts, tol=depth)
+
+    if len(name) == 1:
+        return bool(beyond(boundary, edge_points(obstacles[name[0]]), inside=False).any())
+    k, m = (obstacles[i] for i in name)
+    xmin, ymin, xmax, ymax = k.bbox
+    gx, gy = np.meshgrid(np.linspace(xmin, xmax, 41), np.linspace(ymin, ymax, 41))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    return bool(
+        beyond(m, edge_points(k)).any()
+        or beyond(k, edge_points(m)).any()
+        or (beyond(k, grid) & beyond(m, grid)).any()
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lattice_layouts())
+def test_validation_matches_the_reference(layout):
+    """The exact check agrees with the replaced one wherever the geometry is clear.
+
+    Each check names the first obstacle or pair it rejects.  Where the two
+    differ, the one the new check names must be shown invalid by dense
+    points deeper than EPS / 2, and one the reference names before the new
+    check gets to it must be no deeper than 10 EPS.  Between the two
+    depths either verdict stands: the layouts nudge vertices by exactly
+    EPS, so a point can sit at EPS from an edge and rounding decides, and
+    the reference's proper-crossing test flags edges that dip EPS into a
+    neighbour they share an edge with.
+    """
+    boundary, obstacles = layout
+    want = verdict(validate_reference, boundary, obstacles)
+    got = verdict(MissionSpace, boundary, obstacles)
+    if got == want:
+        return
+    if got is not None:
+        assert shown_invalid(got, boundary, obstacles, EPS / 2), (got, want)
+    if want is not None and (got is None or check_order(want) < check_order(got)):
+        assert not shown_invalid(want, boundary, obstacles, 10 * EPS), (got, want)

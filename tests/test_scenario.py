@@ -111,11 +111,21 @@ def test_type_and_range_validation():
 
 
 def test_obstacle_errors_name_the_obstacle():
-    bad = variant(obstacles=[[[30, 2], [34, 2], [32, 6]]])  # pokes outside
-    with pytest.raises(ScenarioError) as info:
-        scenario_from_dict(bad)
-    assert "obstacle" in str(info.value)
-    assert info.value.field == "obstacles"
+    l_shape = [[0, 0], [12, 0], [12, 6], [6, 6], [6, 12], [0, 12]]
+    square = [[1, 1], [3, 1], [3, 3], [1, 3]]
+    cases = [
+        (variant(obstacles=[[[30, 2], [34, 2], [32, 6]]]),  # pokes outside
+         "obstacle 0 has vertex (30, 2) outside the boundary"),
+        (variant(boundary=l_shape, obstacles=[[[5, 6], [7, 6], [6, 7]]]),  # through the notch
+         "obstacle 0 crosses the boundary (edge 1)"),
+        (variant(obstacles=[square, [[2, 2], [4, 2], [4, 4], [2, 4]]]),
+         "obstacles 0 and 1 have overlapping interiors"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(bad)
+        assert str(info.value) == f"obstacles: {message}"
+        assert info.value.field == "obstacles"
 
 
 def test_scenario_needs_a_feasible_cell():
