@@ -21,17 +21,23 @@ from .field import QuadratureGrid
 def _leave_one_out_miss(probs: np.ndarray) -> np.ndarray:
     """For each row j, the per-cell product of (1 - p_i) over all rows i != j.
 
-    Uses prefix and suffix cumulative products, so rows with p = 1 (which
-    would break a divide-by-total approach) cost nothing extra.
+    Uses prefix and suffix products, so rows with p = 1 (which would break a
+    divide-by-total approach) cost nothing extra.  One (n, T) buffer holds
+    the result: a forward pass writes the prefix products row by row, and a
+    backward pass multiplies in one running suffix row.  Both multiply in
+    the order of a cumulative product along the rows.
     """
-    q = 1.0 - probs
-    prefix = np.empty_like(q)
-    suffix = np.empty_like(q)
-    prefix[0] = suffix[-1] = 1.0
-    np.cumprod(q[:-1], axis=0, out=prefix[1:])
-    np.cumprod(q[:0:-1], axis=0, out=suffix[-2::-1])  # from the last row back
-    prefix *= suffix
-    return prefix
+    out = np.empty_like(probs)
+    out[0] = 1.0
+    for i in range(1, len(probs)):
+        np.subtract(1.0, probs[i - 1], out=out[i])
+        out[i] *= out[i - 1]
+    suffix = np.ones_like(probs[0])
+    for j in range(len(probs) - 1, 0, -1):
+        out[j] *= suffix
+        suffix *= 1.0 - probs[j]
+    out[0] *= suffix
+    return out
 
 
 def _ground_set(probs, grid: QuadratureGrid):

@@ -316,9 +316,11 @@ class MissionSpace:
 
         Each obstacle's edges are one stack of segments for the exact
         excursion test.  An edge that leaves the boundary for a positive
-        length crosses it.  Two obstacles overlap when an edge of either
-        runs strictly inside the other, or when no edge of the first leaves
-        the second: their boundaries then coincide.
+        length crosses it; a convex boundary needs no such test, since the
+        EPS-neighbourhood of a convex set is convex, so an edge whose ends
+        pass the vertex check stays inside it.  Two obstacles overlap when
+        an edge of either runs strictly inside the other, or when no edge of
+        the first leaves the second: their boundaries then coincide.
         """
         for k, obs in enumerate(self.obstacles):
             inside = self.boundary.contains_many(obs.vertices)
@@ -327,6 +329,8 @@ class MissionSpace:
                 raise GeometryError(
                     f"obstacle {k} has vertex ({v[0]:g}, {v[1]:g}) outside the boundary"
                 )
+            if self.boundary.is_convex:
+                continue
             out = _excursions(*obs.edges, self.boundary, seek_outside=True)
             if out.any():
                 raise GeometryError(f"obstacle {k} crosses the boundary (edge {np.argmax(out)})")

@@ -42,11 +42,22 @@ _TOP_FIELDS = {
 _SENSOR_FIELDS = {"decay", "radius"}
 _REFINE_FIELDS = {f.name for f in fields(RefineConfig)}
 _DENSITY_TYPES = {"uniform", "gaussian_mixture", "sampled"}
+# the fields each kept runtime object is built from
+_BUILT_FROM = {
+    "space": ("boundary", "obstacles"),
+    "grid": ("boundary", "obstacles", "grid_cell_size", "density"),
+}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated run description, kept as plain JSON-shaped data."""
+    """A fully validated run description, kept as plain JSON-shaped data.
+
+    The space and grid built to prove a scenario constructible are kept on
+    the object, so ``build_space`` and ``build_grid`` hand those back instead
+    of building them again; they are no part of the data, its equality or
+    its JSON form, and live exactly as long as this object.
+    """
 
     boundary: tuple
     team_size: int
@@ -58,6 +69,7 @@ class Scenario:
     candidate_spacing: float = 5.0
     refine: dict = field(default_factory=dict)
     seed: int = 0
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -85,21 +97,35 @@ class Scenario:
                 updates["sensor"] = sensor
             else:
                 updates[key] = value
-        return replace(self, **updates) if updates else self
+        if not updates:
+            return self
+        out = replace(self, **updates)
+        for name, inputs in _BUILT_FROM.items():
+            if name in self._built and all(getattr(out, f) == getattr(self, f) for f in inputs):
+                out._built[name] = self._built[name]
+        return out
 
     # -- construction --------------------------------------------------------
 
     def build_space(self) -> MissionSpace:
-        boundary = Polygon(self.boundary)
-        obstacles = [Polygon(o) for o in self.obstacles]
-        return MissionSpace(boundary, obstacles)
+        if "space" not in self._built:
+            boundary = Polygon(self.boundary)
+            obstacles = [Polygon(o) for o in self.obstacles]
+            self._built["space"] = MissionSpace(boundary, obstacles)
+        return self._built["space"]
 
     def build_density(self):
         return _build_density(self.density)
 
     def build_grid(self, space: MissionSpace | None = None) -> QuadratureGrid:
-        space = space or self.build_space()
-        return QuadratureGrid(space, self.grid_cell_size, self.build_density())
+        """The kept grid, unless ``space`` is another space than the kept one."""
+        if space is not None and space is not self._built.get("space"):
+            return QuadratureGrid(space, self.grid_cell_size, self.build_density())
+        if "grid" not in self._built:
+            self._built["grid"] = QuadratureGrid(
+                self.build_space(), self.grid_cell_size, self.build_density()
+            )
+        return self._built["grid"]
 
     def build_sensor(self) -> SensorModel:
         return SensorModel(decay=float(self.sensor["decay"]), radius=float(self.sensor["radius"]))
@@ -298,14 +324,14 @@ def scenario_from_dict(data: dict) -> Scenario:
 def _prove_constructible(scenario: Scenario):
     """Build every runtime object once so a parsed scenario is known-good."""
     try:
-        space = scenario.build_space()
+        scenario.build_space()
     except CoverplanError as exc:
         f = "obstacles" if "obstacle" in str(exc) else "boundary"
         raise ScenarioError(str(exc), field=f) from exc
     try:
         scenario.build_sensor()
         scenario.build_refine_config()
-        grid = QuadratureGrid(space, scenario.grid_cell_size, scenario.build_density())
+        grid = scenario.build_grid()
     except CoverplanError as exc:
         raise ScenarioError(str(exc)) from exc
     if not np.any(grid.feasible):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from coverplan.cli import main
+from coverplan.field import QuadratureGrid
+from coverplan.geometry import MissionSpace
 
 SMALL = {
     "name": "cli-small",
@@ -288,3 +290,36 @@ def test_bounds_and_sweep_on_bundled_scenarios(tmp_path, capsys, name):
                  "--sweep", "lambda:0.05:0.5:3"])
     assert code == 0
     assert len(_guarantee_rows(tmp_path / "s" / "sweep.csv")) == 3
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Counts of the spaces and grids constructed while the test runs."""
+    counts = {"space": 0, "grid": 0}
+    for cls, key in ((MissionSpace, "space"), (QuadratureGrid, "grid")):
+        def counted(self, *args, _init=cls.__init__, _key=key, **kwargs):
+            counts[_key] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv", [["greedy"], ["bounds"], ["sweep", "--sweep", "lambda:0.05:0.5:3"], ["gga"]]
+)
+def test_one_build_per_command(capsys, builds, argv):
+    # the space and grid that prove the file constructible serve the command
+    assert main([argv[0], "--scenario", "random_60x50", *argv[1:]]) == 0
+    assert builds == {"space": 1, "grid": 1}
+
+
+def test_grid_override_keeps_the_space(capsys, builds):
+    assert main(["bounds", "--scenario", "random_60x50", "--grid-h", "2"]) == 0
+    assert builds == {"space": 1, "grid": 2}
+
+
+def test_commands_do_not_share_builds(capsys, builds):
+    for _ in range(2):
+        assert main(["bounds", "--scenario", "random_60x50"]) == 0
+    assert builds == {"space": 2, "grid": 2}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from coverplan import (
     total_curvature,
 )
 from coverplan.curvature import _domain_mask, _elemental_curvature_argmin, _ground_set, _leave_one_out_miss
+from coverplan.scenario import bundled_scenario_path, parse_scenario
 
 
 def naive_total_bound(c, n):
@@ -287,6 +290,64 @@ def test_leave_one_out_miss_matches_stacked_products(n):
         on_top = (probs * want) @ grid.weights
         c = float(np.max(1.0 - on_top[keep] / alone[keep]))
         assert total_curvature(probs, grid) == min(1.0, max(0.0, c))
+
+
+BUNDLED = ["empty_60x50", "maze_60x50", "random_60x50", "rooms_60x50", "wall_60x50"]
+
+
+def bundled_problem(name):
+    sc = parse_scenario(bundled_scenario_path(name))
+    space, grid = sc.build_space(), sc.build_grid()
+    return sc, space, grid, sc.build_candidates()
+
+
+def stacked_report(monkeypatch, probs, grid, team_size):
+    """The bound report with the leave-one-out products built as before."""
+    with monkeypatch.context() as m:
+        m.setattr("coverplan.curvature._leave_one_out_miss", stacked_leave_one_out_miss)
+        return bound_report(probs, grid, team_size)
+
+
+def assert_same_report(got, want):
+    # repr prints each float to its shortest round trip, so equal reprs
+    # mean every field is equal bit for bit
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bound_report_matches_stacked_products_on_bundled_scenarios(monkeypatch, name):
+    sc, space, grid, cand = bundled_problem(name)
+    probs = detection_matrix(cand, space, grid.centers, sc.build_sensor())
+    got = bound_report(probs, grid, sc.team_size)
+    assert_same_report(got, stacked_report(monkeypatch, probs, grid, sc.team_size))
+
+
+@pytest.mark.parametrize(
+    "parameter, values",
+    [("decay", np.linspace(0.01, 0.5, 10)), ("radius", np.linspace(5.0, 60.0, 7))],
+)
+def test_bound_report_matches_stacked_products_along_sweeps(monkeypatch, parameter, values):
+    sc, space, grid, cand = bundled_problem("random_60x50")
+    cache = DetectionCache(cand, space, grid.centers)
+    sensor = sc.build_sensor()
+    table = sweep_bounds(cache, grid, sc.team_size, sensor, parameter, values)
+    assert len(table) == len(values)
+    for v, got in table:
+        probs = cache.probs(SensorModel(**{**sc.sensor, parameter: v}))
+        assert_same_report(got, stacked_report(monkeypatch, probs, grid, sc.team_size))
+
+
+def test_bound_report_holds_one_matrix_of_temporaries():
+    sc, space, grid, cand = bundled_problem("random_60x50")
+    probs = detection_matrix(cand, space, grid.centers, sc.build_sensor())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bound_report(probs, grid, sc.team_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.2 * probs.nbytes
 
 
 def copied_elemental_argmin(probs, keep, mask):

@@ -214,6 +214,17 @@ def test_obstacle_through_the_notch_is_rejected():
             assert error_text(MissionSpace, boundary, obstacles) == message, triangle
 
 
+def test_eps_outside_obstacle_on_a_convex_boundary():
+    # every vertex lies within EPS of the bottom edge (their squared distance
+    # rounds to EPS^2), so the vertex check accepts them; on a convex
+    # boundary that settles it, while on the L the excursion test still
+    # decides, and its probe midpoint measures a hair over EPS
+    triangle = [(8, -1e-9), (8, 0.6), (7.4, -1e-9)]
+    space = MissionSpace(Polygon(SQUARE_12), [Polygon(triangle)])
+    assert len(space.obstacles) == 1
+    assert space_error(L_12, triangle) == "obstacle 0 crosses the boundary (edge 2)"
+
+
 def test_feasibility_semantics(one_block):
     # closed boundary is feasible, obstacle interior is not, obstacle edge is
     assert is_feasible((0, 0), one_block)
