@@ -7,10 +7,15 @@ iterate projected back into the feasible region.  Backtracking halves the
 move until the objective increases, never below ``fd_epsilon``, so the
 refined placement never scores below its seed.
 
-Each iteration proposes a joint step of all agents against the same
-configuration.  When backtracking vetoes it, the agents step one at a time
-along the same directions instead.  A proposal projects an agent's move and
-drops it when it lands within ``COLLISION_RADIUS`` of another agent.
+Each iteration takes every agent's gradient in one pass over the detection
+rows, then proposes a joint step of all agents against the same
+configuration.  At each step length the movers' targets are decided by one
+feasibility call, only the infeasible ones are projected, and the agents
+that moved get their new rows from one detection-matrix call.  Collisions
+are still tested in agent order: a target within ``COLLISION_RADIUS`` of
+another agent, as moved so far, is dropped.  When backtracking vetoes the
+joint step, the agents step one at a time along the same directions
+instead, each judged after the moves before it.
 """
 
 from __future__ import annotations
@@ -138,17 +143,28 @@ def _partial_term(weighted_miss: np.ndarray, row: np.ndarray) -> float:
     return float(np.dot(weighted_miss, row))
 
 
-def _agent_gradient(pos, weighted_miss, row, grid: QuadratureGrid, sensor: SensorModel):
-    """Area term of the objective's gradient in one agent's position.
+def _gradients(pos, rows, grid: QuadratureGrid, sensor: SensorModel) -> np.ndarray:
+    """Area term of the objective's gradient in every agent's position: shape (n, 2).
 
-    Each cell x adds decay * w * Π_{j≠i}(1 - p_j) * p_i * (x - s_i) / |x - s_i|:
-    the exact derivative wherever no cell's sight line or range flips.  A cell
-    centred on the agent adds nothing.
+    For agent i each cell x adds decay * w * Π_{j≠i}(1 - p_j) * p_i * (x - s_i)
+    / |x - s_i|: the exact derivative wherever no cell's sight line or range
+    flips.  A cell centred on the agent adds nothing.  The others' miss
+    multiplies the rows in ascending order, as ``np.prod`` does, so every
+    agent's gradient is the same to the bit as one computed on its own.
     """
-    d = grid.centers - pos
-    dist = np.hypot(d[:, 0], d[:, 1])
-    pull = np.divide(weighted_miss * row, dist, out=np.zeros_like(dist), where=dist > 0)
-    return sensor.decay * (pull @ d)
+    q = 1.0 - rows
+    pull = np.ones_like(rows)
+    for j in range(len(rows)):
+        pull[:j] *= q[j]
+        pull[j + 1 :] *= q[j]
+    pull *= grid.weights
+    pull *= rows
+    dist = np.hypot(grid.centers[:, 0] - pos[:, :1], grid.centers[:, 1] - pos[:, 1:])
+    pull = np.divide(pull, dist, out=np.zeros_like(dist), where=dist > 0)
+    grads = np.empty((len(pos), 2))
+    for i in range(len(pos)):
+        grads[i] = sensor.decay * (pull[i] @ (grid.centers - pos[i]))
+    return grads
 
 
 def objective_gradient(
@@ -165,14 +181,14 @@ def objective_gradient(
     if not is_feasible(pos[agent_index], space):
         raise InvalidParameterError(f"agent {agent_index} is at an infeasible position")
     rows = detection_matrix(pos, space, grid.centers, sensor)
-    wm = grid.weights * _others_miss(rows, agent_index)
-    return _agent_gradient(pos[agent_index], wm, rows[agent_index], grid, sensor)
+    return _gradients(pos, rows, grid, sensor)[agent_index]
 
 
-def _collides(candidate: np.ndarray, others: np.ndarray) -> bool:
-    if len(others) == 0:
-        return False
-    return bool(np.min(np.linalg.norm(others - candidate[None, :], axis=1)) < COLLISION_RADIUS)
+def _collides(candidate: np.ndarray, pos: np.ndarray, i: int) -> bool:
+    """True when ``candidate`` lands on an agent of ``pos`` other than agent i."""
+    dist = np.linalg.norm(pos - candidate, axis=1)
+    dist[i] = np.inf
+    return bool(np.min(dist) < COLLISION_RADIUS)
 
 
 def refine(
@@ -201,7 +217,7 @@ def refine(
             f"initial position {k} at ({pos[k, 0]:g}, {pos[k, 1]:g}) is infeasible"
         )
     for i in range(n):
-        if _collides(pos[i], pos[i + 1 :]):
+        if _collides(pos[i], pos, i):
             raise InvalidParameterError("initial positions must be pairwise distinct")
     tol = 1e-3 * grid.cell_size**2 if cfg.grad_tolerance is None else cfg.grad_tolerance
 
@@ -212,10 +228,7 @@ def refine(
     reason = "max_iterations"
 
     for it in range(1, cfg.max_iterations + 1):
-        grads = np.zeros((n, 2))
-        for i in range(n):
-            wm = grid.weights * _others_miss(rows, i)
-            grads[i] = _agent_gradient(pos[i], wm, rows[i], grid, sensor)
+        grads = _gradients(pos, rows, grid, sensor)
         norms = np.linalg.norm(grads, axis=1)
         if it == 1:
             steps[0].grad_norms = norms.copy()
@@ -236,7 +249,24 @@ def refine(
 def _propose(pos, i, direction, scale, space):
     """Projected move of agent i, or None when it lands on another agent."""
     q = project_feasible(pos[i] + scale * direction, space)
-    return None if _collides(q, np.delete(pos, i, 0)) else q
+    return None if _collides(q, pos, i) else q
+
+
+def _joint_proposal(pos, moving, dirs, scale, space):
+    """Every mover's projected step at one scale, as one candidate placement.
+
+    One feasibility call decides all targets and only the infeasible ones
+    are projected.  Collisions are tested in agent order, so a mover whose
+    target lands on an agent already placed keeps its old position.
+    """
+    targets = pos[moving] + scale * dirs[moving]
+    inside = space.feasible_many(targets)
+    cand = pos.copy()
+    for i, q, ok in zip(moving, targets, inside):
+        q = q if ok else project_feasible(q, space)
+        if not _collides(q, cand, i):
+            cand[i] = q
+    return cand
 
 
 def _scales(cfg, tally):
@@ -259,17 +289,12 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, tally, grads)
     dirs = np.zeros_like(grads)
     dirs[moving] = grads[moving] / norms[moving, None]
     for scale in _scales(cfg, tally):
-        cand = pos.copy()
-        for i in moving:
-            q = _propose(cand, i, dirs[i], scale, space)
-            if q is not None:  # else the later-indexed mover forfeits its step
-                cand[i] = q
+        cand = _joint_proposal(pos, moving, dirs, scale, space)
         changed = np.nonzero(np.any(cand != pos, axis=1))[0]
         if len(changed) == 0:
             return False, pos, rows, value
         new_rows = rows.copy()
-        for i in changed:
-            new_rows[i] = detection_row(cand[i], space, grid.centers, sensor)
+        new_rows[changed] = detection_matrix(cand[changed], space, grid.centers, sensor)
         tally["rows"] += len(changed)
         new_value = coverage_from_rows(grid, new_rows)
         if new_value > value:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -14,11 +16,13 @@ from coverplan import (
     UniformDensity,
     bundled_scenario_path,
     coverage,
+    coverage_from_rows,
     detection_matrix,
     detection_row,
     greedy_place,
     is_feasible,
     line_of_sight_many,
+    miss_product,
     objective_gradient,
     parse_scenario,
     project_feasible,
@@ -194,6 +198,23 @@ def test_refine_agents_never_merge(empty_rect):
         assert d >= gradient.COLLISION_RADIUS
 
 
+def others_miss(rows, i):
+    """Oracle: per-cell probability that every agent except i misses."""
+    return miss_product(np.delete(rows, i, 0))
+
+
+def agent_gradient(pos, weighted_miss, row, grid, sensor):
+    """Oracle: the area-term gradient of one agent, computed on its own.
+
+    Each cell x adds decay * w * Π_{j≠i}(1 - p_j) * p_i * (x - s_i) / |x - s_i|;
+    a cell centred on the agent adds nothing.
+    """
+    d = grid.centers - pos
+    dist = np.hypot(d[:, 0], d[:, 1])
+    pull = np.divide(weighted_miss * row, dist, out=np.zeros_like(dist), where=dist > 0)
+    return sensor.decay * (pull @ d)
+
+
 def central_difference(pos, weighted_miss, space, grid, sensor, fd_epsilon):
     """Oracle: central differences of the agent's part of the objective.
 
@@ -228,9 +249,12 @@ def _check_against_oracle(pos, i, space, grid, sensor):
     """
     assume(float(np.min(np.linalg.norm(grid.centers - pos[i], axis=1))) >= 0.1)
     rows = detection_matrix(pos, space, grid.centers, sensor)
-    wm = grid.weights * gradient._others_miss(rows, i)
-    analytic = gradient._agent_gradient(pos[i], wm, rows[i], grid, sensor)
+    wm = grid.weights * others_miss(rows, i)
+    analytic = agent_gradient(pos[i], wm, rows[i], grid, sensor)
     assert np.array_equal(analytic, objective_gradient(pos, i, space, grid, sensor))
+    every = [agent_gradient(p, grid.weights * others_miss(rows, k), rows[k], grid, sensor)
+             for k, p in enumerate(pos)]
+    assert np.array_equal(gradient._gradients(pos, rows, grid, sensor), every)
     scale = sensor.decay * float(wm @ rows[i])
     for eps in (1e-3, 5e-4):
         oracle = central_difference(pos[i], wm, space, grid, sensor, eps)
@@ -280,9 +304,9 @@ def test_cell_centred_on_the_agent_adds_nothing(empty_rect):
     pos = np.array([[3.5, 4.5], [12.0, 6.0]])  # agent 0 sits on a cell centre
     assert np.any(np.all(grid.centers == pos[0], axis=1))
     rows = detection_matrix(pos, empty_rect, grid.centers, sensor)
-    wm = grid.weights * gradient._others_miss(rows, 0)
+    wm = grid.weights * others_miss(rows, 0)
     with np.errstate(all="raise"):
-        got = gradient._agent_gradient(pos[0], wm, rows[0], grid, sensor)
+        got = agent_gradient(pos[0], wm, rows[0], grid, sensor)
         assert np.array_equal(got, objective_gradient(pos, 0, empty_rect, grid, sensor))
     others = np.any(grid.centers != pos[0], axis=1)
     d = grid.centers[others] - pos[0]
@@ -292,14 +316,16 @@ def test_cell_centred_on_the_agent_adds_nothing(empty_rect):
 
 
 def _spy_scales(monkeypatch):
+    """Every step length a line search of refine yields, in order."""
     scales = []
-    propose = gradient._propose
+    line_search = gradient._scales
 
-    def spy(pos, i, direction, scale, *rest):
-        scales.append(scale)
-        return propose(pos, i, direction, scale, *rest)
+    def spy(cfg, tally):
+        for scale in line_search(cfg, tally):
+            scales.append(scale)
+            yield scale
 
-    monkeypatch.setattr(gradient, "_propose", spy)
+    monkeypatch.setattr(gradient, "_scales", spy)
     return scales
 
 
@@ -312,9 +338,9 @@ def test_line_search_stops_halving_at_fd_epsilon(one_block, monkeypatch):
     assert min(scales) >= cfg.fd_epsilon
     assert set(scales) <= {2.0, 1.0, 0.5, 0.25}
     assert 0.25 in scales  # the search did reach the floor
-    # a joint step proposes one move per agent at each scale it tries
+    # every halved scale a search yields is one halving, in either sweep
     halved = sum(s < cfg.step_scale for s in scales)
-    assert 0 < result.halvings <= halved
+    assert 0 < result.halvings == halved
 
 
 def test_step_below_fd_epsilon_is_tried_once(one_block, monkeypatch):
@@ -371,13 +397,231 @@ PARENT_ROWS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PARENT_ROWS))
-def test_refine_rows_guard_on_bundled_scenarios(name):
+@functools.lru_cache(maxsize=None)
+def _bundled(name):
+    """A bundled scenario's problem at its own settings and its greedy seed."""
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
     grid = sc.build_grid(space)
     sensor = sc.build_sensor()
     seed = greedy_place(space, grid, sensor, sc.build_candidates(space), sc.team_size)
-    result = refine(seed.positions, space, grid, sensor, sc.build_refine_config())
+    return (seed.positions, space, grid, sensor, sc.build_refine_config()), seed
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_refine(name):
+    problem, seed = _bundled(name)
+    return seed, refine(*problem)
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_ROWS))
+def test_refine_rows_guard_on_bundled_scenarios(name):
+    seed, result = _bundled_refine(name)
     assert result.value >= seed.value
     assert result.rows <= PARENT_ROWS[name]
+
+
+def reference_refine(initial, space, grid, sensor, cfg):
+    """Refine as it was before the joint step was stacked.
+
+    Each iteration takes the agents' gradients one at a time from the oracle,
+    and the joint step proposes, projects and collision-tests one agent at a
+    time, with one ``detection_row`` per changed agent.  The rescue sweep is
+    the library's own: it was already sequential.
+    """
+    pos = np.array(initial, dtype=float)
+    n = len(pos)
+    rows = detection_matrix(pos, space, grid.centers, sensor)
+    tally = {"rows": n, "halvings": 0}
+    value = coverage_from_rows(grid, rows)
+    steps = [gradient.RefineStep(0, pos.copy(), value, np.zeros(n))]
+    tol = 1e-3 * grid.cell_size**2 if cfg.grad_tolerance is None else cfg.grad_tolerance
+    reason = "max_iterations"
+    for it in range(1, cfg.max_iterations + 1):
+        grads = np.zeros((n, 2))
+        for i in range(n):
+            grads[i] = agent_gradient(
+                pos[i], grid.weights * others_miss(rows, i), rows[i], grid, sensor
+            )
+        norms = np.linalg.norm(grads, axis=1)
+        if it == 1:
+            steps[0].grad_norms = norms.copy()
+        if float(np.max(norms)) <= tol:
+            reason = "converged"
+            break
+        moved, pos, rows, value = _reference_joint_step(
+            pos, rows, value, space, grid, sensor, cfg, tally, grads
+        )
+        steps.append(gradient.RefineStep(it, pos.copy(), value, norms))
+        if not moved:
+            reason = "no_improvement"
+            break
+    return gradient.RefineResult(steps, reason, tally["rows"], tally["halvings"])
+
+
+def _reference_propose(pos, i, direction, scale, space):
+    q = project_feasible(pos[i] + scale * direction, space)
+    others = np.delete(pos, i, 0)
+    if len(others) and np.min(np.linalg.norm(others - q[None, :], axis=1)) < gradient.COLLISION_RADIUS:
+        return None
+    return q
+
+
+def _reference_joint_step(pos, rows, value, space, grid, sensor, cfg, tally, grads):
+    norms = np.linalg.norm(grads, axis=1)
+    moving = np.nonzero(norms > 0)[0]
+    if len(moving) == 0:
+        return False, pos, rows, value
+    dirs = np.zeros_like(grads)
+    dirs[moving] = grads[moving] / norms[moving, None]
+    for scale in gradient._scales(cfg, tally):
+        cand = pos.copy()
+        for i in moving:
+            q = _reference_propose(cand, i, dirs[i], scale, space)
+            if q is not None:
+                cand[i] = q
+        changed = np.nonzero(np.any(cand != pos, axis=1))[0]
+        if len(changed) == 0:
+            return False, pos, rows, value
+        new_rows = rows.copy()
+        for i in changed:
+            new_rows[i] = detection_row(cand[i], space, grid.centers, sensor)
+        tally["rows"] += len(changed)
+        new_value = coverage_from_rows(grid, new_rows)
+        if new_value > value:
+            return True, cand, new_rows, new_value
+    return gradient._agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs)
+
+
+def assert_same_result(got, want):
+    """Two RefineResults agree to the bit: every array's bytes, value, reason and counts."""
+    assert (got.reason, got.rows, got.halvings) == (want.reason, want.rows, want.halvings)
+    assert len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        assert a.iteration == b.iteration
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.grad_norms.tobytes() == b.grad_norms.tobytes()
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_ROWS))
+def test_refine_matches_the_per_agent_reference_on_bundled_scenarios(name):
+    problem, _ = _bundled(name)
+    assert_same_result(_bundled_refine(name)[1], reference_refine(*problem))
+
+
+@pytest.fixture()
+def branches(monkeypatch):
+    """Counts of projected proposals and of collision forfeits while the test runs."""
+    counts = {"projected": 0, "forfeits": 0}
+    project, collides = gradient.project_feasible, gradient._collides
+
+    def spy_project(p, space):
+        counts["projected"] += not is_feasible(p, space)
+        return project(p, space)
+
+    def spy_collides(*args):
+        hit = collides(*args)
+        counts["forfeits"] += hit
+        return hit
+
+    monkeypatch.setattr(gradient, "project_feasible", spy_project)
+    monkeypatch.setattr(gradient, "_collides", spy_collides)
+    return counts
+
+
+def _peaked(space, x, y):
+    # event mass piled up against a wall, so a long step overshoots into it
+    density = GaussianMixtureDensity(centers=[(x, y)], weights=[1.0], sigmas=[1.0], baseline=0.01)
+    return QuadratureGrid(space, 1.0, density)
+
+
+@pytest.mark.parametrize(
+    "shape, peak, start",
+    [
+        ("one_block", (20.0, 10.0), [[19.0, 9.0], [3.0, 2.0]]),  # the boundary corner
+        ("one_block", (7.5, 5.0), [[6.5, 5.0], [15.0, 2.0]]),  # the obstacle's left face
+        ("lshape", (9.5, 5.5), [[9.0, 6.0], [3.0, 2.0]]),  # the reflex corner
+    ],
+)
+def test_refine_matches_the_reference_where_steps_hug_a_wall(request, branches, shape, peak, start):
+    space = request.getfixturevalue(shape)
+    grid = _peaked(space, *peak)
+    sensor = SensorModel(decay=0.3, radius=30.0)
+    cfg = RefineConfig(max_iterations=10, step_scale=2.0)
+    result = refine(np.array(start), space, grid, sensor, cfg)
+    assert branches["projected"] > 0
+    assert_same_result(result, reference_refine(start, space, grid, sensor, cfg))
+
+
+@pytest.mark.parametrize(
+    "peak, start, stays",
+    [
+        (None, [[1.0, 0.5], [1.5, 0.5]], 0),  # agent 0 steps onto agent 1
+        (4.5, [[4.0, 0.5], [5.0, 0.5]], 1),  # agent 1 steps onto agent 0's new place
+    ],
+)
+def test_refine_matches_the_reference_when_a_mover_forfeits(branches, peak, start, stays):
+    # in a one-cell-high corridor every direction is exactly along x, so a
+    # full step of 0.5 lands exactly on the spot named above
+    corridor = MissionSpace(Polygon([(0, 0), (20, 0), (20, 1), (0, 1)]))
+    grid, sensor, _ = make_problem(corridor, decay=0.3)
+    if peak is not None:
+        grid = QuadratureGrid(corridor, 1.0, GaussianMixtureDensity(
+            centers=[(peak, 0.5)], weights=[1.0], sigmas=[0.5], baseline=0.01))
+    start = np.array(start)
+    cfg = RefineConfig(max_iterations=5)
+    result = refine(start, corridor, grid, sensor, cfg)
+    assert branches["forfeits"] > 0
+    first = result.steps[1].positions
+    assert first[stays, 0] == start[stays, 0] and first[1 - stays, 0] != start[1 - stays, 0]
+    assert_same_result(result, reference_refine(start, corridor, grid, sensor, cfg))
+
+
+def _spy_joint_step(monkeypatch):
+    """Record, from this call on, feasibility calls made outside detection matrices,
+    the size of each detection matrix and the number of detection rows."""
+    calls = {"feasible": [], "matrix": [], "row": 0}
+    decide, matrix, row = MissionSpace.feasible_many, gradient.detection_matrix, gradient.detection_row
+    in_matrix = [False]
+
+    def spy_feasible(self, points):
+        if not in_matrix[0]:
+            calls["feasible"].append(len(points))
+        return decide(self, points)
+
+    def spy_matrix(positions, *rest):
+        calls["matrix"].append(len(positions))
+        in_matrix[0] = True
+        try:
+            return matrix(positions, *rest)
+        finally:
+            in_matrix[0] = False
+
+    def spy_row(*args):
+        calls["row"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(MissionSpace, "feasible_many", spy_feasible)
+    monkeypatch.setattr(gradient, "detection_matrix", spy_matrix)
+    monkeypatch.setattr(gradient, "detection_row", spy_row)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_joint_step_decides_and_builds_in_one_call_each(empty_rect, monkeypatch, n):
+    grid, sensor, _ = make_problem(empty_rect, decay=0.3)
+    # a lopsided huddle: every agent has room to spread and none lands on another
+    start = np.array([[6.3 + 1.5 * (k % 5), 3.7 + 2.1 * (k // 5)] for k in range(n)])
+    cfg = RefineConfig(max_iterations=1, step_scale=0.5, fd_epsilon=0.5)  # one scale
+    joint_step_calls = _spy_joint_step(monkeypatch)
+    result = refine(start, empty_rect, grid, sensor, cfg)
+    assert (result.reason, len(result.steps)) == ("max_iterations", 2)  # the step was taken
+    changed = int(np.sum(np.any(result.positions != start, axis=1)))
+    assert changed == n
+    # the start check, then every mover's target at the one scale
+    assert joint_step_calls["feasible"] == [n, n]
+    # the starting matrix, then one matrix of the changed agents
+    assert joint_step_calls["matrix"] == [n, changed]
+    assert joint_step_calls["row"] == 0
+    assert result.rows == n + changed
