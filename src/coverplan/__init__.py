@@ -33,12 +33,9 @@ from .field import (
 )
 from .geometry import (
     MissionSpace,
-    Point,
     Polygon,
     is_feasible,
-    is_visible,
     line_of_sight_many,
-    visible_many,
 )
 from .gradient import (
     RefineConfig,
@@ -91,7 +88,6 @@ __all__ = [
     "InvalidParameterError",
     "MissionSpace",
     "OracleResult",
-    "Point",
     "Polygon",
     "QuadratureGrid",
     "RefineConfig",
@@ -117,7 +113,6 @@ __all__ = [
     "elemental_curvature",
     "greedy_place",
     "is_feasible",
-    "is_visible",
     "joint_detection",
     "line_of_sight_many",
     "marginal_gain",
@@ -130,5 +125,4 @@ __all__ = [
     "scenario_from_dict",
     "sweep_bounds",
     "total_curvature",
-    "visible_many",
 ]

@@ -76,8 +76,8 @@ class SampledDensity:
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = float(spacing)
         self.values = np.asarray(values, dtype=float)
-        if self.origin.shape != (2,):
-            raise InvalidParameterError("origin must be an (x, y) pair")
+        if self.origin.shape != (2,) or not np.all(np.isfinite(self.origin)):
+            raise InvalidParameterError("origin must be a finite (x, y) pair")
         if not np.isfinite(self.spacing) or self.spacing <= 0:
             raise InvalidParameterError(f"spacing must be finite and > 0, got {spacing}")
         if self.values.ndim != 2 or self.values.size == 0:
@@ -109,9 +109,7 @@ class QuadratureGrid:
     def __init__(self, space: MissionSpace, cell_size: float, density):
         if not np.isfinite(cell_size) or cell_size <= 0:
             raise InvalidParameterError(f"cell size must be finite and > 0, got {cell_size}")
-        self.space = space
         self.cell_size = float(cell_size)
-        self.density = density
         xmin, ymin, xmax, ymax = space.bbox
         self.nx = max(1, math.ceil((xmax - xmin - EPS) / cell_size))
         self.ny = max(1, math.ceil((ymax - ymin - EPS) / cell_size))

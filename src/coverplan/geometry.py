@@ -32,7 +32,6 @@ are well separated relative to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,25 +42,8 @@ from .errors import GeometryError
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class Point:
-    """A planar location with finite coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise GeometryError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
 def as_xy(p) -> np.ndarray:
-    """Coerce a Point, pair, or length-2 array to a float ndarray of shape (2,)."""
-    if isinstance(p, Point):
-        return p.as_array()
+    """Coerce a pair or length-2 array to a float ndarray of shape (2,)."""
     arr = np.asarray(p, dtype=float)
     if arr.shape != (2,):
         raise GeometryError(f"expected a single (x, y) location, got shape {arr.shape}")
@@ -162,7 +144,7 @@ class Polygon:
 
     def __init__(self, vertices):
         verts = as_points_array(vertices)
-        if len(verts) >= 2 and np.allclose(verts[0], verts[-1]):
+        if len(verts) >= 2 and np.linalg.norm(verts[0] - verts[-1]) <= EPS:
             verts = verts[:-1]  # tolerate an explicitly closed ring
         if len(verts) < 3:
             raise GeometryError(f"polygon needs at least 3 vertices, got {len(verts)}")
@@ -258,14 +240,6 @@ class Polygon:
     def _parity(self, pts: np.ndarray) -> np.ndarray:
         """Ray-casting parity with the half-open edge rule (boundary arbitrary)."""
         return np.logical_xor.reduce(_ray_crossings(pts, *self.edges), axis=0)
-
-    # -- scalar conveniences -------------------------------------------------
-
-    def contains(self, p) -> bool:
-        return bool(self.contains_many(as_xy(p)[None, :])[0])
-
-    def strictly_contains(self, p) -> bool:
-        return bool(self.strictly_contains_many(as_xy(p)[None, :])[0])
 
     def __repr__(self):
         return f"Polygon({len(self.vertices)} vertices, area={self.area:.6g})"
@@ -478,12 +452,10 @@ class _SightMemo:
 
 
 def _is_one_location(p) -> bool:
-    """A Point or a numeric (2,) array-like, as opposed to a stack of locations."""
-    if isinstance(p, Point):
-        return True
+    """A numeric (2,) array-like, as opposed to a stack of locations."""
     try:
         return np.shape(np.asarray(p, dtype=float)) == (2,)
-    except (TypeError, ValueError):  # e.g. a list of Points
+    except (TypeError, ValueError):  # e.g. a ragged list
         return False
 
 
@@ -578,18 +550,3 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
         if len(sel):
             out[oi[sel], ot[sel]] = ~_excursions(src[i[sel]], pts[t[sel]], *memo.rings[k])
     return out
-
-
-def visible_many(source, targets, ms: MissionSpace, radius: float) -> np.ndarray:
-    """Line of sight plus the closed range constraint ``|x - source| <= radius``."""
-    src = as_xy(source)
-    tgt = as_points_array(targets)
-    d = np.linalg.norm(tgt - src[None, :], axis=1)
-    mask = d <= radius + EPS
-    mask &= line_of_sight_many(src, tgt, ms)
-    return mask
-
-
-def is_visible(a, b, ms: MissionSpace, radius: float) -> bool:
-    """True iff b is within the closed sensing range of a and the segment stays feasible."""
-    return bool(visible_many(as_xy(a), as_xy(b)[None, :], ms, radius)[0])

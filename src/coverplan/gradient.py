@@ -100,10 +100,6 @@ class RefineResult:
     def value(self) -> float:
         return self.steps[-1].value
 
-    @property
-    def initial_value(self) -> float:
-        return self.steps[0].value
-
     def trace_rows(self):
         """Yield (iteration, agent, x, y, value, grad_norm) rows for export."""
         for step in self.steps:

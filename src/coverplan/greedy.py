@@ -38,7 +38,6 @@ class GreedyResult:
     values: list[float]
     evaluations: int
     stopped_early: bool = False
-    method: str = "eager"
     # True when more agents were requested than candidates exist; every
     # candidate is then placed and the cardinality constraint is slack.
     constraint_slack: bool = False
@@ -99,7 +98,7 @@ def greedy_place(
         miss *= 1.0 - rows[j]
     return GreedyResult(
         chosen, cand[chosen], gains, values, evaluations, stopped,
-        method=method, constraint_slack=team_size > len(cand),
+        constraint_slack=team_size > len(cand),
     )
 
 

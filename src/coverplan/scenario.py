@@ -166,6 +166,13 @@ def _want_number(value, path: str, minimum=None, strict_minimum=None) -> float:
     return v
 
 
+def _want_pair(value, path: str) -> None:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError("expected an [x, y] pair", field=path)
+    for i in (0, 1):
+        _want_number(value[i], f"{path}[{i}]")
+
+
 def _want_int(value, path: str, minimum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"expected an integer, got {value!r}", field=path)
@@ -227,11 +234,7 @@ def _validate_density(spec, path: str) -> dict:
             for key in ("center", "weight", "sigma"):
                 if key not in comp:
                     raise ScenarioError(f"missing required field {key!r}", field=cpath)
-            center = comp["center"]
-            if not isinstance(center, list) or len(center) != 2:
-                raise ScenarioError("expected an [x, y] pair", field=f"{cpath}.center")
-            _want_number(center[0], f"{cpath}.center[0]")
-            _want_number(center[1], f"{cpath}.center[1]")
+            _want_pair(comp["center"], f"{cpath}.center")
             _want_number(comp["weight"], f"{cpath}.weight", minimum=0.0)
             _want_number(comp["sigma"], f"{cpath}.sigma", strict_minimum=0.0)
     else:
@@ -239,9 +242,7 @@ def _validate_density(spec, path: str) -> dict:
         for key in ("origin", "spacing", "values"):
             if key not in spec:
                 raise ScenarioError(f"missing required field {key!r}", field=path)
-        origin = spec["origin"]
-        if not isinstance(origin, list) or len(origin) != 2:
-            raise ScenarioError("expected an [x, y] pair", field=f"{path}.origin")
+        _want_pair(spec["origin"], f"{path}.origin")
         _want_number(spec["spacing"], f"{path}.spacing", strict_minimum=0.0)
         values = spec["values"]
         if not isinstance(values, list) or not values or not isinstance(values[0], list):

@@ -55,21 +55,14 @@ def detection_row(position, space: MissionSpace, targets, sensor: SensorModel) -
     return sensor.detect(_distances(pos, pts), line_of_sight_many(pos, pts, space))
 
 
-def detection_matrix(positions, space: MissionSpace, targets, sensor) -> np.ndarray:
-    """Stack of detection rows, one per position: shape (n, T).
-
-    ``sensor`` is a single model shared by every agent, or one model per
-    agent for a mixed team.
-    """
+def detection_matrix(positions, space: MissionSpace, targets, sensor: SensorModel) -> np.ndarray:
+    """Stack of detection rows, one per position: shape (n, T)."""
     pos = as_points_array(positions)
     pts = as_points_array(targets)
-    models = [sensor] * len(pos) if isinstance(sensor, SensorModel) else list(sensor)
-    if len(models) != len(pos):
-        raise InvalidParameterError(f"got {len(models)} sensor models for {len(pos)} positions")
     los = line_of_sight_many(pos, pts, space)
     rows = np.empty((len(pos), len(pts)))
     for i in range(len(pos)):
-        rows[i] = models[i].detect(_distances(pos[i], pts), los[i])
+        rows[i] = sensor.detect(_distances(pos[i], pts), los[i])
     return rows
 
 
@@ -108,16 +101,14 @@ def coverage_from_rows(grid: QuadratureGrid, rows: np.ndarray) -> float:
     return grid.integrate(joint_detection(rows))
 
 
-def coverage(positions, space: MissionSpace, grid: QuadratureGrid, sensor) -> float:
+def coverage(positions, space: MissionSpace, grid: QuadratureGrid, sensor: SensorModel) -> float:
     """Density-weighted integral of the joint detection probability.
 
-    ``positions`` may be empty, in which case the value is 0; ``sensor`` may
-    be shared or per-agent as in :func:`detection_matrix`.
+    ``positions`` may be empty, in which case the value is 0.
     """
-    pos = as_points_array(positions) if len(positions) else np.empty((0, 2))
-    if len(pos) == 0:
+    if len(positions) == 0:
         return 0.0
-    rows = detection_matrix(pos, space, grid.centers, sensor)
+    rows = detection_matrix(positions, space, grid.centers, sensor)
     return coverage_from_rows(grid, rows)
 
 

@@ -8,7 +8,12 @@ from coverplan import (
     SensorModel,
     UniformDensity,
     candidate_lattice,
+    line_of_sight_many,
 )
+
+
+def sees(a, b, ms):
+    return bool(line_of_sight_many(a, [b], ms)[0])
 
 
 @pytest.fixture(scope="session")

@@ -245,6 +245,16 @@ def test_removed_refine_key_exits_2(tmp_path, capsys):
     assert "refine.schedule: unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["a", None, float("nan")])
+def test_bad_sampled_origin_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "origin.json"
+    density = {"type": "sampled", "origin": [bad, 0], "spacing": 10.0, "values": [[1.0]]}
+    path.write_text(json.dumps({**SMALL, "density": density}))
+    for command in ("greedy", "bounds"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / command)]) == 2
+        assert "density.origin[0]:" in capsys.readouterr().err
+
+
 def test_bad_positions_file_exits_2(tmp_path, small_scenario, capsys):
     pos = tmp_path / "pos.csv"
     pos.write_text("agent,x,y\n0,5.0\n")

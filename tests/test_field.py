@@ -43,6 +43,9 @@ def test_sampled_density_nearest_lookup():
     assert d([(-50, 200)])[0] == 3.0  # clamps to the border entries
     with pytest.raises(InvalidParameterError):
         SampledDensity(origin=(0, 0), spacing=10.0, values=[[1.0, -2.0]])
+    for origin in [(float("nan"), 0), (0, float("inf"))]:
+        with pytest.raises(InvalidParameterError, match="origin"):
+            SampledDensity(origin=origin, spacing=10.0, values=table)
 
 
 def test_grid_layout_and_counts(empty_rect):

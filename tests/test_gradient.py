@@ -126,7 +126,7 @@ def test_refine_improves_and_stays_feasible(one_block):
     grid, sensor, _ = make_problem(one_block, decay=0.3)
     start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
     result = refine(start, one_block, grid, sensor, RefineConfig(max_iterations=40))
-    assert result.value >= result.initial_value
+    assert result.value >= result.steps[0].value
     values = [s.value for s in result.steps]
     assert np.all(np.diff(values) >= -1e-12)
     for step in result.steps:
@@ -142,7 +142,7 @@ def test_refine_improves_a_close_pair(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [5.0, 6.0]])
     result = refine(start, empty_rect, grid, sensor, RefineConfig(max_iterations=30))
-    assert result.value > result.initial_value
+    assert result.value > result.steps[0].value
 
 
 def test_refine_huge_tolerance_converges_in_place(empty_rect):

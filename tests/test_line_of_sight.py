@@ -13,14 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coverplan import (
+    GeometryError,
     MissionSpace,
     Polygon,
-    Point,
     QuadratureGrid,
     UniformDensity,
     bundled_scenario_path,
     candidate_lattice,
-    is_visible,
     line_of_sight_many,
     parse_scenario,
     project_feasible,
@@ -28,7 +27,7 @@ from coverplan import (
 
 from coverplan.geometry import _excursions
 
-from conftest import random_space
+from conftest import random_space, sees
 from los_reference import _segment_excursion, reference_line_of_sight_many
 
 BUNDLED = ("empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50")
@@ -134,7 +133,7 @@ def test_memo_follows_the_target_set():
             assert_matches_reference([src], targets, space)
         for t in other[:6]:
             want = bool(reference_line_of_sight_many(src, t[None, :], space)[0])
-            assert is_visible(src, t, space, radius=1e9) == want
+            assert sees(src, t, space) == want
     # the same array object, changed in place, is a new target set
     targets = grid.centers.copy()
     src = np.array([15.0, 4.0])
@@ -164,12 +163,12 @@ def test_sources_on_rings():
         dtype=float,
     )
     assert_matches_reference(sources, grid.centers, space)
-    assert not is_visible((2, 2), (8, 8), space, radius=50)  # diagonal through the square
-    assert is_visible((2, 2), (6, 2), space, radius=50)  # slides along its edge
-    assert is_visible((2, 2), (0, 2), space, radius=50)
-    assert is_visible((10, 8), (15, 4), space, radius=50)
-    assert is_visible((10, 8), (5, 15), space, radius=50)
-    assert not is_visible((10, 8), (25, 15), space, radius=50)  # crosses the notch
+    assert not sees((2, 2), (8, 8), space)  # diagonal through the square
+    assert sees((2, 2), (6, 2), space)  # slides along its edge
+    assert sees((2, 2), (0, 2), space)
+    assert sees((10, 8), (15, 4), space)
+    assert sees((10, 8), (5, 15), space)
+    assert not sees((10, 8), (25, 15), space)  # crosses the notch
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -251,11 +250,10 @@ def test_stack_shapes():
     both = line_of_sight_many([(15.0, 4.0), (4.0, 4.0)], targets, space)
     assert np.array_equal(both[0], line_of_sight_many(one, targets, space))
     assert not both[1].any()  # inside the square obstacle
-    assert np.array_equal(line_of_sight_many(Point(15.0, 4.0), targets, space), both[0])
-    assert np.array_equal(
-        line_of_sight_many([Point(15.0, 4.0), Point(4.0, 4.0)], targets, space), both
-    )
-    assert np.array_equal(line_of_sight_many([Point(15.0, 4.0)], targets, space), both[:1])
+    assert np.array_equal(line_of_sight_many((15.0, 4.0), targets, space), both[0])
+    assert np.array_equal(line_of_sight_many([(15.0, 4.0)], targets, space), both[:1])
+    with pytest.raises(GeometryError):
+        line_of_sight_many([(15.0, 4.0), (4.0,)], targets, space)
 
 
 def test_collinear_neighbouring_edges_match_reference():

@@ -193,6 +193,14 @@ def test_density_variants_build():
         scenario_from_dict(variant(density={"type": "fractal"}))
 
 
+@pytest.mark.parametrize("bad", ["a", None, float("nan")])
+def test_sampled_origin_must_be_numbers(bad):
+    spec = {"type": "sampled", "origin": [bad, 0], "spacing": 10.0, "values": [[1.0]]}
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(variant(density=spec))
+    assert info.value.field == "density.origin[0]"
+
+
 def test_scenario_is_plain_data():
     sc = scenario_from_dict(BASE)
     assert isinstance(sc.boundary, tuple)

@@ -12,7 +12,6 @@ from coverplan import (
     coverage_from_rows,
     detection_matrix,
     detection_row,
-    is_visible,
     joint_detection,
     line_of_sight_many,
     marginal_gain,
@@ -21,7 +20,7 @@ from coverplan import (
 )
 from coverplan.geometry import EPS
 
-from conftest import make_problem
+from conftest import make_problem, sees
 
 
 def test_sensor_model_validation():
@@ -55,8 +54,14 @@ def test_detection_row_respects_radius_and_occlusion(one_block):
     row = detection_row(pos, one_block, grid.centers, far)
     hidden = np.array([15.5, 5.5])
     k = int(np.argmin(np.linalg.norm(grid.centers - hidden, axis=1)))
-    assert not is_visible(pos, grid.centers[k], one_block, 50.0)
+    assert not sees(pos, grid.centers[k], one_block)
     assert row[k] == 0.0
+
+
+def test_range_is_closed(empty_rect):
+    sensor = SensorModel(decay=0.1, radius=5.0)
+    row = detection_row((0, 0), empty_rect, [(3, 4), (3, 4.01), (5.01, 0)], sensor)
+    assert row.tolist() == [np.exp(-0.1 * 5.0), 0.0, 0.0]
 
 
 def test_joint_detection_independence():
@@ -130,19 +135,6 @@ def test_empty_positions_cover_nothing(empty_rect):
     assert coverage([], empty_rect, grid, sensor) == 0.0
 
 
-def test_mixed_team_uses_per_agent_models(empty_rect):
-    grid, _, _ = make_problem(empty_rect)
-    pos = np.array([[4.0, 5.0], [16.0, 5.0]])
-    models = [SensorModel(decay=0.05, radius=40.0), SensorModel(decay=0.7, radius=3.0)]
-    rows = detection_matrix(pos, empty_rect, grid.centers, models)
-    for i, m in enumerate(models):
-        assert np.array_equal(rows[i], detection_row(pos[i], empty_rect, grid.centers, m))
-    mixed = coverage(pos, empty_rect, grid, models)
-    assert mixed == pytest.approx(coverage_from_rows(grid, rows))
-    with pytest.raises(InvalidParameterError):
-        detection_matrix(pos, empty_rect, grid.centers, models[:1])
-
-
 def reference_row(pos, space, pts, sensor):
     """Detection row by norm over the coordinate axis and a boolean-index exp."""
     d = np.linalg.norm(pts - pos[None, :], axis=1)
@@ -160,8 +152,7 @@ def assert_same_bits(a, b):
     "name", ["empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50"]
 )
 def test_detection_paths_match_reference_rows(name):
-    # rows, matrices (shared and mixed teams) and cache probabilities all
-    # equal the reference bit for bit
+    # rows, matrices and cache probabilities all equal the reference bit for bit
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
     pts = sc.build_grid(space).centers
@@ -182,9 +173,6 @@ def test_detection_paths_match_reference_rows(name):
             assert_same_bits(detection_row(p, space, pts, sensor), r)
         assert_same_bits(detection_matrix(src, space, pts, sensor), ref)
         assert_same_bits(cache.probs(sensor), ref)
-    team = [sensors[i % len(sensors)] for i in range(len(src))]
-    ref = np.array([reference_row(p, space, pts, m) for p, m in zip(src, team)])
-    assert_same_bits(detection_matrix(src, space, pts, team), ref)
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ def loop_interior_samples(poly, rng, count=16):
     picked = []
     for _ in range(200 * count):
         p = rng.uniform((xmin, ymin), (xmax, ymax))
-        if poly.strictly_contains(p):
+        if poly.strictly_contains_many(p[None, :])[0]:
             picked.append(p)
             if len(picked) == count:
                 break
