@@ -111,8 +111,8 @@ class _Run:
         if not Path(spec).exists() and "/" not in spec and "\\" not in spec:
             # bare names refer to the bundled scenario library
             spec = bundled_scenario_path(spec.removesuffix(".json"))
-        scenario = parse_scenario(spec)
-        self.scenario = scenario.with_overrides(
+        self.scenario = parse_scenario(
+            spec,
             grid_cell_size=args.grid_h,
             candidate_spacing=args.candidates_spacing,
             team_size=args.n,
@@ -155,7 +155,8 @@ def _write_positions(path: Path, positions: np.ndarray):
     _write_csv(path, "agent,x,y", [(i, float(x), float(y)) for i, (x, y) in enumerate(positions)])
 
 
-def _read_positions(path) -> np.ndarray:
+def _read_positions(path, space) -> np.ndarray:
+    """Agent positions by agent number; each must be finite and feasible in ``space``."""
     rows = []
     try:
         lines = Path(path).read_text().splitlines()
@@ -169,13 +170,23 @@ def _read_positions(path) -> np.ndarray:
         if len(parts) != 3:
             raise ScenarioError(f"{path}:{ln}: expected 'agent,x,y', got {line!r}")
         try:
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            agent, x, y = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ScenarioError(f"{path}:{ln}: {exc}") from exc
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ScenarioError(f"{path}:{ln}: coordinates must be finite, got {line!r}")
+        rows.append((agent, x, y, ln))
     if not rows:
         raise ScenarioError(f"positions file {path} holds no positions")
     rows.sort(key=lambda r: r[0])
-    return np.array([[x, y] for _, x, y in rows])
+    positions = np.array([[x, y] for _, x, y, _ in rows])
+    outside = np.flatnonzero(~space.feasible_many(positions))
+    if len(outside):
+        agent, x, y, ln = rows[outside[0]]
+        raise ScenarioError(
+            f"{path}:{ln}: agent {agent} at ({_fmt(x)}, {_fmt(y)}) is outside the feasible region"
+        )
+    return positions
 
 
 def _dispatch(args) -> int:
@@ -194,7 +205,7 @@ def _dispatch(args) -> int:
 
 
 def _cmd_evaluate(run: _Run, args) -> int:
-    positions = _read_positions(args.positions_file)
+    positions = _read_positions(args.positions_file, run.space)
     value = coverage(positions, run.space, run.grid, run.sensor)
     print(f"agents: {len(positions)}")
     print(f"coverage: {_fmt(value)} of {_fmt(run.grid.total_mass())} attainable")
@@ -357,7 +368,7 @@ def _cmd_check(run: _Run, args) -> int:
 
 def _cmd_heatmap(run: _Run, args) -> int:
     if args.positions_file:
-        positions = _read_positions(args.positions_file)
+        positions = _read_positions(args.positions_file, run.space)
     else:
         _, refined = _run_gga(run)
         positions = refined.positions

@@ -15,19 +15,24 @@ boundary by parity, or inside an obstacle by parity.  A feasible interior
 point, the common case, needs no distance at all.
 
 Sight lines from many sources usually share one target set (the quadrature
-cell centers).  ``line_of_sight_many`` takes one source or a stack of them.
-It keeps the target-side work for the last target set on the mission space
-and reuses it for every later call, decides the feasibility and on-ring
-tests of all sources of a stack at once, and decides the transversal
-crossings of all ring edges in one vectorized pass per source.  Degenerate
-contacts fall back to an exact test, batched per ring for the whole stack:
-the contact parameters of every (segment, edge) pair are sorted row by row
-and every gap midpoint is probed in one containment call.  The same exact
-test decides whether a space is valid: an obstacle edge may not leave the
-boundary, nor run inside another obstacle, for a stretch of positive length.
+cell centers).  ``line_of_sight_many`` takes one source or a stack of them
+and keeps the target-side work for the last target set on the mission space.
+Seen from a source, a convex obstacle hides exactly the targets in its
+shadow, bounded by the two sight lines through its tangent vertices and the
+chord between them.  So every blocking ring is cut once, on first use, into
+the convex pieces of ``coverplan.shadows``.  The tangent vertices of every
+piece are found for a whole stack of sources at once, and a target then
+needs three half-plane tests per piece, not a pass per edge.  A target
+within EPS of a shadow's edge, or on a ring the source lies on, falls back
+to an exact test, batched per ring for the whole stack: the contact
+parameters of every (segment, edge) pair are sorted row by row and every gap
+midpoint is probed in one containment call.  The same exact test decides
+whether a space is valid: an obstacle edge may not leave the boundary, nor
+run inside another obstacle, for a stretch of positive length.
 
 All predicates use the tolerance ``EPS`` (in length units) and assume inputs
-are well separated relative to it.
+are well separated relative to it: a sight line from a point within a few EPS
+of a ring vertex, but not within EPS of it, may be decided either way.
 """
 
 from __future__ import annotations
@@ -248,22 +253,16 @@ class Polygon:
 class _Rings:
     """The edges of several polygons stacked into one array, ring by ring.
 
-    Edge e runs from ``a[e]`` to ``b[e]``, which is vertex ``nxt[e]`` of the
-    same ring; ``owner[e]`` numbers its ring and ``starts[k]`` is the first
-    edge of ring k.
+    Edge e runs from ``a[e]`` to ``b[e]``; ``starts[k]`` is the first edge
+    of ring k.
     """
 
     def __init__(self, polys: list[Polygon]):
         self.polys = polys
         self.sizes = np.array([len(poly.vertices) for poly in polys])
         self.starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
-        self.owner = np.repeat(np.arange(len(polys)), self.sizes)
-        self.nxt = np.arange(len(self.owner)) + 1
-        self.nxt[self.starts + self.sizes - 1] = self.starts
         self.a = np.concatenate([poly.edges[0] for poly in polys])
         self.b = np.concatenate([poly.edges[1] for poly in polys])
-        self.ab = self.b - self.a
-        self.abn = np.maximum(np.linalg.norm(self.ab, axis=1), 1e-300)
 
     def touches(self, k: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Whether ``pts[i]`` lies within EPS of an edge of ring ``k[i]``, for each i."""
@@ -345,6 +344,21 @@ class MissionSpace:
             ok[t[~r.touches(k, pts[t])]] = False
         return ok
 
+    @cached_property
+    def _blocking(self) -> list[tuple[Polygon, bool]]:
+        """Rings that can block a sight line: a non-convex boundary (True), each obstacle."""
+        skip = 1 if self.boundary.is_convex else 0
+        return [(poly, k == 0) for k, poly in enumerate(self._rings.polys)][skip:]
+
+    @cached_property
+    def _shadows(self):
+        """The convex pieces of the blocking rings, built on first use."""
+        # imported on first use, so importing the package, or a run in which
+        # no sight line passes an obstacle, never compiles it
+        from .shadows import Shadows
+
+        return Shadows(self._blocking)
+
     def _sight_memo(self, tgt: np.ndarray) -> _SightMemo:
         """Target-side sight-line geometry for ``tgt``, kept for the last target set."""
         key = tgt.tobytes()
@@ -410,13 +424,10 @@ def _excursions(p: np.ndarray, q: np.ndarray, poly: Polygon, seek_outside: bool)
 
 
 class _SightMemo:
-    """What line_of_sight_many needs of one target set, whatever the source.
+    """What line_of_sight_many keeps of one target set: feasibility, on-ring masks.
 
-    Every ring that can block a sight line (a non-convex boundary, then each
-    obstacle) is a run of rows of the space's ring stack, so a source meets
-    all of their edges in one vectorized pass.  Per feasible target the memo
-    keeps its strict side of each edge line as two bool masks, and, built on
-    first use, whether it lies on each ring.
+    Whether the feasible targets lie on each blocking ring is built on first
+    use, for sources on that ring.
     """
 
     def __init__(self, ms: MissionSpace, tgt: np.ndarray, key: bytes):
@@ -424,26 +435,8 @@ class _SightMemo:
         self.feasible = ms.feasible_many(tgt)
         self.idx = np.nonzero(self.feasible)[0]
         self.pts = tgt[self.idx]
-        # rows of the space's ring stack, without a convex boundary's ring 0
-        r = ms._rings
-        skip = 1 if ms.boundary.is_convex else 0
-        self.rings = [(poly, k == 0) for k, poly in enumerate(r.polys)][skip:]
+        self.rings = ms._blocking
         self._on_ring = [None] * len(self.rings)
-        if not self.rings:
-            return
-        e0 = r.starts[skip]
-        self.starts = r.starts[skip:] - e0
-        self.owner = r.owner[e0:] - skip
-        self.nxt = r.nxt[e0:] - e0
-        a, ab = self.a, self.ab = r.a[e0:], r.ab[e0:]
-        self.b, self.abn = r.b[e0:], r.abn[e0:]
-        pts = self.pts
-        s2 = ab[:, 0][:, None] * (pts[:, 1][None, :] - a[:, 1][:, None]) - ab[:, 1][
-            :, None
-        ] * (pts[:, 0][None, :] - a[:, 0][:, None])  # (E,T)
-        s2 /= self.abn[:, None]
-        # row e for a source strictly left of edge e, row E + e for strictly right
-        self.opposite = np.concatenate([s2 < -EPS, s2 > EPS])
 
     def on_ring(self, k: int) -> np.ndarray:
         if self._on_ring[k] is None:
@@ -468,14 +461,19 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
     sources see nothing, and targets outside the closed boundary or
     strictly inside an obstacle are never sighted.
 
-    Target-side work (feasibility, edge-line sides, on-ring masks) is kept on
-    ``ms`` and reused by later calls with the same targets; source
-    feasibility and source-on-ring tests are decided for the whole stack.
-    Transversal edge crossings are decided in bulk, one source at a time, so
-    memory stays at one (E, T) pass.  Targets with a degenerate contact
-    (segment through a vertex, or both endpoints on one ring) that are still
-    clear fall back to the exact excursion test, one batch per ring for the
-    whole stack.
+    Seen from a source, a convex piece of a blocking ring hides exactly the
+    targets in its shadow: past the chord between its two tangent vertices
+    and between the sight lines through them.  The lines of every piece
+    are found for the whole stack at once, then each source's targets are
+    tested against them in one pass: a target is blocked when it lies more
+    than EPS inside all three lines of some piece, measured for the tangent
+    lines as the tangent vertex's distance from the sight line.  A target
+    inside the others but within EPS of one of them falls back to the exact
+    excursion test of the piece's ring, and so does a target on a ring the
+    source lies on, whatever that ring's own pieces say; the fallback runs
+    one batch per ring for the whole stack.  Zero-length segments are never
+    blocked.  Target-side work (feasibility, on-ring masks) is kept on
+    ``ms`` for later calls with the same targets.
     """
     if _is_one_location(sources):
         return line_of_sight_many(as_xy(sources)[None, :], targets, ms)[0]
@@ -488,57 +486,43 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
     if len(rows) == 0:
         return out
     memo = ms._sight_memo(tgt)
-    if not memo.rings:
-        out[rows] = memo.feasible
+    out[rows] = memo.feasible
+    if not memo.rings or not len(memo.idx):
         return out
+    shadows = ms._shadows
     src = src[rows]
-    pts, a, ab = memo.pts, memo.a, memo.ab
-    n_edges, n_pts = len(a), len(pts)
+    pts = memo.pts
+    normals, off = shadows.lines(src)
+    src_on = shadows.source_on(src)  # (k,R)
 
-    # source-side terms of the whole stack: signed distance to each edge
-    # line, and whether the source lies on each ring
-    s1 = ab[:, 0] * (src[:, 1:] - a[:, 1]) - ab[:, 1] * (src[:, :1] - a[:, 0])  # (k,E)
-    s1 /= memo.abn
-    off_line = np.abs(s1) > EPS
-    src_on = np.logical_or.reduceat(
-        _edge_dist2(src[:, None, :], a, memo.b) <= EPS * EPS, memo.starts, axis=1
-    )  # (k,R)
-
-    pending = []  # (ring, source, target) triples still clear after the bulk pass
+    pending = []  # (ring, source, target) triples still clear after the shadow pass
+    n_pieces, n_pts = off.shape[1], len(pts)
     for i, p in enumerate(src):
-        sv = pts - p  # (T,2)
-        svn = np.sqrt(sv[:, 0] * sv[:, 0] + sv[:, 1] * sv[:, 1])  # (T,)
-        svn_safe = np.maximum(svn, 1e-300)
+        sv = pts.T - p[:, None]  # (2,T)
+        svn = np.sqrt(sv[0] * sv[0] + sv[1] * sv[1])
         live = svn > EPS  # zero-length segments are never blocked
-        rel = a - p
-        # side of each ring vertex against the sight line: cross(sv, vertex - src)
-        s3 = np.multiply.outer(rel[:, 1], sv[:, 0])  # (E,T)
-        s3 -= np.multiply.outer(rel[:, 0], sv[:, 1])
-        s3 /= svn_safe
-        left = s3 > EPS
-        right = s3 < -EPS
-
-        # a proper crossing: source and target strictly on opposite sides of
-        # the edge line, and the edge's two vertices strictly on opposite
-        # sides of the sight line
-        act = np.flatnonzero(off_line[i])
-        nxt = memo.nxt[act]
-        cross = memo.opposite[act + n_edges * (s1[i, act] < 0)]
-        cross &= (left[act] & right[nxt]) | (right[act] & left[nxt])
-        clear = ~cross.any(axis=0) | ~live
-        out[rows[i], memo.idx] = clear
-
-        # degenerate contacts: a vertex on the open segment, or the source on a ring
-        near_e, near_t = np.divmod(np.flatnonzero(~(left | right)), n_pts)
-        along = np.einsum("nk,nk->n", sv[near_t], rel[near_e]) / svn_safe[near_t]
-        touch = (along > EPS) & (along < svn[near_t] - EPS)
-        suspect = np.zeros((len(memo.rings), n_pts), dtype=bool)
-        suspect[memo.owner[near_e[touch]], near_t[touch]] = True
+        # every piece's three lines against every target in one product
+        d = (normals[i] @ sv).reshape(3, n_pieces, n_pts)
+        chord = d[2]
+        chord += off[i, :, None]
+        chord *= svn
+        # depth inside all three lines, scaled by |t - s| like the tangent rows
+        depth = np.minimum(d[0], d[1], out=d[0])
+        np.minimum(depth, chord, out=depth)  # (P,T)
+        eps = EPS * svn
+        blocked = live & (depth.max(axis=0, initial=-np.inf) > eps)
+        # a target on a ring the source lies on is decided by that ring's
+        # exact test, whatever the ring's own pieces say
         for k in np.flatnonzero(src_on[i]):
-            suspect[k] |= memo.on_ring(k)
-        suspect &= live & clear
-        ring, t = np.divmod(np.flatnonzero(suspect), n_pts)
-        pending.append((ring, np.full(len(t), i), t))
+            t = np.flatnonzero(memo.on_ring(k) & live)
+            blocked[t] = (depth[shadows.owner != k][:, t] > eps[t]).any(axis=0)
+            t = t[~blocked[t]]
+            pending.append((np.full(len(t), k), np.full(len(t), i), t))
+        out[rows[i], memo.idx] = ~blocked
+        near = np.abs(depth, out=chord) <= eps
+        near &= live & ~blocked
+        piece, t = np.nonzero(near)
+        pending.append((shadows.owner[piece], np.full(len(t), i), t))
 
     # exact fallback, ring by ring: a target blocked by an earlier ring is
     # not tested again

@@ -256,8 +256,13 @@ def _validate_density(spec, path: str) -> dict:
     return dict(spec)
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    """Validate raw JSON data and return a constructible Scenario."""
+def scenario_from_dict(data: dict, **overrides) -> Scenario:
+    """Validate raw JSON data and return a constructible Scenario.
+
+    ``overrides`` are applied as ``Scenario.with_overrides`` takes them,
+    before the proof of constructibility, so its builds serve the overridden
+    scenario.
+    """
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be an object")
     _check_unknown(data, _TOP_FIELDS, "")
@@ -317,7 +322,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         sensor={"decay": float(sensor["decay"]), "radius": float(sensor["radius"])},
         refine=dict(refine),
         seed=seed,
-    )
+    ).with_overrides(**overrides)
     _prove_constructible(scenario)
     return scenario
 
@@ -339,8 +344,8 @@ def _prove_constructible(scenario: Scenario):
         raise ScenarioError("no feasible grid cell; space is fully blocked")
 
 
-def parse_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file."""
+def parse_scenario(path, **overrides) -> Scenario:
+    """Load and validate a scenario JSON file, with ``scenario_from_dict``'s overrides."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -350,7 +355,7 @@ def parse_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed JSON in {p}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(data, **overrides)
 
 
 def save_scenario(scenario: Scenario, path):

@@ -12,6 +12,25 @@ from coverplan import (
 )
 
 
+_SQUARE_10 = [(0, 0), (10, 0), (10, 10), (0, 10)]
+_SQUARE = [(1, 1), (4, 1), (4, 4), (1, 4)]
+# (boundary, obstacles) of spaces whose obstacles touch each other or the
+# boundary without overlapping
+TOUCHING_LAYOUTS = {
+    "shared full edge": (_SQUARE_10, [_SQUARE, [(4, 1), (7, 1), (7, 4), (4, 4)]]),
+    "shared partial edge": (_SQUARE_10, [_SQUARE, [(4, 2), (7, 2), (7, 6), (4, 6)]]),
+    "corner touch": (_SQUARE_10, [_SQUARE, [(4, 4), (8, 4), (8, 8), (4, 8)]]),
+    "wall across the whole space": (_SQUARE_10, [[(4, 0), (6, 0), (6, 10), (4, 10)]]),
+    "lying on a boundary edge": (_SQUARE_10, [[(2, 0), (5, 0), (5, 3), (2, 3)]]),
+    # an L-shaped obstacle hugging an L-shaped boundary's inner corner, two
+    # edges on the boundary
+    "hugging the notch's inner corner": (
+        [(0, 0), (12, 0), (12, 6), (6, 6), (6, 12), (0, 12)],
+        [[(4, 4), (8, 4), (8, 6), (6, 6), (6, 8), (4, 8)]],
+    ),
+}
+
+
 def sees(a, b, ms):
     return bool(line_of_sight_many(a, [b], ms)[0])
 

@@ -264,6 +264,34 @@ def test_bad_positions_file_exits_2(tmp_path, small_scenario, capsys):
     assert "pos.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_position_exits_2(tmp_path, small_scenario, capsys, command, value):
+    pos = tmp_path / "pos.csv"
+    pos.write_text(f"agent,x,y\n0,5.0,5.0\n1,{value},5.0\n")
+    code = main([command, "--scenario", small_scenario, "--positions-file", str(pos)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{pos}:3: coordinates must be finite" in err
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+def test_agent_outside_the_feasible_region_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(dict(SMALL, obstacles=[[[8, 3], [12, 3], [12, 7], [8, 7]]])))
+    pos = tmp_path / "pos.csv"
+    for row, where in [("2,10,5", "(10, 5)"), ("2,25,5", "(25, 5)")]:  # the block; outside
+        pos.write_text(f"agent,x,y\n0,5,5\n{row}\n1,12,5\n")
+        code = main([command, "--scenario", str(path), "--positions-file", str(pos)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{pos}:3: agent 2 at {where} is outside the feasible region" in err
+    # on the block's edge is feasible
+    pos.write_text("agent,x,y\n0,5,5\n1,12,5\n")
+    assert main([command, "--scenario", str(path), "--positions-file", str(pos)]) == 0
+
+
 # Candidates on the outer boundary where an interior wall meets it see no cell.
 ZERO_MASS = {
     "empty_60x50": [],
@@ -325,8 +353,23 @@ def test_one_build_per_command(capsys, builds, argv):
 
 
 def test_grid_override_keeps_the_space(capsys, builds):
+    # the override reaches the scenario before it is proven constructible
     assert main(["bounds", "--scenario", "random_60x50", "--grid-h", "2"]) == 0
-    assert builds == {"space": 1, "grid": 2}
+    assert builds == {"space": 1, "grid": 1}
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid-h", "-1", "cell size must be finite and > 0, got -1.0"),
+        ("--grid-h", "nan", "cell size must be finite and > 0, got nan"),
+        ("--lambda", "-1", "decay must be finite and >= 0, got -1.0"),
+        ("--delta", "0", "radius must be finite and > 0, got 0.0"),
+    ],
+)
+def test_invalid_override_exits_2(capsys, flag, value, message):
+    assert main(["bounds", "--scenario", "random_60x50", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_commands_do_not_share_builds(capsys, builds):

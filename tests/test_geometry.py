@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coverplan import GeometryError, MissionSpace, Polygon, is_feasible
 from coverplan.geometry import EPS, closest_point_on_segment, line_of_sight_many, segments_intersect
 
-from conftest import sees
+from conftest import TOUCHING_LAYOUTS, sees
 from validation_reference import validate_reference
 
 
@@ -168,20 +168,9 @@ def test_mission_space_validation():
 
 
 def test_touching_obstacles_are_accepted():
-    boundary = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-    square = [(1, 1), (4, 1), (4, 4), (1, 4)]
-    layouts = {
-        "shared full edge": [square, [(4, 1), (7, 1), (7, 4), (4, 4)]],
-        "shared partial edge": [square, [(4, 2), (7, 2), (7, 6), (4, 6)]],
-        "corner touch": [square, [(4, 4), (8, 4), (8, 8), (4, 8)]],
-        "wall across the whole space": [[(4, 0), (6, 0), (6, 10), (4, 10)]],
-        "lying on a boundary edge": [[(2, 0), (5, 0), (5, 3), (2, 3)]],
-    }
-    for case, obstacles in layouts.items():
-        space = MissionSpace(boundary, [Polygon(o) for o in obstacles])
+    for case, (boundary, obstacles) in TOUCHING_LAYOUTS.items():
+        space = MissionSpace(Polygon(boundary), [Polygon(o) for o in obstacles])
         assert len(space.obstacles) == len(obstacles), case
-    # an L-shaped obstacle hugging the notch's inner corner, two edges on the boundary
-    MissionSpace(Polygon(L_12), [Polygon([(4, 4), (8, 4), (8, 6), (6, 6), (6, 8), (4, 8)])])
 
 
 def test_obstacle_through_the_notch_is_rejected():
