@@ -435,6 +435,7 @@ class _SightMemo:
         self.feasible = ms.feasible_many(tgt)
         self.idx = np.nonzero(self.feasible)[0]
         self.pts = tgt[self.idx]
+        self.xy = np.ascontiguousarray(self.pts.T)  # (2, T) rows for the shadow pass
         self.rings = ms._blocking
         self._on_ring = [None] * len(self.rings)
 
@@ -498,7 +499,7 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
     pending = []  # (ring, source, target) triples still clear after the shadow pass
     n_pieces, n_pts = off.shape[1], len(pts)
     for i, p in enumerate(src):
-        sv = pts.T - p[:, None]  # (2,T)
+        sv = memo.xy - p[:, None]  # (2,T)
         svn = np.sqrt(sv[0] * sv[0] + sv[1] * sv[1])
         live = svn > EPS  # zero-length segments are never blocked
         # every piece's three lines against every target in one product
@@ -521,7 +522,7 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
         out[rows[i], memo.idx] = ~blocked
         near = np.abs(depth, out=chord) <= eps
         near &= live & ~blocked
-        piece, t = np.nonzero(near)
+        piece, t = np.divmod(np.flatnonzero(near), n_pts)
         pending.append((shadows.owner[piece], np.full(len(t), i), t))
 
     # exact fallback, ring by ring: a target blocked by an earlier ring is

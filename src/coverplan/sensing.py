@@ -9,7 +9,9 @@ density-weighted integral of the joint detection probability.
 
 Rows for several positions take their sight lines from one stacked
 ``line_of_sight_many`` call; the float rows are still built one at a time,
-so a matrix holds no (n, T) float array besides the result.
+so a matrix holds no (n, T) float array besides the result.  Distances are
+taken against the targets' (2, T) coordinate rows, copied C-contiguous once
+per call, so each row sweeps contiguous memory whatever the targets' layout.
 """
 
 from __future__ import annotations
@@ -42,17 +44,19 @@ class SensorModel:
         return np.exp(-self.decay * dist, out=np.zeros(dist.shape), where=hit)
 
 
-def _distances(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    # a (2,) source gives shape (T,), an (n, 1, 2) stack of sources (n, T)
-    d = targets - sources
-    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+def _distances(sources: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Distances from a (k, 2) stack of sources to (2, T) coordinate rows: shape (k, T)."""
+    dx = xy[0] - sources[:, 0, None]
+    dy = xy[1] - sources[:, 1, None]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def detection_row(position, space: MissionSpace, targets, sensor: SensorModel) -> np.ndarray:
     """Detection probability of one agent against each target point."""
-    pos = as_xy(position)
-    pts = as_points_array(targets)
-    return sensor.detect(_distances(pos, pts), line_of_sight_many(pos, pts, space))
+    return detection_matrix(as_xy(position)[None], space, targets, sensor)[0]
 
 
 def detection_matrix(positions, space: MissionSpace, targets, sensor: SensorModel) -> np.ndarray:
@@ -60,9 +64,10 @@ def detection_matrix(positions, space: MissionSpace, targets, sensor: SensorMode
     pos = as_points_array(positions)
     pts = as_points_array(targets)
     los = line_of_sight_many(pos, pts, space)
+    xy = np.ascontiguousarray(pts.T)  # (2, T)
     rows = np.empty((len(pos), len(pts)))
     for i in range(len(pos)):
-        rows[i] = sensor.detect(_distances(pos[i], pts), los[i])
+        rows[i] = sensor.detect(_distances(pos[i : i + 1], xy)[0], los[i])
     return rows
 
 
@@ -76,7 +81,7 @@ class DetectionCache:
     def __init__(self, positions, space: MissionSpace, targets):
         self.positions = as_points_array(positions)
         self.targets = as_points_array(targets)
-        self.dist = _distances(self.positions[:, None, :], self.targets)  # (n, T)
+        self.dist = _distances(self.positions, np.ascontiguousarray(self.targets.T))  # (n, T)
         self.los = line_of_sight_many(self.positions, self.targets, space)  # (n, T)
 
     def probs(self, sensor: SensorModel) -> np.ndarray:

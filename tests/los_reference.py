@@ -7,6 +7,18 @@ probes one gap midpoint at a time, and line of sight with target masks
 re-decided on every call.  They are slow, but they are the equivalence
 oracles the stacked kernels must match bit for bit, so they take nothing
 from ``coverplan`` but the polygon's vertex ring and ``EPS``.
+
+Precondition of the EPS contract: a sight-line source lies on a ring vertex
+(within EPS of it) or well away from every ring vertex (1e-6 in the tests).
+A source between EPS and a few EPS from a vertex may be decided either way,
+and there the reference and ``line_of_sight_many`` can disagree: the
+reference's per-edge crossing test may block a target on the source's ring
+through a corner of size ~EPS that the library's exact test clears, and a
+target exactly on the line of an edge at that vertex may be blocked by the
+library's shadow test and cleared here.  Whether one rule both sides agree
+on exists for that band is still open.  Until it is settled, the property
+tests draw no source in that band; only two pinned cases do, one where the
+two sides agree and one strict xfail where they do not.
 """
 
 import numpy as np

@@ -294,7 +294,11 @@ def test_a_ring_decides_its_own_points_for_a_source_a_few_eps_from_a_vertex():
     assert_matches_reference([src], targets, space)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="outside the EPS contract")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="outside the EPS contract: see the precondition in the los_reference docstring",
+)
 def test_a_source_a_few_eps_from_a_vertex_can_disagree_with_the_reference():
     # 4.5e-9 from a vertex, neither on it within EPS nor well apart from it:
     # a grid center on the line of the edge at that vertex is blocked by the

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coverplan import (
     DetectionCache,
     InvalidParameterError,
+    MissionSpace,
     QuadratureGrid,
     SensorModel,
     UniformDensity,
@@ -192,3 +195,95 @@ def test_stacked_rows_equal_single_rows(name):
     rows = np.array([detection_row(p, space, pts, sensor) for p in src])
     assert_same_bits(detection_matrix(src, space, pts, sensor), rows)
     assert_same_bits(DetectionCache(src, space, pts).probs(sensor), rows)
+
+
+def target_layouts(centers):
+    """One target set in four layouts: C-ordered, Fortran-ordered, a
+    negative-stride view, and a strided slice of ``centers`` itself."""
+    strided = centers[::3]
+    c_order = np.ascontiguousarray(strided)
+    reversed_view = np.ascontiguousarray(c_order[::-1])[::-1]
+    assert reversed_view.strides[0] < 0 and not strided.flags.c_contiguous
+    return {
+        "C": c_order,
+        "Fortran": np.asfortranarray(c_order),
+        "negative stride": reversed_view,
+        "strided slice": strided,
+    }
+
+
+@pytest.mark.parametrize("name", ["wall_60x50", "random_60x50", "rooms_60x50"])
+def test_results_do_not_depend_on_the_target_layout(name):
+    sc = parse_scenario(bundled_scenario_path(name))
+    space = sc.build_space()
+    sensor = sc.build_sensor()
+    src = sc.build_candidates(space)[::4]
+    results = {}
+    for layout, pts in target_layouts(sc.build_grid(space).centers).items():
+        # a fresh space, so its sight memo is built from this layout
+        fresh = MissionSpace(space.boundary, space.obstacles)
+        cache = DetectionCache(src, fresh, pts)
+        results[layout] = [
+            line_of_sight_many(src, pts, fresh),
+            line_of_sight_many(src[0], pts, fresh),
+            np.array([detection_row(p, fresh, pts, sensor) for p in src]),
+            detection_matrix(src, fresh, pts, sensor),
+            cache.dist,
+            cache.probs(sensor),
+        ]
+    for layout, got in results.items():
+        for a, b in zip(got, results["C"]):
+            assert np.array_equal(a, b), layout
+
+
+def test_a_second_target_set_of_the_same_shape_rebuilds_the_sight_memo():
+    sc = parse_scenario(bundled_scenario_path("random_60x50"))
+    centers = sc.build_grid().centers
+    space = MissionSpace(sc.build_space().boundary, sc.build_space().obstacles)
+    src = sc.build_candidates(space)[::6]
+    first, second = centers[0::2], centers[1::2][: len(centers[0::2])]
+    assert first.shape == second.shape
+    line_of_sight_many(src, first, space)
+    memo = space._sight
+    line_of_sight_many(src, np.asfortranarray(first), space)
+    assert space._sight is memo  # the same targets in another layout reuse it
+    got = line_of_sight_many(src, second, space)
+    assert space._sight is not memo
+    assert np.array_equal(space._sight.xy, second[space._sight.idx].T)
+    fresh = MissionSpace(space.boundary, space.obstacles)
+    assert np.array_equal(got, line_of_sight_many(src, second, fresh))
+
+
+@pytest.mark.parametrize(
+    "name", ["empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50"]
+)
+def test_detection_bits_equal_the_pairwise_differences(name):
+    # distances from the (T, 2) differences, with the same operations in the
+    # same order, give the matrix and the cache bit for bit
+    sc = parse_scenario(bundled_scenario_path(name))
+    space = sc.build_space()
+    pts = sc.build_grid(space).centers
+    src = sc.build_candidates(space)
+    sensor = sc.build_sensor()
+    d = pts[None, :, :] - src[:, None, :]
+    los = line_of_sight_many(src, pts, space)
+    expected = sensor.detect(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]), los)
+    assert np.array_equal(detection_matrix(src, space, pts, sensor), expected)
+    assert np.array_equal(DetectionCache(src, space, pts).probs(sensor), expected)
+
+
+def test_detection_cache_holds_no_pairwise_difference_array():
+    # the (n, T) distances and one (n, T) temporary, not an (n, T, 2) difference
+    sc = parse_scenario(bundled_scenario_path("random_60x50"))
+    space = sc.build_space()
+    pts = sc.build_grid(space).centers
+    src = sc.build_candidates(space)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = DetectionCache(src, space, pts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cache.dist.shape == (len(src), len(pts))
+    assert peak <= 2.5 * cache.dist.nbytes
