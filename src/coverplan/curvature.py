@@ -18,16 +18,17 @@ from .errors import DegenerateCandidateError, InvalidParameterError
 from .field import QuadratureGrid
 
 
-def _leave_one_out_miss(probs: np.ndarray) -> np.ndarray:
+def _leave_one_out_miss(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """For each row j, the per-cell product of (1 - p_i) over all rows i != j.
 
     Uses prefix and suffix products, so rows with p = 1 (which would break a
     divide-by-total approach) cost nothing extra.  One (n, T) buffer holds
-    the result: a forward pass writes the prefix products row by row, and a
-    backward pass multiplies in one running suffix row.  Both multiply in
-    the order of a cumulative product along the rows.
+    the result, ``out`` when given: a forward pass writes the prefix products
+    row by row, and a backward pass multiplies in one running suffix row.
+    Both multiply in the order of a cumulative product along the rows.
     """
-    out = np.empty_like(probs)
+    if out is None:
+        out = np.empty_like(probs)
     out[0] = 1.0
     for i in range(1, len(probs)):
         np.subtract(1.0, probs[i - 1], out=out[i])
@@ -59,10 +60,12 @@ def _ground_set(probs, grid: QuadratureGrid):
     return probs, alone, keep
 
 
-def _total_curvature_argmax(probs, alone, keep, grid: QuadratureGrid) -> tuple[float, int]:
+def _total_curvature_argmax(
+    probs, alone, keep, grid: QuadratureGrid, scratch=None
+) -> tuple[float, int]:
     # A dropped row is zero wherever the weight is not, so it multiplies the
     # leave-one-out products of the kept rows by exactly one there.
-    others = _leave_one_out_miss(probs)
+    others = _leave_one_out_miss(probs, scratch)
     others *= probs
     on_top = others @ grid.weights
     discounts = 1.0 - on_top[keep] / alone[keep]
@@ -220,11 +223,16 @@ def bound_report(
     grid: QuadratureGrid,
     team_size: int,
     domain: str = "feasible",
+    scratch: np.ndarray | None = None,
 ) -> BoundReport:
-    """Compute both curvatures and the certified ratio max(T, E) in one pass."""
+    """Compute both curvatures and the certified ratio max(T, E) in one pass.
+
+    ``scratch``, an array shaped like ``probs`` that the report may
+    overwrite, spares a sweep one (n, T) allocation per value.
+    """
     n = _check_team(team_size)
     probs, alone, keep = _ground_set(probs, grid)
-    c, worst_candidate = _total_curvature_argmax(probs, alone, keep, grid)
+    c, worst_candidate = _total_curvature_argmax(probs, alone, keep, grid, scratch)
     alpha, worst_pair = _elemental_curvature_argmin(probs, keep, grid, domain)
     t = bound_from_total(c, n)
     e = bound_from_elemental(alpha, n)
@@ -245,13 +253,15 @@ def sweep_bounds(
 
     ``cache`` is a :class:`~coverplan.sensing.DetectionCache` over the
     candidate ground set, so each sweep point only pays for the probability
-    rebuild, not for any geometry.
+    rebuild, not for any geometry.  The probabilities and the report's
+    leave-one-out products each fill one buffer kept across the sweep.
     """
     if parameter not in ("decay", "radius"):
         raise InvalidParameterError(f"sweep parameter must be 'decay' or 'radius', got {parameter!r}")
+    probs, scratch = np.empty_like(cache.dist), np.empty_like(cache.dist)
     out = []
     for v in values:
         v = float(v)
-        probs = cache.probs(replace(base_sensor, **{parameter: v}))
-        out.append((v, bound_report(probs, grid, team_size, domain)))
+        cache.probs(replace(base_sensor, **{parameter: v}), out=probs)
+        out.append((v, bound_report(probs, grid, team_size, domain, scratch)))
     return out

@@ -12,7 +12,8 @@ per mission space.  ``MissionSpace.feasible_many`` computes the ray-casting
 parity of all rings in one pass and runs the EPS on-edge test only at the
 (ring, point) pairs where it can change the answer: a point outside the
 boundary by parity, or inside an obstacle by parity.  A feasible interior
-point, the common case, needs no distance at all.
+point, the common case, needs no distance at all.  ``Polygon.contains_many``
+and ``strictly_contains_many`` follow the same rule for one ring.
 
 Sight lines from many sources usually share one target set (the quadrature
 cell centers).  ``line_of_sight_many`` takes one source or a stack of them
@@ -229,13 +230,16 @@ class Polygon:
         """Closed containment test for an array of points (boundary counts as inside)."""
         pts = as_points_array(points)
         inside = self._parity(pts)
-        on_b = self.on_boundary_many(pts)
-        return inside | on_b
+        outside = ~inside
+        inside[outside] = self.on_boundary_many(pts[outside])
+        return inside
 
     def strictly_contains_many(self, points) -> np.ndarray:
         """True where a point is inside and farther than EPS from the boundary."""
         pts = as_points_array(points)
-        return self._parity(pts) & ~self.on_boundary_many(pts)
+        inside = self._parity(pts)
+        inside[inside] = ~self.on_boundary_many(pts[inside])
+        return inside
 
     def on_boundary_many(self, points, tol: float = EPS) -> np.ndarray:
         pts = as_points_array(points)
@@ -248,6 +252,11 @@ class Polygon:
 
     def __repr__(self):
         return f"Polygon({len(self.vertices)} vertices, area={self.area:.6g})"
+
+
+def _boxes_apart(b1, b2) -> bool:
+    """Whether two (xmin, ymin, xmax, ymax) boxes lie more than EPS apart on some axis."""
+    return b2[0] - b1[2] > EPS or b1[0] - b2[2] > EPS or b2[1] - b1[3] > EPS or b1[1] - b2[3] > EPS
 
 
 class _Rings:
@@ -293,7 +302,9 @@ class MissionSpace:
         EPS-neighbourhood of a convex set is convex, so an edge whose ends
         pass the vertex check stays inside it.  Two obstacles overlap when
         an edge of either runs strictly inside the other, or when no edge of
-        the first leaves the second: their boundaries then coincide.
+        the first leaves the second: their boundaries then coincide.  Two
+        obstacles whose bounding boxes lie more than EPS apart on some axis
+        share neither interior nor boundary, so they need none of these tests.
         """
         for k, obs in enumerate(self.obstacles):
             inside = self.boundary.contains_many(obs.vertices)
@@ -310,6 +321,8 @@ class MissionSpace:
         for k, obs in enumerate(self.obstacles):
             for m in range(k + 1, len(self.obstacles)):
                 other = self.obstacles[m]
+                if _boxes_apart(obs.bbox, other.bbox):
+                    continue
                 if (
                     _excursions(*obs.edges, other, seek_outside=False).any()
                     or _excursions(*other.edges, obs, seek_outside=False).any()

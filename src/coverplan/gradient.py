@@ -91,6 +91,8 @@ class RefineResult:
     reason: str  # "converged" | "max_iterations" | "no_improvement"
     rows: int = 0  # detection rows computed, the starting matrix included
     halvings: int = 0  # line-search step halvings, both sweeps together
+    rescues: int = 0  # per-agent sweeps run after a vetoed joint step
+    forfeits: int = 0  # proposed moves dropped for landing on another agent
 
     @property
     def positions(self) -> np.ndarray:
@@ -218,7 +220,7 @@ def refine(
     tol = 1e-3 * grid.cell_size**2 if cfg.grad_tolerance is None else cfg.grad_tolerance
 
     rows = detection_matrix(pos, space, grid.centers, sensor)
-    tally = {"rows": n, "halvings": 0}
+    tally = {"rows": n, "halvings": 0, "rescues": 0, "forfeits": 0}
     value = coverage_from_rows(grid, rows)
     steps = [RefineStep(0, pos.copy(), value, np.zeros(n))]
     reason = "max_iterations"
@@ -239,7 +241,7 @@ def refine(
         if not moved:
             reason = "no_improvement"
             break
-    return RefineResult(steps, reason, tally["rows"], tally["halvings"])
+    return RefineResult(steps, reason, **tally)
 
 
 def _propose(pos, i, direction, scale, space):
@@ -248,7 +250,7 @@ def _propose(pos, i, direction, scale, space):
     return None if _collides(q, pos, i) else q
 
 
-def _joint_proposal(pos, moving, dirs, scale, space):
+def _joint_proposal(pos, moving, dirs, scale, space, tally):
     """Every mover's projected step at one scale, as one candidate placement.
 
     One feasibility call decides all targets and only the infeasible ones
@@ -260,7 +262,9 @@ def _joint_proposal(pos, moving, dirs, scale, space):
     cand = pos.copy()
     for i, q, ok in zip(moving, targets, inside):
         q = q if ok else project_feasible(q, space)
-        if not _collides(q, cand, i):
+        if _collides(q, cand, i):
+            tally["forfeits"] += 1
+        else:
             cand[i] = q
     return cand
 
@@ -285,7 +289,7 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, tally, grads)
     dirs = np.zeros_like(grads)
     dirs[moving] = grads[moving] / norms[moving, None]
     for scale in _scales(cfg, tally):
-        cand = _joint_proposal(pos, moving, dirs, scale, space)
+        cand = _joint_proposal(pos, moving, dirs, scale, space, tally)
         changed = np.nonzero(np.any(cand != pos, axis=1))[0]
         if len(changed) == 0:
             return False, pos, rows, value
@@ -308,6 +312,7 @@ def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs):
     Each agent is judged against the others as they stand after the moves
     before it; an agent with a zero direction stays put.
     """
+    tally["rescues"] += 1
     moved = False
     pos, rows = pos.copy(), rows.copy()
     for i in range(len(pos)):
@@ -318,6 +323,7 @@ def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs):
         for scale in _scales(cfg, tally):
             q = _propose(pos, i, dirs[i], scale, space)
             if q is None:
+                tally["forfeits"] += 1
                 continue
             new_row = detection_row(q, space, grid.centers, sensor)
             tally["rows"] += 1

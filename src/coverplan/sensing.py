@@ -38,10 +38,24 @@ class SensorModel:
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise InvalidParameterError(f"radius must be finite and > 0, got {self.radius}")
 
-    def detect(self, dist: np.ndarray, los: np.ndarray) -> np.ndarray:
-        """Detection probabilities at distances ``dist`` with sight lines ``los`` (any shape)."""
-        hit = los & (dist <= self.radius + EPS)
-        return np.exp(-self.decay * dist, out=np.zeros(dist.shape), where=hit)
+    def in_reach(self, dist: np.ndarray, los: np.ndarray) -> np.ndarray:
+        """Where an event can be detected at all: in sight and within range."""
+        return los & (dist <= self.radius + EPS)
+
+    def detect(self, dist: np.ndarray, los: np.ndarray, out=None, reach=None) -> np.ndarray:
+        """Detection probabilities at distances ``dist`` with sight lines ``los`` (any shape).
+
+        ``out``, when given, receives them in place of a fresh array.
+        ``reach``, when given, is :meth:`in_reach` of the same arguments.
+        Every exponential is taken and those out of reach are then zeroed,
+        which is faster than a masked exponential and equal to it bit for bit.
+        """
+        if reach is None:
+            reach = self.in_reach(dist, los)
+        out = np.multiply(dist, -self.decay, out=out)
+        np.exp(out, out=out)
+        out *= reach
+        return out
 
 
 def _distances(sources: np.ndarray, xy: np.ndarray) -> np.ndarray:
@@ -67,7 +81,7 @@ def detection_matrix(positions, space: MissionSpace, targets, sensor: SensorMode
     xy = np.ascontiguousarray(pts.T)  # (2, T)
     rows = np.empty((len(pos), len(pts)))
     for i in range(len(pos)):
-        rows[i] = sensor.detect(_distances(pos[i : i + 1], xy)[0], los[i])
+        sensor.detect(_distances(pos[i : i + 1], xy)[0], los[i], out=rows[i])
     return rows
 
 
@@ -75,7 +89,8 @@ class DetectionCache:
     """Distances and sight lines for fixed positions, reusable across sensor models.
 
     Line of sight does not depend on the sensor, so parameter sweeps over decay
-    or radius only pay for the exponential, not for the geometry.
+    or radius only pay for the exponential, not for the geometry.  Which
+    pairs are in reach is kept while the radius stays the same.
     """
 
     def __init__(self, positions, space: MissionSpace, targets):
@@ -83,9 +98,13 @@ class DetectionCache:
         self.targets = as_points_array(targets)
         self.dist = _distances(self.positions, np.ascontiguousarray(self.targets.T))  # (n, T)
         self.los = line_of_sight_many(self.positions, self.targets, space)  # (n, T)
+        self._reach = (None, None)  # (radius, in-reach mask)
 
-    def probs(self, sensor: SensorModel) -> np.ndarray:
-        return sensor.detect(self.dist, self.los)
+    def probs(self, sensor: SensorModel, out=None) -> np.ndarray:
+        """Detection probabilities under ``sensor``, written into ``out`` when given."""
+        if self._reach[0] != sensor.radius:
+            self._reach = (sensor.radius, sensor.in_reach(self.dist, self.los))
+        return sensor.detect(self.dist, self.los, out=out, reach=self._reach[1])
 
 
 def miss_product(rows: np.ndarray) -> np.ndarray:

@@ -264,13 +264,18 @@ def test_elemental_curvature_rises_with_decay(block_problem):
     assert np.all(np.diff(alphas) >= -1e-12)
 
 
-def stacked_leave_one_out_miss(probs):
-    """The leave-one-out products as built before they were written in place."""
+def stacked_leave_one_out_miss(probs, out=None):
+    """The leave-one-out products as built before they were written in place.
+
+    Takes the library's ``out`` buffer too, and copies the products into it.
+    """
     q = 1.0 - probs
     n, m = q.shape
     prefix = np.vstack([np.ones((1, m)), np.cumprod(q, axis=0)[:-1]])
     suffix = np.vstack([np.cumprod(q[::-1], axis=0)[::-1][1:], np.ones((1, m))])
-    return prefix * suffix
+    if out is None:
+        return prefix * suffix
+    return np.multiply(prefix, suffix, out=out)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17])
@@ -348,6 +353,22 @@ def test_bound_report_holds_one_matrix_of_temporaries():
     finally:
         tracemalloc.stop()
     assert peak - base <= 1.2 * probs.nbytes
+
+
+def test_sweep_holds_two_matrices_of_temporaries():
+    # one probability buffer and one leave-one-out buffer across the sweep
+    sc, space, grid, cand = bundled_problem("random_60x50")
+    cache = DetectionCache(cand, space, grid.centers)
+    sensor = sc.build_sensor()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep_bounds(cache, grid, sc.team_size, sensor, "decay", np.linspace(0.01, 0.5, 6))
+        sweep_bounds(cache, grid, sc.team_size, sensor, "radius", np.linspace(5.0, 60.0, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2.5 * cache.dist.nbytes
 
 
 def copied_elemental_argmin(probs, keep, mask):

@@ -1,11 +1,14 @@
+import importlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coverplan import GeometryError, MissionSpace, Polygon, is_feasible
+from coverplan import GeometryError, MissionSpace, Polygon, geometry, is_feasible
+from coverplan.scenario import bundled_scenario_path, parse_scenario, scenario_from_dict
 from coverplan.geometry import EPS, closest_point_on_segment, line_of_sight_many, segments_intersect
 
 from conftest import TOUCHING_LAYOUTS, sees
@@ -126,6 +129,42 @@ L_12 = [(0, 0), (12, 0), (12, 6), (6, 6), (6, 12), (0, 12)]
 NOTCH_TRIANGLE = [(5, 6), (7, 6), (6, 7)]
 
 
+@st.composite
+def probe_points(draw, verts):
+    """Points on a ring's vertices and edges, 0.5 to 2 EPS off its edges, or far away."""
+    v = np.array(verts, dtype=float)
+    e = draw(st.integers(0, len(v) - 1))
+    a, b = v[e], v[(e + 1) % len(v)]
+    kind = draw(st.sampled_from(["vertex", "edge", "off edge", "far"]))
+    if kind == "vertex":
+        return a
+    if kind == "far":  # at least 20 beyond the vertex in x, outside every ring's box
+        dx = draw(st.sampled_from([-1, 1])) * draw(st.floats(20, 1e3))
+        return a + np.array([dx, draw(st.floats(-1e3, 1e3))])
+    p = a + draw(st.floats(0, 1)) * (b - a)
+    if kind == "edge":
+        return p
+    normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+    return p + draw(st.sampled_from([-2, -1, -0.5, 0.5, 1, 2])) * EPS * normal
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([CONVEX, L_12, CONCAVE]).flatmap(
+    lambda verts: st.tuples(st.just(verts), st.lists(probe_points(verts), max_size=12))
+))
+def test_containment_equals_the_dense_edge_test(case):
+    # convex, L and U rings; every example also checks its first point alone
+    # and no point at all
+    verts, points = case
+    poly = Polygon(verts)
+    probe = np.array(points, dtype=float).reshape(-1, 2)
+    for pts in (probe, probe[:1], probe[:0]):
+        parity = poly._parity(pts)
+        on_edge = poly.on_boundary_many(pts)
+        assert np.array_equal(poly.contains_many(pts), parity | on_edge)
+        assert np.array_equal(poly.strictly_contains_many(pts), parity & ~on_edge)
+
+
 def space_error(boundary, *obstacles) -> str:
     return error_text(MissionSpace, Polygon(boundary), [Polygon(o) for o in obstacles])
 
@@ -195,6 +234,98 @@ def test_obstacle_through_the_notch_is_rejected():
             obstacles = [Polygon(triangle)]
             validate_reference(boundary, obstacles)
             assert error_text(MissionSpace, boundary, obstacles) == message, triangle
+
+
+def spy_excursions(monkeypatch):
+    """Record the (segment starts, ring) of every ``_excursions`` call from now on."""
+    calls = []
+    excursions = geometry._excursions
+
+    def spy(p, q, poly, seek_outside):
+        calls.append((p, poly))
+        return excursions(p, q, poly, seek_outside)
+
+    monkeypatch.setattr(geometry, "_excursions", spy)
+    return calls
+
+
+def box_gap(p, q) -> float:
+    """How far apart two polygons' bounding boxes lie on their farther-apart axis."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = p.bbox, q.bbox
+    return max(b0 - a2, a0 - b2, b1 - a3, a1 - b3)
+
+
+def pair_calls(calls, space):
+    """The obstacle pairs (k, m) that ``_excursions`` calls tested, one entry per call."""
+    owner = {id(obs.vertices): k for k, obs in enumerate(space.obstacles)}
+    ring = {id(obs): k for k, obs in enumerate(space.obstacles)}
+    return [(owner[id(p)], ring[id(poly)]) for p, poly in calls if id(poly) in ring]
+
+
+def test_validation_skips_pairs_whose_boxes_lie_apart(monkeypatch):
+    # the bundled scenarios and the benchmark's cluttered layouts keep every
+    # obstacle pair metres apart
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    builds = [lambda n=n: parse_scenario(bundled_scenario_path(n)) for n in workloads.BUNDLED]
+    builds += [
+        lambda seed=seed, k=k: scenario_from_dict(workloads.cluttered_scenario(seed, k))
+        for seed in (1, 2, 3)
+        for k in range(workloads.CLUTTERED_LAYOUTS)
+    ]
+    pairs = 0
+    for build in builds:
+        calls = spy_excursions(monkeypatch)
+        sc = build()  # a parsed scenario keeps the space it validated
+        space = sc.build_space()
+        n = len(space.obstacles)
+        pairs += n * (n - 1) // 2
+        tested = pair_calls(calls, space)
+        assert all(box_gap(space.obstacles[k], space.obstacles[m]) <= EPS for k, m in tested)
+    assert pairs == 3 + 10 + 6 + 6 * 10  # maze, random, rooms, six cluttered layouts
+
+
+def gap_cases() -> dict:
+    """Obstacle pairs whose boxes touch or nearly do, with the verdict of the
+    check that tested every pair.  Each gap is exact: one side lies on an axis."""
+    left = [(-5, -5), (0, -5), (0, 5), (-5, 5)]
+    corner = [(-5, -5), (0, -5), (0, 0), (-5, 0)]
+    tri = [(0, 0), (4, 0), (0, 4)]
+    overlap = "obstacles 0 and 1 have overlapping interiors"
+    cases = {
+        "shared edge": ([left, [(0, -5), (5, -5), (5, 5), (0, 5)]], None),
+        "shared corner": ([left, [(0, 5), (5, 5), (5, 8), (0, 8)]], None),
+        "hypotenuse overlap": ([tri, [(4, 4), (-1, 4), (4, -1)]], overlap),
+    }
+    for k in (0, 0.5, 1, 2):
+        g = k * EPS
+        cases[f"{k} EPS apart in x"] = ([left, [(g, -2), (5, -2), (5, 2), (g, 2)]], None)
+        cases[f"{k} EPS apart at a corner"] = ([corner, [(g, g), (5, g), (5, 5), (g, 5)]], None)
+        cases[f"{k} EPS overlap in x"] = (
+            [left, [(-g, -2), (5, -2), (5, 2), (-g, 2)]], overlap if k == 2 else None
+        )
+        cases[f"{k} EPS off a shared hypotenuse"] = ([tri, [(4, 4), (g, 4), (4, g)]], None)
+    return cases
+
+
+GAP_CASES = gap_cases()
+
+
+@pytest.mark.parametrize("case", sorted(GAP_CASES))
+def test_pairs_whose_boxes_touch_keep_their_verdict(monkeypatch, case):
+    obstacles, want = GAP_CASES[case]
+    polys = [Polygon(o) for o in obstacles]
+    calls = spy_excursions(monkeypatch)
+    try:
+        MissionSpace(Polygon([(-10, -10), (10, -10), (10, 10), (-10, 10)]), polys)
+        got = None
+    except GeometryError as exc:
+        got = str(exc)
+    assert got == want
+    # boxes that overlap, share an edge or a corner, or lie at most EPS apart
+    # are tested; only the pairs 2 EPS apart are not
+    tested = any(poly is q for _, poly in calls for q in polys)
+    assert tested == (not case.startswith("2 EPS apart"))
 
 
 def test_eps_outside_obstacle_on_a_convex_boundary():
@@ -302,7 +433,7 @@ SHAPES = [
 
 @st.composite
 def lattice_layouts(draw):
-    """A square or L boundary and 1-5 lattice-snapped obstacles, some nudged by EPS."""
+    """A square or L boundary and 1-5 lattice-snapped obstacles, some shifted or nudged by EPS."""
     boundary = Polygon(draw(st.sampled_from([SQUARE_12, L_12])))
     obstacles = []
     for _ in range(draw(st.integers(1, 5))):
@@ -312,6 +443,10 @@ def lattice_layouts(draw):
         size = draw(st.integers(1, 4)) * draw(st.sampled_from([1.0, 0.3]))
         corner = np.array([draw(st.integers(0, 12)), draw(st.integers(0, 12))], dtype=float)
         verts = corner + size * shape
+        # a shift of the whole obstacle leaves gaps of 0.5 to 2 EPS between
+        # lattice edges, where the bounding-box test decides which pairs to test
+        shift = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0]))
+        verts[:, draw(st.integers(0, 1))] += shift * EPS
         nudges = st.tuples(
             st.integers(0, len(verts) - 1), st.integers(0, 1), st.sampled_from([-EPS, EPS])
         )

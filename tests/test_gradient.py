@@ -432,7 +432,7 @@ def reference_refine(initial, space, grid, sensor, cfg):
     pos = np.array(initial, dtype=float)
     n = len(pos)
     rows = detection_matrix(pos, space, grid.centers, sensor)
-    tally = {"rows": n, "halvings": 0}
+    tally = {"rows": n, "halvings": 0, "rescues": 0, "forfeits": 0}
     value = coverage_from_rows(grid, rows)
     steps = [gradient.RefineStep(0, pos.copy(), value, np.zeros(n))]
     tol = 1e-3 * grid.cell_size**2 if cfg.grad_tolerance is None else cfg.grad_tolerance
@@ -456,7 +456,7 @@ def reference_refine(initial, space, grid, sensor, cfg):
         if not moved:
             reason = "no_improvement"
             break
-    return gradient.RefineResult(steps, reason, tally["rows"], tally["halvings"])
+    return gradient.RefineResult(steps, reason, **tally)
 
 
 def _reference_propose(pos, i, direction, scale, space):
@@ -478,7 +478,9 @@ def _reference_joint_step(pos, rows, value, space, grid, sensor, cfg, tally, gra
         cand = pos.copy()
         for i in moving:
             q = _reference_propose(cand, i, dirs[i], scale, space)
-            if q is not None:
+            if q is None:
+                tally["forfeits"] += 1
+            else:
                 cand[i] = q
         changed = np.nonzero(np.any(cand != pos, axis=1))[0]
         if len(changed) == 0:
@@ -495,7 +497,8 @@ def _reference_joint_step(pos, rows, value, space, grid, sensor, cfg, tally, gra
 
 def assert_same_result(got, want):
     """Two RefineResults agree to the bit: every array's bytes, value, reason and counts."""
-    assert (got.reason, got.rows, got.halvings) == (want.reason, want.rows, want.halvings)
+    counts = ("reason", "rows", "halvings", "rescues", "forfeits")
+    assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
     assert len(got.steps) == len(want.steps)
     for a, b in zip(got.steps, want.steps):
         assert a.iteration == b.iteration
@@ -572,10 +575,25 @@ def test_refine_matches_the_reference_when_a_mover_forfeits(branches, peak, star
     start = np.array(start)
     cfg = RefineConfig(max_iterations=5)
     result = refine(start, corridor, grid, sensor, cfg)
-    assert branches["forfeits"] > 0
+    assert result.forfeits == branches["forfeits"] > 0
     first = result.steps[1].positions
     assert first[stays, 0] == start[stays, 0] and first[1 - stays, 0] != start[1 - stays, 0]
     assert_same_result(result, reference_refine(start, corridor, grid, sensor, cfg))
+
+
+def test_refine_counts_its_rescue_sweeps(monkeypatch):
+    problem, _ = _bundled("wall_60x50")
+    sweeps = [0]
+    agent_sweep = gradient._agent_sweep
+
+    def spy(*args):
+        sweeps[0] += 1
+        return agent_sweep(*args)
+
+    monkeypatch.setattr(gradient, "_agent_sweep", spy)
+    result = refine(*problem)
+    assert result.rescues == sweeps[0] > 0
+    assert result.forfeits == 0  # greedy's lattice spreads the agents apart
 
 
 def _spy_joint_step(monkeypatch):

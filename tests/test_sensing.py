@@ -272,6 +272,29 @@ def test_detection_bits_equal_the_pairwise_differences(name):
     assert np.array_equal(DetectionCache(src, space, pts).probs(sensor), expected)
 
 
+@pytest.mark.parametrize(
+    "name", ["empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50"]
+)
+def test_probabilities_fill_a_given_buffer_bit_for_bit(name):
+    # against the rule as a masked exponential, along decays and radii that
+    # change back and forth, into a buffer holding stale values
+    sc = parse_scenario(bundled_scenario_path(name))
+    space = sc.build_space()
+    pts = sc.build_grid(space).centers
+    src = sc.build_candidates(space)
+    cache = DetectionCache(src, space, pts)
+    buf = np.full(cache.dist.shape, np.nan)
+    for decay, radius in [(0.02, 80.0), (0.3, 80.0), (0.3, 12.0), (0.0, 12.0), (0.02, 80.0)]:
+        sensor = SensorModel(decay=decay, radius=radius)
+        reach = cache.los & (cache.dist <= radius + EPS)
+        want = np.exp(-decay * cache.dist, out=np.zeros(cache.dist.shape), where=reach)
+        assert cache.probs(sensor, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert cache.probs(sensor).tobytes() == want.tobytes()
+    rows = detection_matrix(src[:7], space, pts, sensor)
+    assert rows.tobytes() == want[:7].tobytes()
+
+
 def test_detection_cache_holds_no_pairwise_difference_array():
     # the (n, T) distances and one (n, T) temporary, not an (n, T, 2) difference
     sc = parse_scenario(bundled_scenario_path("random_60x50"))
