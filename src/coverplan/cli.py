@@ -230,6 +230,8 @@ def _cmd_greedy(run: _Run, args) -> int:
 def _run_gga(run: _Run):
     cand = run.candidates()
     seed_result = greedy_place(run.space, run.grid, run.sensor, cand, run.scenario.team_size)
+    if len(seed_result.indices) == 0:
+        raise DegenerateCandidateError("greedy placed no agent: no candidate covers event mass")
     refined = refine(
         seed_result.positions,
         run.space,

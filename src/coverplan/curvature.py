@@ -142,7 +142,7 @@ def _check_scalar(value: float, name: str) -> float:
 
 
 def _check_team(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"team size must be a positive integer, got {n}")
     return int(n)
 

@@ -1,11 +1,13 @@
 """Continuous refinement of a placement by projected gradient ascent.
 
 Starting from a discrete placement (typically the greedy result), each agent
-repeatedly moves a fixed distance along the area term of the coverage
+repeatedly moves half a quadrature cell along the area term of the coverage
 objective's gradient (Zhong and Cassandras, IEEE TAC 2011), with every
 iterate projected back into the feasible region.  Backtracking halves the
-move until the objective increases, never below ``fd_epsilon``, so the
-refined placement never scores below its seed.
+move until the objective increases, never below a thousandth of a cell, so
+the refined placement never scores below its seed.  The step, its floor
+and the stopping tolerance are multiples of the cell size, so a scenario
+scaled by a power of two refines the same, scaled.
 
 Each iteration takes every agent's gradient in one pass over the detection
 rows, then proposes a joint step of all agents against the same
@@ -41,36 +43,14 @@ COLLISION_RADIUS = 1e-6
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Settings of the ascent loop.
+    """Settings of the ascent loop: ``max_iterations`` caps the iterations."""
 
-    ``step_scale`` is the travel distance per accepted full step: the move is
-    step_scale times the unit gradient direction.  ``fd_epsilon`` is the
-    smallest halved step a line search tries.  ``grad_tolerance`` is the
-    stopping threshold on the largest per-agent gradient norm; None picks
-    1e-3 times the quadrature cell area when the loop starts.
-    ``max_iterations`` caps the iterations.
-    """
-
-    step_scale: float = 0.5
-    fd_epsilon: float = 1e-3
-    grad_tolerance: float | None = None
     max_iterations: int = 500
 
     def __post_init__(self):
-        for name in ("step_scale", "fd_epsilon"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise InvalidParameterError(f"{name} must be finite and > 0, got {v}")
-        if self.grad_tolerance is not None and (
-            not np.isfinite(self.grad_tolerance) or self.grad_tolerance <= 0
-        ):
-            raise InvalidParameterError(
-                f"grad_tolerance must be finite and > 0, got {self.grad_tolerance}"
-            )
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise InvalidParameterError(
-                f"max_iterations must be a positive integer, got {self.max_iterations}"
-            )
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidParameterError(f"max_iterations must be a positive integer, got {n}")
 
 
 @dataclass
@@ -198,10 +178,10 @@ def refine(
 ) -> RefineResult:
     """Run the projected ascent from an initial placement until it stalls.
 
-    Stops when the largest per-agent gradient norm drops to the tolerance
-    ("converged"), when no halved step raises the objective any more
-    ("no_improvement"), or at the iteration cap ("max_iterations").  The
-    objective trace never decreases.
+    Stops when the largest per-agent gradient norm drops to a thousandth of
+    the cell size ("converged"), when no halved step raises the objective
+    any more ("no_improvement"), or at the iteration cap ("max_iterations").
+    The objective trace never decreases.
     """
     cfg = config or RefineConfig()
     pos = as_points_array(initial).copy()
@@ -217,7 +197,6 @@ def refine(
     for i in range(n):
         if _collides(pos[i], pos, i):
             raise InvalidParameterError("initial positions must be pairwise distinct")
-    tol = 1e-3 * grid.cell_size**2 if cfg.grad_tolerance is None else cfg.grad_tolerance
 
     rows = detection_matrix(pos, space, grid.centers, sensor)
     tally = {"rows": n, "halvings": 0, "rescues": 0, "forfeits": 0}
@@ -230,12 +209,12 @@ def refine(
         norms = np.linalg.norm(grads, axis=1)
         if it == 1:
             steps[0].grad_norms = norms.copy()
-        if float(np.max(norms)) <= tol:
+        if float(np.max(norms)) <= 1e-3 * grid.cell_size:
             reason = "converged"
             break
 
         moved, pos, rows, value = _synchronous_sweep(
-            pos, rows, value, space, grid, sensor, cfg, tally, grads
+            pos, rows, value, space, grid, sensor, tally, grads
         )
         steps.append(RefineStep(it, pos.copy(), value, norms))
         if not moved:
@@ -269,26 +248,26 @@ def _joint_proposal(pos, moving, dirs, scale, space, tally):
     return cand
 
 
-def _scales(cfg, tally):
-    """Step lengths of one line search: step_scale, then halvings down to fd_epsilon."""
-    scale = cfg.step_scale
+def _scales(h, tally):
+    """Step lengths of one line search: h / 2, then halvings down to h / 1000."""
+    scale = 0.5 * h
     yield scale
     while True:
         scale *= 0.5
-        if scale < cfg.fd_epsilon:
+        if scale < 1e-3 * h:
             return
         tally["halvings"] += 1
         yield scale
 
 
-def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, tally, grads):
+def _synchronous_sweep(pos, rows, value, space, grid, sensor, tally, grads):
     norms = np.linalg.norm(grads, axis=1)
     moving = np.nonzero(norms > 0)[0]
     if len(moving) == 0:
         return False, pos, rows, value
     dirs = np.zeros_like(grads)
     dirs[moving] = grads[moving] / norms[moving, None]
-    for scale in _scales(cfg, tally):
+    for scale in _scales(grid.cell_size, tally):
         cand = _joint_proposal(pos, moving, dirs, scale, space, tally)
         changed = np.nonzero(np.any(cand != pos, axis=1))[0]
         if len(changed) == 0:
@@ -303,10 +282,10 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, cfg, tally, grads)
     # cliff, where the area term misses the jump in coverage.  Keep the
     # synchronously computed directions but accept moves one agent at a
     # time, so a stuck agent forfeits only its own step.
-    return _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs)
+    return _agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs)
 
 
-def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs):
+def _agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs):
     """Move agents one at a time along the unit rows of ``dirs``.
 
     Each agent is judged against the others as they stand after the moves
@@ -320,7 +299,7 @@ def _agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs):
             continue
         wm = grid.weights * _others_miss(rows, i)
         base_term = _partial_term(wm, rows[i])
-        for scale in _scales(cfg, tally):
+        for scale in _scales(grid.cell_size, tally):
             q = _propose(pos, i, dirs[i], scale, space)
             if q is None:
                 tally["forfeits"] += 1

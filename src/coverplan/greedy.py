@@ -65,7 +65,7 @@ def greedy_place(
     cand = as_points_array(candidates)
     if len(cand) == 0:
         raise EmptyCandidateSetError("candidate set is empty")
-    if not isinstance(team_size, (int, np.integer)) or team_size < 1:
+    if isinstance(team_size, bool) or not isinstance(team_size, (int, np.integer)) or team_size < 1:
         raise InvalidParameterError(f"team size must be a positive integer, got {team_size}")
     if method not in ("eager", "lazy"):
         raise InvalidParameterError(f"method must be 'eager' or 'lazy', got {method!r}")

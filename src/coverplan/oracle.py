@@ -50,7 +50,8 @@ def brute_force(
     """
     cand = as_points_array(candidates)
     n = len(cand)
-    if not isinstance(team_size, (int, np.integer)) or not 1 <= team_size <= n:
+    integer = isinstance(team_size, (int, np.integer)) and not isinstance(team_size, bool)
+    if not integer or not 1 <= team_size <= n:
         raise InvalidParameterError(
             f"team size must be between 1 and {n}, got {team_size}"
         )

@@ -301,11 +301,6 @@ def scenario_from_dict(data: dict, **overrides) -> Scenario:
     if not isinstance(refine, dict):
         raise ScenarioError("expected an object", field="refine")
     _check_unknown(refine, _REFINE_FIELDS, "refine")
-    for key in ("step_scale", "fd_epsilon"):
-        if key in refine:
-            _want_number(refine[key], f"refine.{key}", strict_minimum=0.0)
-    if "grad_tolerance" in refine and refine["grad_tolerance"] is not None:
-        _want_number(refine["grad_tolerance"], "refine.grad_tolerance", strict_minimum=0.0)
     if "max_iterations" in refine:
         _want_int(refine["max_iterations"], "refine.max_iterations", minimum=1)
 

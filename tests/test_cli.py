@@ -239,10 +239,23 @@ def test_obstacle_through_the_notch_exits_2(tmp_path, capsys):
 
 def test_removed_refine_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "old.json"
-    bad.write_text(json.dumps({**SMALL, "refine": {"max_iterations": 8, "schedule": "sequential"}}))
-    code = main(["gga", "--scenario", str(bad), "--out", str(tmp_path / "a")])
-    assert code == 2
-    assert "refine.schedule: unknown field" in capsys.readouterr().err
+    for key, value in [("schedule", "sequential"), ("step_scale", 0.25), ("fd_epsilon", 1e-4),
+                       ("grad_tolerance", 0.5)]:
+        bad.write_text(json.dumps({**SMALL, "refine": {"max_iterations": 8, key: value}}))
+        code = main(["gga", "--scenario", str(bad), "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert f"refine.{key}: unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gga", "heatmap"])
+def test_greedy_placing_no_agent_exits_2_naming_the_cause(tmp_path, capsys, command):
+    path = tmp_path / "massless.json"
+    path.write_text(json.dumps({**SMALL, "density": {"type": "uniform", "value": 0.0}}))
+    assert main(["greedy", "--scenario", str(path)]) == 0
+    assert "stopped after 0 picks: no remaining gain" in capsys.readouterr().out
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: greedy placed no agent: no candidate covers event mass" in err
 
 
 @pytest.mark.parametrize("bad", ["a", None, float("nan")])

@@ -105,6 +105,12 @@ def test_bound_input_validation():
         bound_from_elemental(float("nan"), 3)
 
 
+def test_bounds_reject_a_bool_team_size():
+    for bound in (bound_from_total, bound_from_elemental):
+        with pytest.raises(InvalidParameterError, match="positive integer, got True"):
+            bound(0.5, True)
+
+
 def test_disjoint_candidates_have_zero_total_curvature(empty_rect):
     # coverage footprints that never overlap leave each candidate undiscounted
     grid = QuadratureGrid(empty_rect, 1.0, UniformDensity())

@@ -115,11 +115,12 @@ def test_project_feasible_cases(one_block):
 def test_refine_config_validation():
     RefineConfig()
     with pytest.raises(InvalidParameterError):
-        RefineConfig(step_scale=0.0)
-    with pytest.raises(InvalidParameterError):
-        RefineConfig(fd_epsilon=-1.0)
-    with pytest.raises(InvalidParameterError):
         RefineConfig(max_iterations=0)
+
+
+def test_refine_config_rejects_a_bool():
+    with pytest.raises(InvalidParameterError, match="positive integer, got True"):
+        RefineConfig(max_iterations=True)
 
 
 def test_refine_improves_and_stays_feasible(one_block):
@@ -145,10 +146,12 @@ def test_refine_improves_a_close_pair(empty_rect):
     assert result.value > result.steps[0].value
 
 
-def test_refine_huge_tolerance_converges_in_place(empty_rect):
-    grid, sensor, _ = make_problem(empty_rect)
+def test_refine_converges_in_place_where_no_row_sees_mass(empty_rect):
+    grid, _, _ = make_problem(empty_rect)
+    sensor = SensorModel(decay=0.1, radius=0.2)
+    # integer coordinates sit between cell centers, over 0.2 away from each
     start = np.array([[4.0, 4.0], [15.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, RefineConfig(grad_tolerance=1e9))
+    result = refine(start, empty_rect, grid, sensor, RefineConfig())
     assert result.reason == "converged"
     assert np.array_equal(result.positions, start)
     assert len(result.steps) == 1
@@ -320,8 +323,8 @@ def _spy_scales(monkeypatch):
     scales = []
     line_search = gradient._scales
 
-    def spy(cfg, tally):
-        for scale in line_search(cfg, tally):
+    def spy(h, tally):
+        for scale in line_search(h, tally):
             scales.append(scale)
             yield scale
 
@@ -330,38 +333,29 @@ def _spy_scales(monkeypatch):
 
 
 def test_line_search_stops_halving_at_fd_epsilon(one_block, monkeypatch):
-    grid, sensor, _ = make_problem(one_block, decay=0.3)
+    # a full step is half a cell and the floor a thousandth of one
+    grid, sensor, _ = make_problem(one_block, cell_size=4.0, decay=0.3)
     start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
     scales = _spy_scales(monkeypatch)
-    cfg = RefineConfig(max_iterations=30, step_scale=2.0, fd_epsilon=0.2)
-    result = refine(start, one_block, grid, sensor, cfg)
-    assert min(scales) >= cfg.fd_epsilon
-    assert set(scales) <= {2.0, 1.0, 0.5, 0.25}
-    assert 0.25 in scales  # the search did reach the floor
+    result = refine(start, one_block, grid, sensor, RefineConfig(max_iterations=30))
+    assert min(scales) >= 4e-3
+    assert set(scales) <= {2.0 * 0.5**k for k in range(9)}
+    assert 2.0**-7 in scales  # the search did reach the floor
     # every halved scale a search yields is one halving, in either sweep
-    halved = sum(s < cfg.step_scale for s in scales)
+    halved = sum(s < 2.0 for s in scales)
     assert 0 < result.halvings == halved
 
 
-def test_step_below_fd_epsilon_is_tried_once(one_block, monkeypatch):
-    grid, sensor, _ = make_problem(one_block, decay=0.3)
-    start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
-    scales = _spy_scales(monkeypatch)
-    cfg = RefineConfig(max_iterations=5, step_scale=1e-4, fd_epsilon=1e-3)
-    result = refine(start, one_block, grid, sensor, cfg)
-    assert scales and set(scales) == {cfg.step_scale}
-    assert result.halvings == 0
-
-
 @pytest.mark.parametrize(
-    "step_scale, fd_epsilon, halvings",
-    [(0.5, 1e-3, 8), (1e-4, 1e-3, 0), (2.0**-5, 2.0**-30, 25)],
+    "step, floor, halvings",
+    [(0.5, 1e-3, 8), (2.0**-5, 6.25e-5, 8), (8.0, 0.016, 8), (0.15, 3e-4, 8)],
 )
-def test_scales_halve_down_to_fd_epsilon(step_scale, fd_epsilon, halvings):
+def test_scales_halve_down_to_fd_epsilon(step, floor, halvings):
+    # a line search over cells of size h = 2 * step halves down to floor = h / 1000
     tally = {"halvings": 0}
-    cfg = RefineConfig(step_scale=step_scale, fd_epsilon=fd_epsilon)
-    scales = list(gradient._scales(cfg, tally))
-    assert scales == [step_scale * 0.5**k for k in range(halvings + 1)]
+    scales = list(gradient._scales(2 * step, tally))
+    assert scales == [step * 0.5**k for k in range(halvings + 1)]
+    assert scales[-1] >= floor > scales[-1] / 2
     assert tally["halvings"] == halvings
 
 
@@ -435,7 +429,6 @@ def reference_refine(initial, space, grid, sensor, cfg):
     tally = {"rows": n, "halvings": 0, "rescues": 0, "forfeits": 0}
     value = coverage_from_rows(grid, rows)
     steps = [gradient.RefineStep(0, pos.copy(), value, np.zeros(n))]
-    tol = 1e-3 * grid.cell_size**2 if cfg.grad_tolerance is None else cfg.grad_tolerance
     reason = "max_iterations"
     for it in range(1, cfg.max_iterations + 1):
         grads = np.zeros((n, 2))
@@ -446,11 +439,11 @@ def reference_refine(initial, space, grid, sensor, cfg):
         norms = np.linalg.norm(grads, axis=1)
         if it == 1:
             steps[0].grad_norms = norms.copy()
-        if float(np.max(norms)) <= tol:
+        if float(np.max(norms)) <= 1e-3 * grid.cell_size:
             reason = "converged"
             break
         moved, pos, rows, value = _reference_joint_step(
-            pos, rows, value, space, grid, sensor, cfg, tally, grads
+            pos, rows, value, space, grid, sensor, tally, grads
         )
         steps.append(gradient.RefineStep(it, pos.copy(), value, norms))
         if not moved:
@@ -467,14 +460,14 @@ def _reference_propose(pos, i, direction, scale, space):
     return q
 
 
-def _reference_joint_step(pos, rows, value, space, grid, sensor, cfg, tally, grads):
+def _reference_joint_step(pos, rows, value, space, grid, sensor, tally, grads):
     norms = np.linalg.norm(grads, axis=1)
     moving = np.nonzero(norms > 0)[0]
     if len(moving) == 0:
         return False, pos, rows, value
     dirs = np.zeros_like(grads)
     dirs[moving] = grads[moving] / norms[moving, None]
-    for scale in gradient._scales(cfg, tally):
+    for scale in gradient._scales(grid.cell_size, tally):
         cand = pos.copy()
         for i in moving:
             q = _reference_propose(cand, i, dirs[i], scale, space)
@@ -492,7 +485,7 @@ def _reference_joint_step(pos, rows, value, space, grid, sensor, cfg, tally, gra
         new_value = coverage_from_rows(grid, new_rows)
         if new_value > value:
             return True, cand, new_rows, new_value
-    return gradient._agent_sweep(pos, rows, value, space, grid, sensor, cfg, tally, dirs)
+    return gradient._agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs)
 
 
 def assert_same_result(got, want):
@@ -533,25 +526,30 @@ def branches(monkeypatch):
     return counts
 
 
-def _peaked(space, x, y):
-    # event mass piled up against a wall, so a long step overshoots into it
-    density = GaussianMixtureDensity(centers=[(x, y)], weights=[1.0], sigmas=[1.0], baseline=0.01)
+def _peaked(space, centres):
+    # event mass piled up on both sides of a corner, so the pull of an agent
+    # half a cell from the corner points into it and a full step overshoots
+    density = GaussianMixtureDensity(centers=centres, weights=[1.0] * len(centres),
+                                     sigmas=[1.0] * len(centres), baseline=0.01)
     return QuadratureGrid(space, 1.0, density)
 
 
 @pytest.mark.parametrize(
     "shape, peak, start",
     [
-        ("one_block", (20.0, 10.0), [[19.0, 9.0], [3.0, 2.0]]),  # the boundary corner
-        ("one_block", (7.5, 5.0), [[6.5, 5.0], [15.0, 2.0]]),  # the obstacle's left face
-        ("lshape", (9.5, 5.5), [[9.0, 6.0], [3.0, 2.0]]),  # the reflex corner
+        # the obstacle's lower left corner
+        ("one_block", [(7.5, 6.5), (11.5, 2.5)], [[7.7, 2.7], [3.0, 8.0]]),
+        # the obstacle's upper right corner
+        ("one_block", [(12.5, 3.5), (8.5, 7.5)], [[12.3, 7.3], [3.0, 2.0]]),
+        # the reflex corner
+        ("lshape", [(9.5, 8.5), (14.5, 4.5)], [[9.8, 4.8], [3.0, 2.0]]),
     ],
 )
 def test_refine_matches_the_reference_where_steps_hug_a_wall(request, branches, shape, peak, start):
     space = request.getfixturevalue(shape)
-    grid = _peaked(space, *peak)
+    grid = _peaked(space, peak)
     sensor = SensorModel(decay=0.3, radius=30.0)
-    cfg = RefineConfig(max_iterations=10, step_scale=2.0)
+    cfg = RefineConfig(max_iterations=10)
     result = refine(np.array(start), space, grid, sensor, cfg)
     assert branches["projected"] > 0
     assert_same_result(result, reference_refine(start, space, grid, sensor, cfg))
@@ -631,7 +629,7 @@ def test_joint_step_decides_and_builds_in_one_call_each(empty_rect, monkeypatch,
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     # a lopsided huddle: every agent has room to spread and none lands on another
     start = np.array([[6.3 + 1.5 * (k % 5), 3.7 + 2.1 * (k // 5)] for k in range(n)])
-    cfg = RefineConfig(max_iterations=1, step_scale=0.5, fd_epsilon=0.5)  # one scale
+    cfg = RefineConfig(max_iterations=1)
     joint_step_calls = _spy_joint_step(monkeypatch)
     result = refine(start, empty_rect, grid, sensor, cfg)
     assert (result.reason, len(result.steps)) == ("max_iterations", 2)  # the step was taken

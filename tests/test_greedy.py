@@ -110,6 +110,12 @@ def test_team_size_validation(block_problem):
         greedy_place(space, grid, sensor, np.empty((0, 2)), 1)
 
 
+def test_team_size_rejects_a_bool(block_problem):
+    space, grid, sensor, cand = block_problem
+    with pytest.raises(InvalidParameterError, match="positive integer, got True"):
+        greedy_place(space, grid, sensor, cand, True)
+
+
 def test_oversized_team_takes_every_candidate(empty_rect):
     grid, _, _ = make_problem(empty_rect)
     sensor = SensorModel(decay=0.6, radius=5.0)

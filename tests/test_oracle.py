@@ -80,6 +80,12 @@ def test_brute_force_cap(empty_rect):
         brute_force(cand, len(cand) + 1, empty_rect, grid, sensor)
 
 
+def test_brute_force_rejects_a_bool_team_size(empty_rect):
+    grid, sensor, cand = make_problem(empty_rect, spacing=5.0)
+    with pytest.raises(InvalidParameterError, match="got True"):
+        brute_force(cand, True, empty_rect, grid, sensor)
+
+
 def test_coverage_passes_submodularity_check(block_problem):
     space, grid, sensor, cand = block_problem
     report = check_submodular(cand, space, grid, sensor, trials=400, seed=7)

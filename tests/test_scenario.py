@@ -70,7 +70,8 @@ def test_unknown_field_rejected_with_path():
 @pytest.mark.parametrize(
     "key, value",
     [("schedule", "sequential"), ("backtracking", False), ("max_halvings", 9),
-     ("collision_radius", 1e-6)],
+     ("collision_radius", 1e-6), ("step_scale", 0.25), ("fd_epsilon", 1e-4),
+     ("grad_tolerance", 0.5)],
 )
 def test_removed_refine_keys_are_unknown(key, value):
     with pytest.raises(ScenarioError, match=f"refine.{key}: unknown field"):
@@ -78,9 +79,8 @@ def test_removed_refine_keys_are_unknown(key, value):
 
 
 def test_refine_keys_are_the_config_fields():
-    keys = {"step_scale", "fd_epsilon", "grad_tolerance", "max_iterations"}
-    assert {f.name for f in fields(RefineConfig)} == keys
-    refine = {"step_scale": 0.25, "fd_epsilon": 1e-4, "grad_tolerance": 0.5, "max_iterations": 7}
+    assert {f.name for f in fields(RefineConfig)} == {"max_iterations"}
+    refine = {"max_iterations": 7}
     cfg = scenario_from_dict(variant(refine=refine)).build_refine_config()
     assert cfg == RefineConfig(**refine)
 
@@ -145,7 +145,7 @@ def test_round_trip_identity(tmp_path):
                  "components": [{"center": [4, 4], "weight": 2.0, "sigma": 3.0}]},
         grid_cell_size=0.5,
         candidate_spacing=2.0,
-        refine={"max_iterations": 25, "step_scale": 0.25},
+        refine={"max_iterations": 25},
         seed=42,
     )
     sc = scenario_from_dict(d)
