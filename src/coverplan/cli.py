@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
-Every command reads one scenario file, applies flag overrides, runs a module,
-prints a human summary, and (with ``--out``) writes CSV artifacts that are
-byte-identical across runs apart from the version header line.
+Every command reads one scenario file, validated with its flag overrides,
+runs a module, prints a human summary, and (with ``--out``) writes CSV
+artifacts that are byte-identical across runs on the same host apart from
+the version header line.
 """
 
 from __future__ import annotations
@@ -37,20 +38,24 @@ _VALIDATION_ERRORS = (
     DegenerateCandidateError,
 )
 
+# the scenario fields a flag can override, each the dest of its flag
+_OVERRIDES = ("seed", "grid_cell_size", "candidate_spacing", "team_size", "decay", "radius")
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     common.add_argument("--out", default=None, help="directory for CSV artifacts")
     common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common.add_argument("--grid-h", type=float, default=None, dest="grid_h",
+    common.add_argument("--grid-h", type=float, default=None, dest="grid_cell_size",
                         help="override the quadrature cell size")
     common.add_argument("--candidates-spacing", type=float, default=None,
-                        dest="candidates_spacing", help="override the candidate lattice spacing")
-    common.add_argument("--n", type=int, default=None, help="override the team size")
-    common.add_argument("--lambda", type=float, default=None, dest="sensing_decay",
+                        dest="candidate_spacing", help="override the candidate lattice spacing")
+    common.add_argument("--n", type=int, default=None, dest="team_size",
+                        help="override the team size")
+    common.add_argument("--lambda", type=float, default=None, dest="decay",
                         help="override the sensing decay rate")
-    common.add_argument("--delta", type=float, default=None, dest="sensing_radius",
+    common.add_argument("--delta", type=float, default=None, dest="radius",
                         help="override the sensing radius")
     common.add_argument("--alpha-domain", choices=("feasible", "omega"), default="feasible",
                         dest="alpha_domain",
@@ -111,15 +116,7 @@ class _Run:
         if not Path(spec).exists() and "/" not in spec and "\\" not in spec:
             # bare names refer to the bundled scenario library
             spec = bundled_scenario_path(spec.removesuffix(".json"))
-        self.scenario = parse_scenario(
-            spec,
-            grid_cell_size=args.grid_h,
-            candidate_spacing=args.candidates_spacing,
-            team_size=args.n,
-            decay=args.sensing_decay,
-            radius=args.sensing_radius,
-            seed=args.seed,
-        )
+        self.scenario = parse_scenario(spec, **{f: getattr(args, f) for f in _OVERRIDES})
         self.space = self.scenario.build_space()
         self.grid = self.scenario.build_grid(self.space)
         self.sensor = self.scenario.build_sensor()
@@ -302,8 +299,8 @@ def _parse_sweep(text: str):
         raise ScenarioError(f"bad sweep range {text!r}: {exc}") from exc
     if steps < 1:
         raise ScenarioError(f"sweep needs at least 1 step, got {steps}")
-    if start <= 0 or stop <= 0:
-        raise ScenarioError("sweep values must be positive")
+    if not (0 < start < np.inf and 0 < stop < np.inf):
+        raise ScenarioError("sweep values must be finite and positive")
     return param, np.linspace(start, stop, steps)
 
 

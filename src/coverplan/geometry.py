@@ -131,6 +131,17 @@ def closest_point_on_segment(p, a, b) -> np.ndarray:
     return np.where(short[..., None], a, a + t[..., None] * ab)
 
 
+def _turns(v: np.ndarray) -> np.ndarray:
+    """Signed distance of each ring vertex from the line through its neighbours.
+
+    Positive where the ring turns left, so a counter-clockwise ring is convex
+    where every turn is positive; a turn within EPS of zero is straight.
+    """
+    a, c = np.roll(v, 1, axis=0), np.roll(v, -1, axis=0)
+    ab, ac = v - a, c - a
+    return (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]) / np.hypot(ac[:, 0], ac[:, 1])
+
+
 def _ray_crossings(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(E, T): edge a-b crosses the ray from each point toward +x (half-open rule)."""
     y = pts[:, 1]
@@ -185,13 +196,9 @@ class Polygon:
 
     @cached_property
     def is_convex(self) -> bool:
-        a, b = self.edges
-        e = b - a
-        cr = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        significant = cr[np.abs(cr) > 1e-12]
-        if len(significant) == 0:
-            return True
-        return bool(np.all(significant > 0) or np.all(significant < 0))
+        """No turn bends against the others by more than EPS."""
+        t = _turns(self.vertices)
+        return bool(np.all(t >= -EPS) or np.all(t <= EPS))
 
     def _validate_simple(self):
         a, b = self.edges

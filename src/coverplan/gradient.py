@@ -214,7 +214,7 @@ def refine(
             break
 
         moved, pos, rows, value = _synchronous_sweep(
-            pos, rows, value, space, grid, sensor, tally, grads
+            pos, rows, value, space, grid, sensor, tally, grads, norms
         )
         steps.append(RefineStep(it, pos.copy(), value, norms))
         if not moved:
@@ -260,11 +260,9 @@ def _scales(h, tally):
         yield scale
 
 
-def _synchronous_sweep(pos, rows, value, space, grid, sensor, tally, grads):
-    norms = np.linalg.norm(grads, axis=1)
+def _synchronous_sweep(pos, rows, value, space, grid, sensor, tally, grads, norms):
+    """One joint line search along the unit gradients, some norm being positive."""
     moving = np.nonzero(norms > 0)[0]
-    if len(moving) == 0:
-        return False, pos, rows, value
     dirs = np.zeros_like(grads)
     dirs[moving] = grads[moving] / norms[moving, None]
     for scale in _scales(grid.cell_size, tally):

@@ -148,9 +148,9 @@ class _SubsetEvaluator:
         return self.total - float(miss @ self.w)
 
 
-def _exceeds(lhs: float, rhs: float, tol: float) -> float:
-    """Positive excess of lhs over rhs beyond a relative tolerance, else 0."""
-    slack = tol * max(1.0, abs(rhs))
+def _exceeds(lhs: float, rhs: float) -> float:
+    """Positive excess of lhs over rhs beyond the relative ``CHECK_TOLERANCE``, else 0."""
+    slack = CHECK_TOLERANCE * max(1.0, abs(rhs))
     return max(0.0, lhs - rhs - slack)
 
 
@@ -161,7 +161,6 @@ def check_submodular(
     sensor: SensorModel,
     trials: int = 1000,
     seed: int = 0,
-    tol: float = CHECK_TOLERANCE,
 ) -> SubmodularityReport:
     """Randomized check of diminishing returns and monotonicity.
 
@@ -190,11 +189,11 @@ def check_submodular(
         gain_s = ev.value(s_set + [extra]) - h_s
         gain_t = ev.value(t_set + [extra]) - h_t
 
-        excess = _exceeds(gain_t, gain_s, tol)
+        excess = _exceeds(gain_t, gain_s)
         if excess > 0:
             gain_bad += 1
             worst = max(worst, excess)
-        excess = _exceeds(h_s, h_t, tol)
+        excess = _exceeds(h_s, h_t)
         if excess > 0:
             mono_bad += 1
             worst = max(worst, excess)
@@ -208,7 +207,6 @@ def check_definition_equivalence(
     sensor: SensorModel,
     trials: int = 500,
     seed: int = 0,
-    tol: float = CHECK_TOLERANCE,
 ) -> EquivalenceReport:
     """Check both submodularity formulations on shared random draws.
 
@@ -234,7 +232,7 @@ def check_definition_equivalence(
 
         lhs = ev.value(union) + ev.value(inter)
         rhs = ev.value(s_set) + ev.value(t_set)
-        excess = _exceeds(lhs, rhs, tol)
+        excess = _exceeds(lhs, rhs)
         if excess > 0:
             set_bad += 1
             worst = max(worst, excess)
@@ -244,7 +242,7 @@ def check_definition_equivalence(
             extra = int(rng.choice(outside))
             gain_small = ev.value(inter + [extra]) - ev.value(inter)
             gain_large = ev.value(union + [extra]) - ev.value(union)
-            excess = _exceeds(gain_large, gain_small, tol)
+            excess = _exceeds(gain_large, gain_small)
             if excess > 0:
                 gain_bad += 1
                 worst = max(worst, excess)

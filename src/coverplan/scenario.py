@@ -10,7 +10,7 @@ path, and the parsed scenario is proven constructible before it is returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +42,6 @@ _TOP_FIELDS = {
 _SENSOR_FIELDS = {"decay", "radius"}
 _REFINE_FIELDS = {f.name for f in fields(RefineConfig)}
 _DENSITY_TYPES = {"uniform", "gaussian_mixture", "sampled"}
-# the fields each kept runtime object is built from
-_BUILT_FROM = {
-    "space": ("boundary", "obstacles"),
-    "grid": ("boundary", "obstacles", "grid_cell_size", "density"),
-}
 
 
 @dataclass(frozen=True)
@@ -85,33 +80,15 @@ class Scenario:
             "seed": self.seed,
         }
 
-    def with_overrides(self, **kw) -> "Scenario":
-        """Copy with selected fields replaced; None values are ignored."""
-        updates = {}
-        for key, value in kw.items():
-            if value is None:
-                continue
-            if key in ("decay", "radius"):
-                sensor = dict(updates.get("sensor", self.sensor))
-                sensor[key] = value
-                updates["sensor"] = sensor
-            else:
-                updates[key] = value
-        if not updates:
-            return self
-        out = replace(self, **updates)
-        for name, inputs in _BUILT_FROM.items():
-            if name in self._built and all(getattr(out, f) == getattr(self, f) for f in inputs):
-                out._built[name] = self._built[name]
-        return out
-
     # -- construction --------------------------------------------------------
 
     def build_space(self) -> MissionSpace:
         if "space" not in self._built:
-            boundary = Polygon(self.boundary)
-            obstacles = [Polygon(o) for o in self.obstacles]
-            self._built["space"] = MissionSpace(boundary, obstacles)
+            boundary = _tagged("boundary", Polygon, self.boundary)
+            obstacles = [
+                _tagged(f"obstacles[{k}]", Polygon, o) for k, o in enumerate(self.obstacles)
+            ]
+            self._built["space"] = _tagged("obstacles", MissionSpace, boundary, obstacles)
         return self._built["space"]
 
     def build_density(self):
@@ -136,6 +113,14 @@ class Scenario:
     def build_candidates(self, space: MissionSpace | None = None) -> np.ndarray:
         space = space or self.build_space()
         return candidate_lattice(space, self.candidate_spacing)
+
+
+def _tagged(path: str, build, *args):
+    """``build(*args)``, with a library error reported against the field it came from."""
+    try:
+        return build(*args)
+    except CoverplanError as exc:
+        raise ScenarioError(str(exc), field=path) from exc
 
 
 def _build_density(spec: dict):
@@ -259,12 +244,20 @@ def _validate_density(spec, path: str) -> dict:
 def scenario_from_dict(data: dict, **overrides) -> Scenario:
     """Validate raw JSON data and return a constructible Scenario.
 
-    ``overrides`` are applied as ``Scenario.with_overrides`` takes them,
-    before the proof of constructibility, so its builds serve the overridden
-    scenario.
+    Each override that is not None replaces the field it names in a copy of
+    ``data`` before validation, so it is checked, and its error named, as
+    the file's field is.  ``decay`` and ``radius`` name the ``sensor`` fields.
     """
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be an object")
+    data = dict(data)
+    for key, value in overrides.items():
+        if value is None:
+            continue
+        if key not in _SENSOR_FIELDS:
+            data[key] = value
+        elif isinstance(data.get("sensor"), dict):
+            data["sensor"] = {**data["sensor"], key: value}
     _check_unknown(data, _TOP_FIELDS, "")
     for key in ("boundary", "team_size", "sensor"):
         if key not in data:
@@ -317,26 +310,11 @@ def scenario_from_dict(data: dict, **overrides) -> Scenario:
         sensor={"decay": float(sensor["decay"]), "radius": float(sensor["radius"])},
         refine=dict(refine),
         seed=seed,
-    ).with_overrides(**overrides)
-    _prove_constructible(scenario)
-    return scenario
-
-
-def _prove_constructible(scenario: Scenario):
-    """Build every runtime object once so a parsed scenario is known-good."""
-    try:
-        scenario.build_space()
-    except CoverplanError as exc:
-        f = "obstacles" if "obstacle" in str(exc) else "boundary"
-        raise ScenarioError(str(exc), field=f) from exc
-    try:
-        scenario.build_sensor()
-        scenario.build_refine_config()
-        grid = scenario.build_grid()
-    except CoverplanError as exc:
-        raise ScenarioError(str(exc)) from exc
-    if not np.any(grid.feasible):
+    )
+    # the space and grid built here are kept for the scenario's commands
+    if not np.any(scenario.build_grid().feasible):
         raise ScenarioError("no feasible grid cell; space is fully blocked")
+    return scenario
 
 
 def parse_scenario(path, **overrides) -> Scenario:

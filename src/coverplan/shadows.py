@@ -15,18 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import EPS, Polygon, _cross, _edge_dist2, _Rings
-
-
-def _turns(v: np.ndarray) -> np.ndarray:
-    """Signed distance of each ring vertex from the line through its neighbours.
-
-    Positive where the ring turns left, so a counter-clockwise ring is convex
-    where every turn is positive; a turn within EPS of zero is straight.
-    """
-    a, c = np.roll(v, 1, axis=0), np.roll(v, -1, axis=0)
-    ab, ac = v - a, c - a
-    return (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]) / np.hypot(ac[:, 0], ac[:, 1])
+from .geometry import EPS, Polygon, _cross, _edge_dist2, _Rings, _turns
 
 
 def _ccw(v: np.ndarray) -> np.ndarray:

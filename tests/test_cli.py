@@ -113,6 +113,12 @@ def test_sweep_rejects_malformed_spec(tmp_path, small_scenario):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["lambda:0.1:inf:3", "delta:nan:5:3", "lambda:-0.1:0.5:3"])
+def test_sweep_values_must_be_finite_and_positive(capsys, small_scenario, spec):
+    assert main(["sweep", "--scenario", small_scenario, "--sweep", spec]) == 2
+    assert capsys.readouterr().err == "error: sweep values must be finite and positive\n"
+
+
 def test_oracle_small_instance(tmp_path, small_scenario, capsys):
     out = tmp_path / "art"
     code = main(["oracle", "--scenario", small_scenario, "--out", str(out), "--n", "2"])
@@ -374,14 +380,36 @@ def test_grid_override_keeps_the_space(capsys, builds):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--grid-h", "-1", "cell size must be finite and > 0, got -1.0"),
-        ("--grid-h", "nan", "cell size must be finite and > 0, got nan"),
-        ("--lambda", "-1", "decay must be finite and >= 0, got -1.0"),
-        ("--delta", "0", "radius must be finite and > 0, got 0.0"),
+        ("--grid-h", "-1", "grid_cell_size: must be > 0.0, got -1.0"),
+        ("--grid-h", "nan", "grid_cell_size: must be finite, got nan"),
+        ("--lambda", "-1", "sensor.decay: must be >= 0.0, got -1.0"),
+        ("--delta", "0", "sensor.radius: must be > 0.0, got 0.0"),
+        ("--seed", "-1", "seed: must be >= 0, got -1"),
+        ("--n", "0", "team_size: must be >= 1, got 0"),
+        ("--candidates-spacing", "0", "candidate_spacing: must be > 0.0, got 0.0"),
     ],
 )
 def test_invalid_override_exits_2(capsys, flag, value, message):
+    # a flag is validated as the file's field is, and its error names that field
     assert main(["bounds", "--scenario", "random_60x50", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--seed", "-1"], "seed: must be >= 0, got -1"),
+        (["greedy", "--seed", "-1"], "seed: must be >= 0, got -1"),
+        (["evaluate", "--n", "0"], "team_size: must be >= 1, got 0"),
+    ],
+)
+def test_invalid_override_exits_2_whatever_the_command(
+    tmp_path, capsys, small_scenario, argv, message
+):
+    pos = tmp_path / "pos.csv"
+    pos.write_text("agent,x,y\n0,5.0,5.0\n")
+    extra = ["--positions-file", str(pos)] if argv[0] == "evaluate" else []
+    assert main([argv[0], "--scenario", small_scenario, *argv[1:], *extra]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

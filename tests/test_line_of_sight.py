@@ -423,15 +423,31 @@ def test_a_ring_decides_sight_lines_between_its_own_points():
 
 
 def test_boundary_whose_only_reflex_turn_is_below_eps():
-    # not convex to Polygon.is_convex, yet it has no pocket deeper than EPS:
-    # the ring cuts into no pieces and only its exact test is left
+    # a reflex turn within EPS of straight is straight, so the ring is
+    # convex and no sight line leaves it
     boundary = Polygon([(0, 0), (10, 0), (10, 5), (5, 5 - 1e-11), (0, 5)])
-    assert not boundary.is_convex
+    assert boundary.is_convex
     space = MissionSpace(boundary)
     targets = np.concatenate([QuadratureGrid(space, 0.5, UniformDensity()).centers, ring_points(space)])
     sources = np.concatenate([ring_points(space), [(1.0, 1.0), (9.0, 4.0)]])
     assert_matches_reference(sources, targets, space)
     assert line_of_sight_many(sources, targets, space).all()
+
+
+@pytest.mark.parametrize("s, d", [(1.0, 5e-3), (1e-5, 5e-8)])
+def test_a_notch_50_eps_deep_is_reflex_at_any_scale(s, d):
+    # the notch's turn is d in length units at both scales, so the verdicts
+    # cannot depend on s: the boundary blocks, and an obstacle edge that
+    # leaves it across the notch is rejected
+    boundary = Polygon([(0, 0), (s, 0), (s, s), (s / 2, s - d), (0, s)])
+    assert not boundary.is_convex
+    space = MissionSpace(boundary)
+    src, tgt = np.array([[0.05 * s, s - 0.1 * d]]), np.array([[0.95 * s, s - 0.1 * d]])
+    assert_matches_reference(src, tgt, space)
+    assert not line_of_sight_many(src, tgt, space).any()
+    top = s - 0.8 * d
+    with pytest.raises(GeometryError, match="obstacle 0 crosses the boundary"):
+        MissionSpace(boundary, [Polygon([(0.7 * s, top), (0.5 * s, 0.5 * s), (0.3 * s, top)])])
 
 
 def test_a_block_found_by_the_exact_test_survives_later_rings():

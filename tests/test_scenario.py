@@ -166,17 +166,47 @@ def test_parse_reports_file_problems(tmp_path):
 
 
 def test_with_overrides():
-    sc = scenario_from_dict(BASE)
-    out = sc.with_overrides(team_size=5, decay=0.7, radius=9.0, grid_cell_size=2.0)
+    data = variant()
+    out = scenario_from_dict(data, team_size=5, decay=0.7, radius=9.0, grid_cell_size=2.0)
     assert out.team_size == 5
     assert out.sensor["decay"] == 0.7
     assert out.sensor["radius"] == 9.0
     assert out.grid_cell_size == 2.0
     # untouched fields survive, None is a no-op
-    assert out.boundary == sc.boundary
-    assert sc.with_overrides(team_size=None).team_size == 3
-    # the original is immutable
-    assert sc.team_size == 3 and sc.sensor["decay"] == 0.1
+    assert out.boundary == scenario_from_dict(BASE).boundary
+    assert scenario_from_dict(BASE, team_size=None).team_size == 3
+    # the caller's dict is not mutated
+    assert data == BASE
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ({"seed": -1}, "seed"),
+        ({"team_size": 0}, "team_size"),
+        ({"decay": -1.0}, "sensor.decay"),
+    ],
+)
+def test_override_is_validated_as_the_field_it_sets(override, path):
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(BASE, **override)
+    assert info.value.field == path
+
+
+def test_geometry_errors_name_the_ring_they_come_from():
+    # a ring's own fault names that ring; a fault between rings names the obstacle list
+    box = [[0, 0], [20, 0], [20, 20], [0, 20]]
+    tri = [[2, 2], [6, 2], [4, 5]]
+    cases = [
+        ([[0, 0], [20, 0], [20, 0], [0, 20]], [], "boundary"),
+        (box, [[[2, 2], [6, 2], [6, 2], [2, 6]]], "obstacles[0]"),
+        (box, [tri, [[10, 10], [14, 14], [14, 10], [10, 14]]], "obstacles[1]"),
+        (box, [tri, [[18, 18], [24, 18], [18, 24]]], "obstacles"),
+    ]
+    for boundary, obstacles, path in cases:
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(variant(boundary=boundary, obstacles=obstacles))
+        assert info.value.field == path, str(info.value)
 
 
 def test_density_variants_build():
