@@ -38,7 +38,6 @@ from .geometry import (
     line_of_sight_many,
 )
 from .gradient import (
-    RefineConfig,
     RefineResult,
     objective_gradient,
     project_feasible,
@@ -90,7 +89,6 @@ __all__ = [
     "OracleResult",
     "Polygon",
     "QuadratureGrid",
-    "RefineConfig",
     "RefineResult",
     "SampledDensity",
     "Scenario",

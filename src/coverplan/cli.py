@@ -17,11 +17,10 @@ import numpy as np
 from . import __version__
 from .curvature import bound_report, sweep_bounds
 from .errors import (
+    CoverplanError,
     DegenerateCandidateError,
     EmptyCandidateSetError,
-    GeometryError,
     InstanceTooLargeError,
-    InvalidParameterError,
     ScenarioError,
 )
 from .gradient import refine
@@ -29,14 +28,6 @@ from .greedy import greedy_place
 from .oracle import brute_force, check_definition_equivalence, check_submodular
 from .scenario import bundled_scenario_path, parse_scenario
 from .sensing import DetectionCache, coverage, detection_matrix, joint_detection
-
-_VALIDATION_ERRORS = (
-    ScenarioError,
-    InvalidParameterError,
-    GeometryError,
-    EmptyCandidateSetError,
-    DegenerateCandidateError,
-)
 
 # the scenario fields a flag can override, each the dest of its flag
 _OVERRIDES = ("seed", "grid_cell_size", "candidate_spacing", "team_size", "decay", "radius")
@@ -57,9 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the sensing decay rate")
     common.add_argument("--delta", type=float, default=None, dest="radius",
                         help="override the sensing radius")
-    common.add_argument("--alpha-domain", choices=("feasible", "omega"), default="feasible",
-                        dest="alpha_domain",
-                        help="cell domain for the elemental curvature minimum")
 
     parser = argparse.ArgumentParser(
         prog="coverplan",
@@ -76,11 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("eager", "lazy"), default="lazy")
 
     sub.add_parser("gga", parents=[common], help="greedy placement plus gradient refinement")
-    sub.add_parser("bounds", parents=[common], help="curvatures and certified greedy guarantees")
-
-    p = sub.add_parser("sweep", parents=[common], help="bounds along a sensing-parameter sweep")
-    p.add_argument("--sweep", required=True, metavar="PARAM:START:STOP:STEPS",
-                   help="PARAM is 'lambda' or 'delta'")
+    bounds = sub.add_parser("bounds", parents=[common],
+                            help="curvatures and certified greedy guarantees")
+    sweep = sub.add_parser("sweep", parents=[common],
+                           help="bounds along a sensing-parameter sweep")
+    for p in (bounds, sweep):
+        p.add_argument("--alpha-domain", choices=("feasible", "omega"), default="feasible",
+                       dest="alpha_domain",
+                       help="cell domain for the elemental curvature minimum")
+    sweep.add_argument("--sweep", required=True, metavar="PARAM:START:STOP:STEPS",
+                       help="PARAM is 'lambda' or 'delta'")
 
     sub.add_parser("oracle", parents=[common], help="exhaustive optimal placement (small instances)")
 
@@ -100,7 +93,7 @@ def main(argv=None) -> int:
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except CoverplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
@@ -229,13 +222,7 @@ def _run_gga(run: _Run):
     seed_result = greedy_place(run.space, run.grid, run.sensor, cand, run.scenario.team_size)
     if len(seed_result.indices) == 0:
         raise DegenerateCandidateError("greedy placed no agent: no candidate covers event mass")
-    refined = refine(
-        seed_result.positions,
-        run.space,
-        run.grid,
-        run.sensor,
-        run.scenario.build_refine_config(),
-    )
+    refined = refine(seed_result.positions, run.space, run.grid, run.sensor, **run.scenario.refine)
     return seed_result, refined
 
 

@@ -96,6 +96,14 @@ class SampledDensity:
         return f"SampledDensity({self.values.shape[1]}x{self.values.shape[0]} table)"
 
 
+def _check_indexable(count: float, what: str) -> None:
+    """Reject ``count`` points on one axis when numpy cannot index that many."""
+    if not count < np.iinfo(np.intp).max:
+        raise InvalidParameterError(
+            f"{what} puts {count:g} points on an axis, more than numpy can index"
+        )
+
+
 class QuadratureGrid:
     """Midpoint-rule grid over the mission-space bounding box.
 
@@ -109,10 +117,14 @@ class QuadratureGrid:
     def __init__(self, space: MissionSpace, cell_size: float, density):
         if not np.isfinite(cell_size) or cell_size <= 0:
             raise InvalidParameterError(f"cell size must be finite and > 0, got {cell_size}")
+        if not math.isfinite(cell_size * cell_size):
+            raise InvalidParameterError(f"cell size {cell_size} gives an infinite cell area")
         self.cell_size = float(cell_size)
         xmin, ymin, xmax, ymax = space.bbox
-        self.nx = max(1, math.ceil((xmax - xmin - EPS) / cell_size))
-        self.ny = max(1, math.ceil((ymax - ymin - EPS) / cell_size))
+        rx, ry = (xmax - xmin - EPS) / cell_size, (ymax - ymin - EPS) / cell_size
+        _check_indexable(max(rx, ry), f"cell size {cell_size}")
+        self.nx = max(1, math.ceil(rx))
+        self.ny = max(1, math.ceil(ry))
         xs = xmin + (np.arange(self.nx) + 0.5) * cell_size
         ys = ymin + (np.arange(self.ny) + 0.5) * cell_size
         gx, gy = np.meshgrid(xs, ys)  # (ny, nx), y outer
@@ -161,8 +173,10 @@ def candidate_lattice(space: MissionSpace, spacing: float) -> np.ndarray:
     if not np.isfinite(spacing) or spacing <= 0:
         raise InvalidParameterError(f"lattice spacing must be finite and > 0, got {spacing}")
     xmin, ymin, xmax, ymax = space.bbox
-    nx = int(math.floor((xmax - xmin + EPS) / spacing)) + 1
-    ny = int(math.floor((ymax - ymin + EPS) / spacing)) + 1
+    rx, ry = (xmax - xmin + EPS) / spacing, (ymax - ymin + EPS) / spacing
+    _check_indexable(max(rx, ry) + 1, f"lattice spacing {spacing}")
+    nx = int(math.floor(rx)) + 1
+    ny = int(math.floor(ry)) + 1
     xs = xmin + np.arange(nx) * spacing
     ys = ymin + np.arange(ny) * spacing
     gx, gy = np.meshgrid(xs, ys)

@@ -35,22 +35,17 @@ from .geometry import (
     closest_point_on_segment,
     is_feasible,
 )
-from .sensing import SensorModel, coverage_from_rows, detection_matrix, detection_row, miss_product
+from .sensing import (
+    SensorModel,
+    coverage_from_rows,
+    detection_matrix,
+    detection_row,
+    marginal_gain,
+    miss_product,
+)
 
 # Agents closer than this count as one; a move that lands there is dropped.
 COLLISION_RADIUS = 1e-6
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    """Settings of the ascent loop: ``max_iterations`` caps the iterations."""
-
-    max_iterations: int = 500
-
-    def __post_init__(self):
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidParameterError(f"max_iterations must be a positive integer, got {n}")
 
 
 @dataclass
@@ -111,16 +106,6 @@ def project_feasible(p, space: MissionSpace) -> np.ndarray:
     return q[ok[np.argmin(d2)]].copy()
 
 
-def _others_miss(rows: np.ndarray, i: int) -> np.ndarray:
-    """Per-cell probability that every agent except i misses."""
-    return miss_product(np.delete(rows, i, 0))
-
-
-def _partial_term(weighted_miss: np.ndarray, row: np.ndarray) -> float:
-    # the only part of the objective that depends on this agent's position
-    return float(np.dot(weighted_miss, row))
-
-
 def _gradients(pos, rows, grid: QuadratureGrid, sensor: SensorModel) -> np.ndarray:
     """Area term of the objective's gradient in every agent's position: shape (n, 2).
 
@@ -174,16 +159,18 @@ def refine(
     space: MissionSpace,
     grid: QuadratureGrid,
     sensor: SensorModel,
-    config: RefineConfig | None = None,
+    max_iterations: int = 500,
 ) -> RefineResult:
     """Run the projected ascent from an initial placement until it stalls.
 
     Stops when the largest per-agent gradient norm drops to a thousandth of
     the cell size ("converged"), when no halved step raises the objective
-    any more ("no_improvement"), or at the iteration cap ("max_iterations").
-    The objective trace never decreases.
+    any more ("no_improvement"), or after ``max_iterations`` iterations
+    ("max_iterations").  The objective trace never decreases.
     """
-    cfg = config or RefineConfig()
+    cap = max_iterations
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise InvalidParameterError(f"max_iterations must be a positive integer, got {cap}")
     pos = as_points_array(initial).copy()
     n = len(pos)
     if n == 0:
@@ -204,7 +191,7 @@ def refine(
     steps = [RefineStep(0, pos.copy(), value, np.zeros(n))]
     reason = "max_iterations"
 
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         grads = _gradients(pos, rows, grid, sensor)
         norms = np.linalg.norm(grads, axis=1)
         if it == 1:
@@ -221,12 +208,6 @@ def refine(
             reason = "no_improvement"
             break
     return RefineResult(steps, reason, **tally)
-
-
-def _propose(pos, i, direction, scale, space):
-    """Projected move of agent i, or None when it lands on another agent."""
-    q = project_feasible(pos[i] + scale * direction, space)
-    return None if _collides(q, pos, i) else q
 
 
 def _joint_proposal(pos, moving, dirs, scale, space, tally):
@@ -295,16 +276,17 @@ def _agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs):
     for i in range(len(pos)):
         if not np.any(dirs[i]):
             continue
-        wm = grid.weights * _others_miss(rows, i)
-        base_term = _partial_term(wm, rows[i])
+        # the others' miss weights the only part of the objective that agent i moves
+        miss = miss_product(np.delete(rows, i, 0))
+        base_gain = marginal_gain(grid, miss, rows[i])
         for scale in _scales(grid.cell_size, tally):
-            q = _propose(pos, i, dirs[i], scale, space)
-            if q is None:
+            q = project_feasible(pos[i] + scale * dirs[i], space)
+            if _collides(q, pos, i):
                 tally["forfeits"] += 1
                 continue
             new_row = detection_row(q, space, grid.centers, sensor)
             tally["rows"] += 1
-            if _partial_term(wm, new_row) > base_term:
+            if marginal_gain(grid, miss, new_row) > base_gain:
                 pos[i], rows[i] = q, new_row
                 moved = True
                 break

@@ -10,7 +10,7 @@ path, and the parsed scenario is proven constructible before it is returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ from .field import (
     candidate_lattice,
 )
 from .geometry import MissionSpace, Polygon
-from .gradient import RefineConfig
 from .sensing import SensorModel
 
 _TOP_FIELDS = {
@@ -40,7 +39,7 @@ _TOP_FIELDS = {
     "seed",
 }
 _SENSOR_FIELDS = {"decay", "radius"}
-_REFINE_FIELDS = {f.name for f in fields(RefineConfig)}
+_REFINE_FIELDS = {"max_iterations"}
 _DENSITY_TYPES = {"uniform", "gaussian_mixture", "sampled"}
 
 
@@ -97,22 +96,21 @@ class Scenario:
     def build_grid(self, space: MissionSpace | None = None) -> QuadratureGrid:
         """The kept grid, unless ``space`` is another space than the kept one."""
         if space is not None and space is not self._built.get("space"):
-            return QuadratureGrid(space, self.grid_cell_size, self.build_density())
+            return self._grid(space)
         if "grid" not in self._built:
-            self._built["grid"] = QuadratureGrid(
-                self.build_space(), self.grid_cell_size, self.build_density()
-            )
+            self._built["grid"] = self._grid(self.build_space())
         return self._built["grid"]
+
+    def _grid(self, space: MissionSpace) -> QuadratureGrid:
+        density = self.build_density()
+        return _tagged("grid_cell_size", QuadratureGrid, space, self.grid_cell_size, density)
 
     def build_sensor(self) -> SensorModel:
         return SensorModel(decay=float(self.sensor["decay"]), radius=float(self.sensor["radius"]))
 
-    def build_refine_config(self) -> RefineConfig:
-        return RefineConfig(**self.refine)
-
     def build_candidates(self, space: MissionSpace | None = None) -> np.ndarray:
         space = space or self.build_space()
-        return candidate_lattice(space, self.candidate_spacing)
+        return _tagged("candidate_spacing", candidate_lattice, space, self.candidate_spacing)
 
 
 def _tagged(path: str, build, *args):

@@ -57,7 +57,7 @@ def _gga(name, decay):
         sc, space, grid, cand = _load(name)
         sensor = SensorModel(decay=decay, radius=sc.sensor["radius"])
         seed = greedy_place(space, grid, sensor, cand, sc.team_size)
-        refined = refine(seed.positions, space, grid, sensor, sc.build_refine_config())
+        refined = refine(seed.positions, space, grid, sensor, **sc.refine)
         _gga_cache[key] = (seed, refined)
     return _gga_cache[key]
 

@@ -222,6 +222,14 @@ def test_alpha_domain_flag(tmp_path, capsys):
     assert float(omega[1]) >= float(feasible[1])
 
 
+@pytest.mark.parametrize("command", ["greedy", "gga", "oracle", "check", "heatmap"])
+def test_alpha_domain_is_a_flag_of_bounds_and_sweep_only(capsys, small_scenario, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", small_scenario, "--alpha-domain", "omega"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha-domain omega" in capsys.readouterr().err
+
+
 def test_invalid_scenario_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**SMALL, "team_size": -3}))
@@ -387,6 +395,12 @@ def test_grid_override_keeps_the_space(capsys, builds):
         ("--seed", "-1", "seed: must be >= 0, got -1"),
         ("--n", "0", "team_size: must be >= 1, got 0"),
         ("--candidates-spacing", "0", "candidate_spacing: must be > 0.0, got 0.0"),
+        ("--grid-h", "1e300", "grid_cell_size: cell size 1e+300 gives an infinite cell area"),
+        ("--grid-h", "1e200", "grid_cell_size: cell size 1e+200 gives an infinite cell area"),
+        ("--grid-h", "1e-300", "grid_cell_size: cell size 1e-300 puts 6e+301 points on an axis, "
+                               "more than numpy can index"),
+        ("--candidates-spacing", "1e-300", "candidate_spacing: lattice spacing 1e-300 puts "
+                                           "6e+301 points on an axis, more than numpy can index"),
     ],
 )
 def test_invalid_override_exits_2(capsys, flag, value, message):

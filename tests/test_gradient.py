@@ -11,7 +11,6 @@ from coverplan import (
     MissionSpace,
     Polygon,
     QuadratureGrid,
-    RefineConfig,
     SensorModel,
     UniformDensity,
     bundled_scenario_path,
@@ -22,6 +21,7 @@ from coverplan import (
     greedy_place,
     is_feasible,
     line_of_sight_many,
+    marginal_gain,
     miss_product,
     objective_gradient,
     parse_scenario,
@@ -112,21 +112,25 @@ def test_project_feasible_cases(one_block):
         assert is_feasible(q, one_block)
 
 
-def test_refine_config_validation():
-    RefineConfig()
-    with pytest.raises(InvalidParameterError):
-        RefineConfig(max_iterations=0)
+@pytest.mark.parametrize("cap", [0, True, 2.5])
+def test_refine_rejects_a_max_iterations_that_is_no_positive_integer(empty_rect, cap):
+    grid, sensor, _ = make_problem(empty_rect)
+    with pytest.raises(InvalidParameterError, match=f"positive integer, got {cap}$"):
+        refine(np.array([[4.0, 4.0]]), empty_rect, grid, sensor, max_iterations=cap)
 
 
-def test_refine_config_rejects_a_bool():
-    with pytest.raises(InvalidParameterError, match="positive integer, got True"):
-        RefineConfig(max_iterations=True)
+def test_refine_takes_a_numpy_integer_max_iterations(empty_rect):
+    grid, sensor, _ = make_problem(empty_rect, decay=0.3)
+    start = np.array([[4.0, 4.0], [15.0, 6.0]])
+    result = refine(start, empty_rect, grid, sensor, max_iterations=np.int64(3))
+    assert (result.reason, len(result.steps)) == ("max_iterations", 4)
+    assert_same_result(result, refine(start, empty_rect, grid, sensor, max_iterations=3))
 
 
 def test_refine_improves_and_stays_feasible(one_block):
     grid, sensor, _ = make_problem(one_block, decay=0.3)
     start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
-    result = refine(start, one_block, grid, sensor, RefineConfig(max_iterations=40))
+    result = refine(start, one_block, grid, sensor, max_iterations=40)
     assert result.value >= result.steps[0].value
     values = [s.value for s in result.steps]
     assert np.all(np.diff(values) >= -1e-12)
@@ -142,7 +146,7 @@ def test_refine_improves_and_stays_feasible(one_block):
 def test_refine_improves_a_close_pair(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [5.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, RefineConfig(max_iterations=30))
+    result = refine(start, empty_rect, grid, sensor, max_iterations=30)
     assert result.value > result.steps[0].value
 
 
@@ -151,7 +155,7 @@ def test_refine_converges_in_place_where_no_row_sees_mass(empty_rect):
     sensor = SensorModel(decay=0.1, radius=0.2)
     # integer coordinates sit between cell centers, over 0.2 away from each
     start = np.array([[4.0, 4.0], [15.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, RefineConfig())
+    result = refine(start, empty_rect, grid, sensor)
     assert result.reason == "converged"
     assert np.array_equal(result.positions, start)
     assert len(result.steps) == 1
@@ -160,14 +164,14 @@ def test_refine_converges_in_place_where_no_row_sees_mass(empty_rect):
 def test_refine_single_sweep_cap(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [15.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, RefineConfig(max_iterations=1))
+    result = refine(start, empty_rect, grid, sensor, max_iterations=1)
     assert len(result.steps) <= 2
 
 
 def test_refine_trace_rows_shape(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [15.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, RefineConfig(max_iterations=5))
+    result = refine(start, empty_rect, grid, sensor, max_iterations=5)
     rows = list(result.trace_rows())
     assert len(rows) == 2 * len(result.steps)
     iters = sorted({r[0] for r in rows})
@@ -180,22 +184,18 @@ def test_refine_trace_rows_shape(empty_rect):
 def test_refine_rejects_bad_start(empty_rect):
     grid, sensor, _ = make_problem(empty_rect)
     with pytest.raises(InvalidParameterError, match="position 1"):
-        refine(
-            np.array([[4.0, 4.0], [50.0, 5.0]]), empty_rect, grid, sensor, RefineConfig()
-        )
+        refine(np.array([[4.0, 4.0], [50.0, 5.0]]), empty_rect, grid, sensor)
     with pytest.raises(InvalidParameterError):
-        refine(np.empty((0, 2)), empty_rect, grid, sensor, RefineConfig())
+        refine(np.empty((0, 2)), empty_rect, grid, sensor)
     with pytest.raises(InvalidParameterError, match="distinct"):
-        refine(
-            np.array([[4.0, 4.0], [4.0, 4.0]]), empty_rect, grid, sensor, RefineConfig()
-        )
+        refine(np.array([[4.0, 4.0], [4.0, 4.0]]), empty_rect, grid, sensor)
 
 
 def test_refine_agents_never_merge(empty_rect):
     # two agents pulled toward the same optimum must keep their spacing
     grid, sensor, _ = make_problem(empty_rect, decay=0.4)
     start = np.array([[9.9, 5.0], [10.1, 5.0]])
-    result = refine(start, empty_rect, grid, sensor, RefineConfig(max_iterations=50))
+    result = refine(start, empty_rect, grid, sensor, max_iterations=50)
     for step in result.steps:
         d = np.linalg.norm(step.positions[0] - step.positions[1])
         assert d >= gradient.COLLISION_RADIUS
@@ -218,7 +218,7 @@ def agent_gradient(pos, weighted_miss, row, grid, sensor):
     return sensor.decay * (pull @ d)
 
 
-def central_difference(pos, weighted_miss, space, grid, sensor, fd_epsilon):
+def central_difference(pos, miss, space, grid, sensor, fd_epsilon):
     """Oracle: central differences of the agent's part of the objective.
 
     Probes outside the feasible region are projected back into it; a component
@@ -231,9 +231,8 @@ def central_difference(pos, weighted_miss, space, grid, sensor, fd_epsilon):
         if not is_feasible(plus, space) and not is_feasible(minus, space):
             continue
         h_plus, h_minus = (
-            gradient._partial_term(
-                weighted_miss,
-                detection_row(project_feasible(p, space), space, grid.centers, sensor),
+            marginal_gain(
+                grid, miss, detection_row(project_feasible(p, space), space, grid.centers, sensor)
             )
             for p in (plus, minus)
         )
@@ -252,7 +251,8 @@ def _check_against_oracle(pos, i, space, grid, sensor):
     """
     assume(float(np.min(np.linalg.norm(grid.centers - pos[i], axis=1))) >= 0.1)
     rows = detection_matrix(pos, space, grid.centers, sensor)
-    wm = grid.weights * others_miss(rows, i)
+    miss = others_miss(rows, i)
+    wm = grid.weights * miss
     analytic = agent_gradient(pos[i], wm, rows[i], grid, sensor)
     assert np.array_equal(analytic, objective_gradient(pos, i, space, grid, sensor))
     every = [agent_gradient(p, grid.weights * others_miss(rows, k), rows[k], grid, sensor)
@@ -260,7 +260,7 @@ def _check_against_oracle(pos, i, space, grid, sensor):
     assert np.array_equal(gradient._gradients(pos, rows, grid, sensor), every)
     scale = sensor.decay * float(wm @ rows[i])
     for eps in (1e-3, 5e-4):
-        oracle = central_difference(pos[i], wm, space, grid, sensor, eps)
+        oracle = central_difference(pos[i], miss, space, grid, sensor, eps)
         assert np.linalg.norm(analytic - oracle) <= 1e-5 * scale
 
 
@@ -337,7 +337,7 @@ def test_line_search_stops_halving_at_fd_epsilon(one_block, monkeypatch):
     grid, sensor, _ = make_problem(one_block, cell_size=4.0, decay=0.3)
     start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
     scales = _spy_scales(monkeypatch)
-    result = refine(start, one_block, grid, sensor, RefineConfig(max_iterations=30))
+    result = refine(start, one_block, grid, sensor, max_iterations=30)
     assert min(scales) >= 4e-3
     assert set(scales) <= {2.0 * 0.5**k for k in range(9)}
     assert 2.0**-7 in scales  # the search did reach the floor
@@ -375,7 +375,7 @@ def test_rows_counts_every_row_refine_asks_for(one_block, monkeypatch):
 
     monkeypatch.setattr(gradient, "detection_row", spy_row)
     monkeypatch.setattr(gradient, "detection_matrix", spy_matrix)
-    result = refine(start, one_block, grid, sensor, RefineConfig(max_iterations=20))
+    result = refine(start, one_block, grid, sensor, max_iterations=20)
     assert result.rows == asked[0] > len(start)
 
 
@@ -393,19 +393,19 @@ PARENT_ROWS = {
 
 @functools.lru_cache(maxsize=None)
 def _bundled(name):
-    """A bundled scenario's problem at its own settings and its greedy seed."""
+    """A bundled scenario's problem and refine settings, and its greedy seed."""
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
     grid = sc.build_grid(space)
     sensor = sc.build_sensor()
     seed = greedy_place(space, grid, sensor, sc.build_candidates(space), sc.team_size)
-    return (seed.positions, space, grid, sensor, sc.build_refine_config()), seed
+    return (seed.positions, space, grid, sensor), sc.refine, seed
 
 
 @functools.lru_cache(maxsize=None)
 def _bundled_refine(name):
-    problem, seed = _bundled(name)
-    return seed, refine(*problem)
+    problem, options, seed = _bundled(name)
+    return seed, refine(*problem, **options)
 
 
 @pytest.mark.parametrize("name", sorted(PARENT_ROWS))
@@ -415,7 +415,7 @@ def test_refine_rows_guard_on_bundled_scenarios(name):
     assert result.rows <= PARENT_ROWS[name]
 
 
-def reference_refine(initial, space, grid, sensor, cfg):
+def reference_refine(initial, space, grid, sensor, max_iterations):
     """Refine as it was before the joint step was stacked.
 
     Each iteration takes the agents' gradients one at a time from the oracle,
@@ -430,7 +430,7 @@ def reference_refine(initial, space, grid, sensor, cfg):
     value = coverage_from_rows(grid, rows)
     steps = [gradient.RefineStep(0, pos.copy(), value, np.zeros(n))]
     reason = "max_iterations"
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         grads = np.zeros((n, 2))
         for i in range(n):
             grads[i] = agent_gradient(
@@ -502,8 +502,8 @@ def assert_same_result(got, want):
 
 @pytest.mark.parametrize("name", sorted(PARENT_ROWS))
 def test_refine_matches_the_per_agent_reference_on_bundled_scenarios(name):
-    problem, _ = _bundled(name)
-    assert_same_result(_bundled_refine(name)[1], reference_refine(*problem))
+    problem, options, _ = _bundled(name)
+    assert_same_result(_bundled_refine(name)[1], reference_refine(*problem, **options))
 
 
 @pytest.fixture()
@@ -549,10 +549,9 @@ def test_refine_matches_the_reference_where_steps_hug_a_wall(request, branches, 
     space = request.getfixturevalue(shape)
     grid = _peaked(space, peak)
     sensor = SensorModel(decay=0.3, radius=30.0)
-    cfg = RefineConfig(max_iterations=10)
-    result = refine(np.array(start), space, grid, sensor, cfg)
+    result = refine(np.array(start), space, grid, sensor, max_iterations=10)
     assert branches["projected"] > 0
-    assert_same_result(result, reference_refine(start, space, grid, sensor, cfg))
+    assert_same_result(result, reference_refine(start, space, grid, sensor, max_iterations=10))
 
 
 @pytest.mark.parametrize(
@@ -571,16 +570,15 @@ def test_refine_matches_the_reference_when_a_mover_forfeits(branches, peak, star
         grid = QuadratureGrid(corridor, 1.0, GaussianMixtureDensity(
             centers=[(peak, 0.5)], weights=[1.0], sigmas=[0.5], baseline=0.01))
     start = np.array(start)
-    cfg = RefineConfig(max_iterations=5)
-    result = refine(start, corridor, grid, sensor, cfg)
+    result = refine(start, corridor, grid, sensor, max_iterations=5)
     assert result.forfeits == branches["forfeits"] > 0
     first = result.steps[1].positions
     assert first[stays, 0] == start[stays, 0] and first[1 - stays, 0] != start[1 - stays, 0]
-    assert_same_result(result, reference_refine(start, corridor, grid, sensor, cfg))
+    assert_same_result(result, reference_refine(start, corridor, grid, sensor, max_iterations=5))
 
 
 def test_refine_counts_its_rescue_sweeps(monkeypatch):
-    problem, _ = _bundled("wall_60x50")
+    problem, options, _ = _bundled("wall_60x50")
     sweeps = [0]
     agent_sweep = gradient._agent_sweep
 
@@ -589,7 +587,7 @@ def test_refine_counts_its_rescue_sweeps(monkeypatch):
         return agent_sweep(*args)
 
     monkeypatch.setattr(gradient, "_agent_sweep", spy)
-    result = refine(*problem)
+    result = refine(*problem, **options)
     assert result.rescues == sweeps[0] > 0
     assert result.forfeits == 0  # greedy's lattice spreads the agents apart
 
@@ -629,9 +627,8 @@ def test_joint_step_decides_and_builds_in_one_call_each(empty_rect, monkeypatch,
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     # a lopsided huddle: every agent has room to spread and none lands on another
     start = np.array([[6.3 + 1.5 * (k % 5), 3.7 + 2.1 * (k // 5)] for k in range(n)])
-    cfg = RefineConfig(max_iterations=1)
     joint_step_calls = _spy_joint_step(monkeypatch)
-    result = refine(start, empty_rect, grid, sensor, cfg)
+    result = refine(start, empty_rect, grid, sensor, max_iterations=1)
     assert (result.reason, len(result.steps)) == ("max_iterations", 2)  # the step was taken
     changed = int(np.sum(np.any(result.positions != start, axis=1)))
     assert changed == n

@@ -1,15 +1,15 @@
 import json
-from dataclasses import fields
+from inspect import signature
 
 import numpy as np
 import pytest
 
 from coverplan import (
-    RefineConfig,
     Scenario,
     ScenarioError,
     bundled_scenario_path,
     parse_scenario,
+    refine,
     save_scenario,
     scenario_from_dict,
 )
@@ -38,7 +38,7 @@ def test_minimal_scenario_builds():
     cand = sc.build_candidates(space)
     assert len(cand) > 0
     assert sc.build_sensor().decay == 0.1
-    assert sc.build_refine_config().max_iterations == 500
+    assert sc.refine == {}
 
 
 def test_bundled_scenarios_parse_and_build():
@@ -78,11 +78,13 @@ def test_removed_refine_keys_are_unknown(key, value):
         scenario_from_dict(variant(refine={"max_iterations": 5, key: value}))
 
 
-def test_refine_keys_are_the_config_fields():
-    assert {f.name for f in fields(RefineConfig)} == {"max_iterations"}
-    refine = {"max_iterations": 7}
-    cfg = scenario_from_dict(variant(refine=refine)).build_refine_config()
-    assert cfg == RefineConfig(**refine)
+def test_refine_keys_are_refines_keyword_arguments():
+    # a scenario's refine object is passed to refine() as keyword arguments
+    params = signature(refine).parameters
+    assert {k for k, p in params.items() if p.default is not p.empty} == {"max_iterations"}
+    assert params["max_iterations"].default == 500
+    options = {"max_iterations": 7}
+    assert scenario_from_dict(variant(refine=options)).refine == options
 
 
 def test_missing_required_fields():
