@@ -147,7 +147,7 @@ def _write_positions(path: Path, positions: np.ndarray):
 
 def _read_positions(path, space) -> np.ndarray:
     """Agent positions by agent number; each must be finite and feasible in ``space``."""
-    rows = []
+    rows = {}  # agent -> (x, y, line)
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -165,14 +165,19 @@ def _read_positions(path, space) -> np.ndarray:
             raise ScenarioError(f"{path}:{ln}: {exc}") from exc
         if not (np.isfinite(x) and np.isfinite(y)):
             raise ScenarioError(f"{path}:{ln}: coordinates must be finite, got {line!r}")
-        rows.append((agent, x, y, ln))
+        if agent in rows:
+            raise ScenarioError(
+                f"{path}:{ln}: agent {agent} already given on line {rows[agent][2]}"
+            )
+        rows[agent] = (x, y, ln)
     if not rows:
         raise ScenarioError(f"positions file {path} holds no positions")
-    rows.sort(key=lambda r: r[0])
-    positions = np.array([[x, y] for _, x, y, _ in rows])
+    agents = sorted(rows)
+    positions = np.array([rows[agent][:2] for agent in agents])
     outside = np.flatnonzero(~space.feasible_many(positions))
     if len(outside):
-        agent, x, y, ln = rows[outside[0]]
+        agent = agents[outside[0]]
+        x, y, ln = rows[agent]
         raise ScenarioError(
             f"{path}:{ln}: agent {agent} at ({_fmt(x)}, {_fmt(y)}) is outside the feasible region"
         )

@@ -33,11 +33,16 @@ run inside another obstacle, for a stretch of positive length.
 
 All predicates use the tolerance ``EPS`` (in length units) and assume inputs
 are well separated relative to it: a sight line from a point within a few EPS
-of a ring vertex, but not within EPS of it, may be decided either way.
+of a ring vertex, but not within EPS of it, may be decided either way.  A
+ring is simple when no edge is at most EPS long and no two edges touch: no
+end of an edge lies within EPS of another edge (the vertex two neighbours
+share does not count), and no two edges cross at a point inside both.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import cached_property
 
 import numpy as np
@@ -73,35 +78,6 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def segments_intersect(p1, p2, q1, q2) -> bool:
-    """True if the closed segments p1-p2 and q1-q2 share at least one point."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-
-    def on_segment(a, b, c):
-        # c collinear with a-b assumed; check bounding box
-        return (
-            min(a[0], b[0]) - EPS <= c[0] <= max(a[0], b[0]) + EPS
-            and min(a[1], b[1]) - EPS <= c[1] <= max(a[1], b[1]) + EPS
-        )
-
-    if d1 == 0 and on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and on_segment(p1, p2, q2):
-        return True
-    return False
-
-
 def _edge_dist2(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distance from points p to closed edges a-b; broadcasts over leading axes."""
     ab = b - a
@@ -110,6 +86,21 @@ def _edge_dist2(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     t = np.clip((d[..., 0] * ab[..., 0] + d[..., 1] * ab[..., 1]) / ab2, 0.0, 1.0)
     r = p - (a + t[..., None] * ab)
     return r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1]
+
+
+def _near_edge(p, a, b) -> bool:
+    """Whether p lies within EPS of the edge a-b, longer than EPS: ``_edge_dist2`` in floats."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    t = ((p[0] - a[0]) * abx + (p[1] - a[1]) * aby) / (abx * abx + aby * aby)
+    t = min(max(t, 0.0), 1.0)
+    rx, ry = p[0] - (a[0] + t * abx), p[1] - (a[1] + t * aby)
+    return rx * rx + ry * ry <= EPS * EPS
+
+
+def _cross_inside(p1, p2, q1, q2) -> bool:
+    """Whether segments p1-p2 and q1-q2 cross at a point inside both."""
+    d = _cross(q1, q2, p1), _cross(q1, q2, p2), _cross(p1, p2, q1), _cross(p1, p2, q2)
+    return min(d[:2]) < 0 < max(d[:2]) and min(d[2:]) < 0 < max(d[2:])
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -201,35 +192,32 @@ class Polygon:
         return bool(np.all(t >= -EPS) or np.all(t <= EPS))
 
     def _validate_simple(self):
-        a, b = self.edges
-        n = len(self.vertices)
-        lengths = np.linalg.norm(b - a, axis=1)
-        if np.any(lengths <= EPS):
-            raise GeometryError("polygon has a zero-length edge (repeated vertex)")
-        for i in range(n):
-            for j in range(i + 1, n):
-                adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-                if adjacent:
-                    # consecutive edges may only share their common vertex
-                    shared = b[i] if j == i + 1 else b[j]
-                    other_i = a[i] if j == i + 1 else a[j]
-                    other_j = b[j] if j == i + 1 else b[i]
-                    d = _cross(shared, other_i, other_j)
-                    edge_scale = lengths[i] * lengths[j]
-                    if abs(d) <= 1e-12 * max(edge_scale, 1.0):
-                        # collinear neighbours: reject if they fold back over each other
-                        u = other_i - shared
-                        v = other_j - shared
-                        if float(u @ v) > EPS:
-                            raise GeometryError(
-                                "polygon folds back on itself at vertex "
-                                f"({shared[0]:g}, {shared[1]:g})"
-                            )
-                    continue
-                if segments_intersect(a[i], b[i], a[j], b[j]):
-                    raise GeometryError(
-                        f"polygon is self-intersecting (edges {i} and {j} touch)"
-                    )
+        """No edge is at most EPS long, and no two edges touch.
+
+        Two edges touch when an end of one lies within EPS of the other edge
+        (an end the two share does not count), or when they cross at a point
+        inside both.  Neighbours that touch fold back at the vertex they share.
+        """
+        v = self.vertices.tolist()
+        n = len(v)
+        edges = [(v[e], v[(e + 1) % n]) for e in range(n)]
+        for (ax, ay), (bx, by) in edges:
+            if math.sqrt((bx - ax) * (bx - ax) + (by - ay) * (by - ay)) <= EPS:
+                raise GeometryError("polygon has a zero-length edge (repeated vertex)")
+        # near[e][k]: vertex k, not an end of edge e, lies within EPS of edge e
+        near = [
+            [k != e and k != (e + 1) % n and _near_edge(v[k], *edges[e]) for k in range(n)]
+            for e in range(n)
+        ]
+        for i, j in itertools.combinations(range(n), 2):
+            i1, j1 = (i + 1) % n, (j + 1) % n
+            touch = near[j][i] or near[j][i1] or near[i][j] or near[i][j1]
+            if not (touch or _cross_inside(*edges[i], *edges[j])):
+                continue
+            if shared := {i, i1} & {j, j1}:
+                x, y = v[shared.pop()]
+                raise GeometryError(f"polygon folds back on itself at vertex ({x:g}, {y:g})")
+            raise GeometryError(f"polygon is self-intersecting (edges {i} and {j} touch)")
 
     # -- containment ---------------------------------------------------------
 

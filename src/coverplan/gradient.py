@@ -30,6 +30,7 @@ from .errors import InvalidParameterError
 from .field import QuadratureGrid
 from .geometry import (
     MissionSpace,
+    _dot,
     as_points_array,
     as_xy,
     closest_point_on_segment,
@@ -102,8 +103,7 @@ def project_feasible(p, space: MissionSpace) -> np.ndarray:
         # no feasible edge projection exists only for pathological spaces
         raise InvalidParameterError("could not project point onto the feasible region")
     d = q[ok] - pt
-    d2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # rounded as the 1-D d @ d is
-    return q[ok[np.argmin(d2)]].copy()
+    return q[ok[np.argmin(_dot(d, d))]].copy()
 
 
 def _gradients(pos, rows, grid: QuadratureGrid, sensor: SensorModel) -> np.ndarray:

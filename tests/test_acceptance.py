@@ -29,7 +29,7 @@ from coverplan import (
     sweep_bounds,
 )
 
-from conftest import random_space
+from problems import random_space
 
 BUNDLED = ["empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50"]
 

@@ -5,7 +5,7 @@ import dataclasses
 import coverplan
 from coverplan import GreedyResult, Polygon, QuadratureGrid, RefineResult, UniformDensity, geometry
 
-REMOVED = ("Point", "is_visible", "visible_many", "point_in_polygon")
+REMOVED = ("Point", "is_visible", "visible_many", "point_in_polygon", "segments_intersect")
 
 
 def test_every_exported_name_resolves():

@@ -304,6 +304,16 @@ def test_non_finite_position_exits_2(tmp_path, small_scenario, capsys, command, 
 
 
 @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+def test_a_repeated_agent_exits_2(tmp_path, small_scenario, capsys, command):
+    pos = tmp_path / "pos.csv"
+    pos.write_text("agent,x,y\n0,5.0,5.0\n1,15.0,5.0\n0,10.0,5.0\n")
+    code = main([command, "--scenario", small_scenario, "--positions-file", str(pos),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{pos}:4: agent 0 already given on line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "heatmap"])
 def test_agent_outside_the_feasible_region_exits_2(tmp_path, capsys, command):
     path = tmp_path / "block.json"
     path.write_text(json.dumps(dict(SMALL, obstacles=[[[8, 3], [12, 3], [12, 7], [8, 7]]])))

@@ -22,7 +22,7 @@ from coverplan import (
 from coverplan import geometry
 from coverplan.geometry import EPS, closest_point_on_segment
 
-from conftest import random_space
+from problems import random_space
 from los_reference import reference_feasible_many
 from test_line_of_sight import BUNDLED, u_space
 

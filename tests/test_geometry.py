@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from coverplan import GeometryError, MissionSpace, Polygon, geometry, is_feasible
 from coverplan.scenario import bundled_scenario_path, parse_scenario, scenario_from_dict
-from coverplan.geometry import EPS, closest_point_on_segment, line_of_sight_many, segments_intersect
+from coverplan.geometry import EPS, closest_point_on_segment, line_of_sight_many
 
-from conftest import TOUCHING_LAYOUTS, sees
+from los_reference import reference_line_of_sight_many
+from problems import TOUCHING_LAYOUTS, sees
 from validation_reference import validate_reference
 
 
@@ -108,12 +109,71 @@ def test_boundary_points_count_as_inside():
     assert not poly.strictly_contains_many([(7, 6)])[0]
 
 
-def test_segments_intersect_basics():
-    assert segments_intersect((0, 0), (4, 4), (0, 4), (4, 0))
-    assert segments_intersect((0, 0), (4, 0), (2, 0), (6, 0))  # collinear overlap
-    assert segments_intersect((0, 0), (4, 0), (4, 0), (6, 3))  # shared endpoint
-    assert not segments_intersect((0, 0), (4, 0), (0, 1), (4, 1))
-    assert not segments_intersect((0, 0), (1, 0), (3, 0), (5, 0))  # collinear, apart
+def test_ring_edge_pairs_touch_or_not():
+    # crossing: (0,0)-(4,4) and (0,4)-(4,0)
+    assert (
+        error_text(Polygon, [(0, 0), (4, 4), (0, 4), (4, 0)])
+        == "polygon is self-intersecting (edges 0 and 2 touch)"
+    )
+    # collinear overlap: (0,0)-(4,0) and (6,0)-(2,0)
+    assert (
+        error_text(Polygon, [(0, 0), (4, 0), (5, -1), (6, 0), (2, 0), (1, 3)])
+        == "polygon is self-intersecting (edges 0 and 3 touch)"
+    )
+    # shared endpoint: (0,0)-(2,2) and (4,5)-(2,2), which are not neighbours
+    assert (
+        error_text(Polygon, [(0, 0), (2, 2), (4, 0), (4, 5), (2, 2), (0, 5)])
+        == "polygon is self-intersecting (edges 0 and 3 touch)"
+    )
+    # parallel, apart: (0,0)-(4,0) and (4,1)-(0,1)
+    Polygon([(0, 0), (4, 0), (4, 1), (0, 1)])
+    # collinear, apart: (0,0)-(1,0) and (3,0)-(5,0)
+    Polygon([(0, 0), (1, 0), (2, -1), (3, 0), (5, 0), (5, 2), (0, 2)])
+
+
+def notch(h):
+    """A square whose top is pushed down to a tip h above the bottom edge."""
+    return [(0, 0), (4, 0), (4, 4), (2, h), (0, 4)]
+
+
+def test_a_notch_tip_touches_the_edge_below_within_eps_and_blocks_past_it():
+    for h in (1e-10, 1e-9):
+        assert error_text(Polygon, notch(h)) == "polygon is self-intersecting (edges 0 and 2 touch)"
+    space = MissionSpace(Polygon(notch(2e-9)))
+    src, target = (1, 1.5), np.array([[3, 1.5]])
+    assert not line_of_sight_many(src, target, space)[0]
+    assert not reference_line_of_sight_many(src, target, space)[0]
+
+
+def test_a_fold_through_the_closing_pair_names_vertex_0():
+    # edge 3, from (0,0) to (4,0), runs back over edge 0
+    ring = [(4, 0), (2, 0), (2, 4), (0, 0)]
+    assert error_text(Polygon, ring) == "polygon folds back on itself at vertex (4, 0)"
+    s = 2.0**-17
+    assert (
+        error_text(Polygon, [(x * s, y * s) for x, y in ring])
+        == f"polygon folds back on itself at vertex ({4 * s:g}, 0)"
+    )
+
+
+def ring_verdict(ring, scale):
+    """The scaled ring's verdict: accepted, or its error with a fold's vertex named by index."""
+    scaled = [(x * scale, y * scale) for x, y in ring]
+    try:
+        Polygon(scaled)
+    except GeometryError as exc:
+        msg = str(exc)
+        folds = [k for k, (x, y) in enumerate(scaled) if msg.endswith(f"vertex ({x:g}, {y:g})")]
+        return f"folds back at vertex {folds[0]}" if folds else msg
+    return "accepted"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=7))
+def test_a_lattice_ring_gets_one_verdict_at_every_scale(ring):
+    want = ring_verdict(ring, 1.0)
+    for e in range(-16, 11):
+        assert ring_verdict(ring, 2.0**e) == want, 2.0**e
 
 
 def test_closest_point_on_segment():

@@ -30,7 +30,7 @@ from coverplan import (
 )
 from coverplan import gradient
 
-from conftest import make_problem
+from problems import make_problem
 
 
 def secant_directional(positions, i, direction, space, grid, sensor, t=1e-4):

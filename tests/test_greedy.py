@@ -19,7 +19,7 @@ from coverplan import (
 )
 from coverplan.greedy import GAIN_TOLERANCE
 
-from conftest import make_problem, random_space
+from problems import make_problem, random_space
 
 
 def test_greedy_matches_exhaustive_small(block_problem):

@@ -30,7 +30,7 @@ from coverplan import (
 
 from coverplan.geometry import EPS, _excursions
 
-from conftest import TOUCHING_LAYOUTS, random_space, sees
+from problems import TOUCHING_LAYOUTS, random_space, sees
 from los_reference import _segment_excursion, reference_line_of_sight_many
 
 BUNDLED = ("empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50")

@@ -12,7 +12,7 @@ from coverplan import (
     greedy_place,
 )
 
-from conftest import make_problem
+from problems import make_problem
 
 
 def test_brute_force_counts_subsets(empty_rect):

@@ -23,7 +23,7 @@ from coverplan import (
 )
 from coverplan.geometry import EPS
 
-from conftest import make_problem, sees
+from problems import make_problem, sees
 
 
 def test_sensor_model_validation():
