@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCandidateError, InvalidParameterError
+from .errors import DegenerateCandidateError, InvalidParameterError, positive_int
 from .field import QuadratureGrid
 
 
@@ -141,12 +141,6 @@ def _check_scalar(value: float, name: str) -> float:
     return min(1.0, max(0.0, float(value)))
 
 
-def _check_team(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"team size must be a positive integer, got {n}")
-    return int(n)
-
-
 def bound_from_total(c: float, team_size: int) -> float:
     """Greedy-to-optimal guarantee from the total curvature.
 
@@ -154,7 +148,7 @@ def bound_from_total(c: float, team_size: int) -> float:
     Decreases from 1 toward 1 - 1/e as c grows to 1.
     """
     c = _check_scalar(c, "total curvature")
-    n = _check_team(team_size)
+    n = positive_int(team_size, "team size")
     if n == 1 or c == 0.0:
         return 1.0
     return float(-np.expm1(n * np.log1p(-c / n)) / c)
@@ -168,7 +162,7 @@ def bound_from_elemental(alpha: float, team_size: int) -> float:
     guarantee at c = 1.
     """
     alpha = _check_scalar(alpha, "elemental curvature")
-    n = _check_team(team_size)
+    n = positive_int(team_size, "team size")
     if n == 1:
         return 1.0
     if alpha >= 1.0:
@@ -230,7 +224,7 @@ def bound_report(
     ``scratch``, an array shaped like ``probs`` that the report may
     overwrite, spares a sweep one (n, T) allocation per value.
     """
-    n = _check_team(team_size)
+    n = positive_int(team_size, "team size")
     probs, alone, keep = _ground_set(probs, grid)
     c, worst_candidate = _total_curvature_argmax(probs, alone, keep, grid, scratch)
     alpha, worst_pair = _elemental_curvature_argmin(probs, keep, grid, domain)

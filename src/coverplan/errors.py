@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numpy as np
 
 
 class CoverplanError(Exception):
@@ -7,6 +9,13 @@ class CoverplanError(Exception):
 
 class InvalidParameterError(CoverplanError):
     """A numeric argument is outside its documented range."""
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` as an int; a bool, a non-integer or one below 1 is an InvalidParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {value}")
+    return int(value)
 
 
 class GeometryError(CoverplanError):

@@ -20,23 +20,26 @@ cell centers).  ``line_of_sight_many`` takes one source or a stack of them
 and keeps the target-side work for the last target set on the mission space.
 Seen from a source, a convex obstacle hides exactly the targets in its
 shadow, bounded by the two sight lines through its tangent vertices and the
-chord between them.  So every blocking ring is cut once, on first use, into
-the convex pieces of ``coverplan.shadows``.  The tangent vertices of every
-piece are found for a whole stack of sources at once, and a target then
-needs three half-plane tests per piece, not a pass per edge.  A target
-within EPS of a shadow's edge, or on a ring the source lies on, falls back
-to an exact test, batched per ring for the whole stack: the contact
-parameters of every (segment, edge) pair are sorted row by row and every gap
-midpoint is probed in one containment call.  The same exact test decides
-whether a space is valid: an obstacle edge may not leave the boundary, nor
-run inside another obstacle, for a stretch of positive length.
+chord between them.  So every blocking ring becomes, once and on first use,
+the pieces of ``coverplan.shadows``: a convex ring is one piece, any other
+ring one piece per edge.  The tangent vertices of every piece are found for
+a whole stack of sources at once, and a target then needs three half-plane
+tests per piece.  A target within EPS of a shadow's edge, or on a ring the
+source lies on, falls back to an exact test, batched per ring for the whole
+stack: the contact parameters of every (segment, edge) pair are sorted row
+by row and every gap midpoint is probed in one containment call.  The same
+exact test decides whether a space is valid: an obstacle edge may not leave
+the boundary, nor run inside another obstacle, for a stretch of positive
+length.
 
 All predicates use the tolerance ``EPS`` (in length units) and assume inputs
 are well separated relative to it: a sight line from a point within a few EPS
 of a ring vertex, but not within EPS of it, may be decided either way.  A
 ring is simple when no edge is at most EPS long and no two edges touch: no
 end of an edge lies within EPS of another edge (the vertex two neighbours
-share does not count), and no two edges cross at a point inside both.
+share does not count), and no two edges cross at a point inside both.  Its
+area must exceed EPS/2 times its longest edge, as a triangle's does when no
+vertex lies within EPS of the opposite edge.
 """
 
 from __future__ import annotations
@@ -160,7 +163,8 @@ class Polygon:
             raise GeometryError("polygon vertices must be finite")
         self.vertices = verts
         self._validate_simple()
-        if abs(self.signed_area) < 1e-12:
+        a, b = self.edges
+        if abs(self.signed_area) <= 0.5 * EPS * np.hypot(*(b - a).T).max():
             raise GeometryError("polygon has zero area")
 
     @cached_property
@@ -360,12 +364,12 @@ class MissionSpace:
 
     @cached_property
     def _shadows(self):
-        """The convex pieces of the blocking rings, built on first use."""
+        """The pieces of the blocking rings, built on first use."""
         # imported on first use, so importing the package, or a run in which
         # no sight line passes an obstacle, never compiles it
         from .shadows import Shadows
 
-        return Shadows(self._blocking)
+        return Shadows(self._rings, len(self._rings.polys) - len(self._blocking))
 
     def _sight_memo(self, tgt: np.ndarray) -> _SightMemo:
         """Target-side sight-line geometry for ``tgt``, kept for the last target set."""

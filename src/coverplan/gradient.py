@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, positive_int
 from .field import QuadratureGrid
 from .geometry import (
     MissionSpace,
@@ -168,9 +168,7 @@ def refine(
     any more ("no_improvement"), or after ``max_iterations`` iterations
     ("max_iterations").  The objective trace never decreases.
     """
-    cap = max_iterations
-    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-        raise InvalidParameterError(f"max_iterations must be a positive integer, got {cap}")
+    max_iterations = positive_int(max_iterations, "max_iterations")
     pos = as_points_array(initial).copy()
     n = len(pos)
     if n == 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCandidateSetError, InvalidParameterError
+from .errors import EmptyCandidateSetError, InvalidParameterError, positive_int
 from .field import QuadratureGrid
 from .geometry import MissionSpace, as_points_array
 from .sensing import SensorModel, detection_matrix, marginal_gain
@@ -65,8 +65,7 @@ def greedy_place(
     cand = as_points_array(candidates)
     if len(cand) == 0:
         raise EmptyCandidateSetError("candidate set is empty")
-    if isinstance(team_size, bool) or not isinstance(team_size, (int, np.integer)) or team_size < 1:
-        raise InvalidParameterError(f"team size must be a positive integer, got {team_size}")
+    team_size = positive_int(team_size, "team size")
     if method not in ("eager", "lazy"):
         raise InvalidParameterError(f"method must be 'eager' or 'lazy', got {method!r}")
 
@@ -86,7 +85,7 @@ def greedy_place(
     total = 0.0
     stopped = False
     # more agents than candidates: place everyone, the constraint is slack
-    for step in range(min(int(team_size), len(cand))):
+    for step in range(min(team_size, len(cand))):
         j, g = pick(step)
         if g <= GAIN_TOLERANCE:
             stopped = True

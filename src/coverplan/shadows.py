@@ -1,114 +1,59 @@
-"""Convex pieces of the rings that block sight lines, and the shadows they cast.
+"""The pieces of the rings that block sight lines, and the shadows they cast.
 
 Seen from a source, a convex piece hides exactly the targets in its shadow:
 past the chord between its two tangent vertices and between the sight lines
 through them (as in visibility-polygon methods, Asano 1985).  A convex
-obstacle is one piece and any other is cut into ears; a non-convex boundary
-blocks a sight line where it leaves the boundary, that is, where it crosses
-one of the pockets between the boundary and its convex hull, cut the same
-way.  ``geometry.line_of_sight_many`` tests targets against the lines built
-here and falls back to its exact test near them.
+blocking ring is one piece.  Any other ring, obstacle or boundary, is one
+piece per edge: a segment between two feasible points spends positive length
+inside an obstacle, or outside a non-convex boundary, exactly when it crosses
+one of the ring's edges or passes a vertex, and an edge hides the targets
+behind it.  ``geometry.line_of_sight_many`` tests targets against the lines
+built here and falls back to its exact test near them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GeometryError
-from .geometry import EPS, Polygon, _cross, _edge_dist2, _Rings, _turns
+from .geometry import EPS, Polygon, _edge_dist2, _Rings, _turns
 
 
-def _ccw(v: np.ndarray) -> np.ndarray:
+def _ccw(poly: Polygon) -> np.ndarray:
     """The ring counter-clockwise, without its straight vertices."""
-    x, y = v[:, 0], v[:, 1]
-    if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0:
-        v = v[::-1]
+    v = poly.vertices if poly.signed_area > 0 else poly.vertices[::-1]
     while len(v) >= 3 and np.any(straight := np.abs(_turns(v)) <= EPS):
         v = v[~straight]
     return v
 
 
-def _hull(v: np.ndarray) -> np.ndarray:
-    """Counter-clockwise convex hull of the points (monotone chain), corners only."""
-    pts = sorted(map(tuple, v))
-
-    def chain(seq):
-        h = []
-        for p in seq:
-            while len(h) >= 2 and _cross(h[-2], h[-1], p) <= 0:
-                h.pop()
-            h.append(p)
-        return h[:-1]
-
-    return np.array(chain(pts) + chain(pts[::-1]))
-
-
-def _pockets(v: np.ndarray) -> list[np.ndarray]:
-    """Rings of the regions between the counter-clockwise ring v and its hull.
-
-    The ring touches its hull at some vertices; each run of ring vertices
-    between two touches, closed by the hull edge across, bounds one pocket.
-    """
-    hull = _hull(v)
-    touch = np.flatnonzero(
-        np.any(_edge_dist2(v[:, None], hull, np.roll(hull, -1, axis=0)) <= EPS * EPS, axis=1)
-    )
-    n = len(v)
-    spans = (np.roll(touch, -1) - touch) % n
-    return [v[(p + np.arange(span + 1)) % n] for p, span in zip(touch, spans) if span > 1]
-
-
-def _convex_pieces(v: np.ndarray) -> list[np.ndarray]:
-    """Counter-clockwise convex rings whose union is the ring v: v itself, or its ears.
-
-    Ear clipping cuts off a convex vertex whose triangle holds no other
-    vertex, not even within EPS, so every cut runs through the interior.
-    """
-    ring = _ccw(v)
+def _pieces(poly: Polygon) -> list[np.ndarray]:
+    """The ring itself if it is convex, counter-clockwise; else each edge as a two-vertex piece."""
+    ring = _ccw(poly)
     if len(ring) < 3:
         return []
     if np.all(_turns(ring) > 0):
         return [ring]
-    pieces = []
-    while len(ring) > 3:
-        n = len(ring)
-        for j in np.flatnonzero(_turns(ring) > 0):
-            corners = [(j - 1) % n, j, (j + 1) % n]
-            tri, rest = ring[corners], np.delete(ring, corners, axis=0)
-            e = np.roll(tri, -1, axis=0) - tri
-            # each other vertex's distance inside each triangle edge, times its length
-            rel = rest[:, None, :] - tri
-            side = e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]
-            if not np.any(np.all(side >= -EPS * np.hypot(e[:, 0], e[:, 1]), axis=1)):
-                break
-        else:
-            raise GeometryError("polygon has no ear to clip")
-        pieces.append(tri)
-        ring = _ccw(np.delete(ring, j, axis=0))
-    if len(ring) == 3:
-        pieces.append(ring)
-    return pieces
+    return list(np.stack([ring, np.roll(ring, -1, axis=0)], axis=1))
 
 
 class Shadows:
-    """The convex pieces of the blocking rings, padded to one vertex count.
+    """The pieces of the blocking rings, padded to one vertex count.
 
-    ``rings`` holds each blocking ring with whether its pockets block (a
-    boundary) or its interior does (an obstacle); ``owner`` tags each piece
-    with its ring.  A piece is padded by repeating its last edge, so the
-    tangent vertices of every piece, seen from every source of a stack, are
-    found in one pass.
+    The blocking rings are ``rings.polys[first:]``: the boundary blocks only
+    when it is not convex.  ``owner`` tags each piece with its blocking ring.
+    A piece is padded by repeating its last edge, so the tangent vertices of
+    every piece, seen from every source of a stack, are found in one pass.
+    A two-vertex piece's padding is its edge run backwards, so from either
+    side of its line its ends are the tangent vertices.
     """
 
-    def __init__(self, rings: list[tuple[Polygon, bool]]):
-        self.edges = _Rings([poly for poly, _ in rings])  # for the source-on-ring test
-        pieces, owner = [], []
-        for k, (poly, pockets) in enumerate(rings):
-            for ring in _pockets(_ccw(poly.vertices)) if pockets else [poly.vertices]:
-                for piece in _convex_pieces(ring):
-                    pieces.append(piece)
-                    owner.append(k)
-        self.owner = np.array(owner, dtype=int)
+    def __init__(self, rings: _Rings, first: int):
+        start = rings.sizes[:first].sum()
+        self.a, self.b = rings.a[start:], rings.b[start:]  # for the source-on-ring test
+        self.starts = rings.starts[first:] - start
+        per_ring = [_pieces(poly) for poly in rings.polys[first:]]
+        self.owner = np.repeat(np.arange(len(per_ring)), [len(p) for p in per_ring])
+        pieces = [piece for ring in per_ring for piece in ring]
         m = max((len(p) for p in pieces), default=3)
         self.vert = np.array(
             [np.concatenate([p, p[-1:].repeat(m - len(p), 0)]) for p in pieces]
@@ -158,6 +103,5 @@ class Shadows:
 
     def source_on(self, src: np.ndarray) -> np.ndarray:
         """(k, R): whether each source lies within EPS of each blocking ring."""
-        e = self.edges
-        d2 = _edge_dist2(src[:, None, :], e.a, e.b)
-        return np.logical_or.reduceat(d2 <= EPS * EPS, e.starts, axis=1)
+        d2 = _edge_dist2(src[:, None, :], self.a, self.b)
+        return np.logical_or.reduceat(d2 <= EPS * EPS, self.starts, axis=1)

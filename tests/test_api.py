@@ -1,6 +1,10 @@
 """The public surface: what ``coverplan`` exports, and names that are gone."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import coverplan
 from coverplan import GreedyResult, Polygon, QuadratureGrid, RefineResult, UniformDensity, geometry
@@ -25,3 +29,20 @@ def test_removed_names_stay_removed(empty_rect):
     assert not hasattr(RefineResult, "initial_value")
     grid = QuadratureGrid(empty_rect, 2.0, UniformDensity())
     assert not hasattr(grid, "space") and not hasattr(grid, "density")
+
+
+def test_the_shadow_kernel_is_imported_on_first_use_only():
+    # importing the package does not compile ``coverplan.shadows``; the first
+    # sight line that an obstacle can block does
+    code = (
+        "import sys, coverplan as c\n"
+        "before = 'coverplan.shadows' in sys.modules\n"
+        "space = c.MissionSpace(c.Polygon([(0, 0), (4, 0), (4, 4), (0, 4)]),"
+        " [c.Polygon([(1, 1), (3, 1), (3, 3), (1, 3)])])\n"
+        "c.line_of_sight_many((0, 0), [(4, 4)], space)\n"
+        "print(before, 'coverplan.shadows' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(coverplan.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]

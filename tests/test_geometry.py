@@ -57,7 +57,12 @@ def test_polygon_rejects_bad_rings():
         error_text(Polygon, [(0, 0), (6, 0), (6, 1e-15), (0, 1e-15)])
         == "polygon has a zero-length edge (repeated vertex)"
     )
-    assert error_text(Polygon, [(0, 0), (1e-6, 0), (0, 1e-6)]) == "polygon has zero area"
+    # jittered collinear points whose computed area is exactly 0
+    sliver = [(16.0000000005, 16.0000000001), (16.000000001, 15.99999999), (15.9999999995, 16.0)]
+    assert error_text(Polygon, sliver) == "polygon has zero area"
+    # the area rule is relative to the longest edge, so small triangles pass
+    for s in (1e-6, 2**-20):
+        assert Polygon([(0, 0), (s, 0), (0, s)]).area == 0.5 * s * s
     # a spur folds back along an edge
     assert (
         error_text(Polygon, [(0, 0), (4, 0), (2, 0), (2, 4)])

@@ -3,12 +3,15 @@
 Every mask must match the reference bit for bit (one pinned case aside, a
 source a few EPS from a vertex): on the bundled scenarios, on a non-convex
 boundary holding obstacles, around non-convex obstacles (which the kernel
-cuts into ears), on obstacles that touch each other or the boundary, on
-random spaces with sources snapped to vertices and edges, on rings with
-collinear neighbouring edges, for stacks of sources decided in one call, and
-across interleaved target sets, so the target-side memo kept on the mission
-space is never stale.
+takes edge by edge), around random non-convex lattice rings used both as an
+obstacle and as the boundary, on obstacles that touch each other or the
+boundary, on random spaces with sources snapped to vertices and edges, on
+rings with collinear neighbouring edges, for stacks of sources decided in
+one call, and across interleaved target sets, so the target-side memo kept
+on the mission space is never stale.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from coverplan import (
     project_feasible,
 )
 
-from coverplan.geometry import EPS, _excursions
+from coverplan.geometry import EPS, _cross_inside, _excursions
 
 from problems import TOUCHING_LAYOUTS, random_space, sees
 from los_reference import _segment_excursion, reference_line_of_sight_many
@@ -81,6 +84,31 @@ def star_space(rng):
         return MissionSpace(Polygon([(0, 0), (w, 0), (w, h), (0, h)]), [Polygon(ring)])
     except GeometryError:  # rounding folded the ring
         return None
+
+
+def nonconvex_lattice_ring(rng):
+    """A simple non-convex ring of 4-9 distinct vertices on the 7x7 integer lattice.
+
+    Random lattice points are ordered by 2-opt, reversing the run between
+    two crossing edges until no edges cross; rings that still touch, and
+    convex ones, are drawn again.
+    """
+    while True:
+        cells = rng.choice(49, size=int(rng.integers(4, 10)), replace=False)
+        v = np.c_[cells % 7, cells // 7].astype(float)
+        n, crossed = len(v), True
+        while crossed:  # each reversal shortens the ring, so this ends
+            crossed = False
+            for i, j in itertools.combinations(range(n), 2):
+                if 1 < j - i < n - 1 and _cross_inside(v[i], v[i + 1], v[j], v[(j + 1) % n]):
+                    v[i + 1 : j + 1] = v[i + 1 : j + 1][::-1].copy()
+                    crossed = True
+        try:
+            ring = Polygon(v)
+        except GeometryError:
+            continue
+        if not ring.is_convex:
+            return ring
 
 
 def collinear_space():
@@ -248,6 +276,27 @@ def test_shared_edge_blocks_only_across_it():
     assert not sees((4, 1), (7, 4), space)  # from the shared edge into the right square
 
 
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_matches_reference_on_random_nonconvex_rings(seed):
+    # the same ring as an obstacle in a box and as the boundary; sources on
+    # the half-unit lattice lie on a vertex or at least half a unit from it
+    rng = np.random.default_rng(seed)
+    ring = nonconvex_lattice_ring(rng)
+    box = Polygon([(-1, -1), (7, -1), (7, 7), (-1, 7)])
+    half = np.arange(-1, 7.25, 0.5)
+    lattice = np.stack(np.meshgrid(half, half), axis=-1).reshape(-1, 2)
+    for space in (MissionSpace(box, [ring]), MissionSpace(ring)):
+        free = lattice[space.feasible_many(lattice)]
+        sources = np.concatenate([ring.vertices, free[rng.choice(len(free), 8, replace=False)]])
+        targets = QuadratureGrid(space, 0.25, UniformDensity()).centers
+        targets = np.concatenate([targets, ring_points(space)])
+        stacked = line_of_sight_many(sources, targets, space)
+        for row, src in zip(stacked, sources):
+            assert np.array_equal(row, reference_line_of_sight_many(src, targets, space))
+            assert np.array_equal(row, line_of_sight_many(src, targets, space))
+
+
 def star_case(seed, snap, frac):
     """A star-shaped space, a source snapped to a vertex, an edge or nowhere, and targets."""
     rng = np.random.default_rng(seed)
@@ -289,7 +338,7 @@ def test_matches_reference_around_star_shaped_obstacles(seed, snap, frac):
 
 def test_a_ring_decides_its_own_points_for_a_source_a_few_eps_from_a_vertex():
     # the source lies 2.7e-9 from a vertex of the star, on one of its edges;
-    # the ear at that vertex would hide points of the next edge
+    # the piece at that vertex would hide points of the next edge
     space, src, targets = star_case(632739, "edge", 1e-9)
     assert_matches_reference([src], targets, space)
 
