@@ -9,15 +9,17 @@ the refined placement never scores below its seed.  The step, its floor
 and the stopping tolerance are multiples of the cell size, so a scenario
 scaled by a power of two refines the same, scaled.
 
-Each iteration takes every agent's gradient in one pass over the detection
-rows, then proposes a joint step of all agents against the same
-configuration.  At each step length the movers' targets are decided by one
-feasibility call, only the infeasible ones are projected, and the agents
-that moved get their new rows from one detection-matrix call.  Collisions
-are still tested in agent order: a target within ``COLLISION_RADIUS`` of
-another agent, as moved so far, is dropped.  When backtracking vetoes the
-joint step, the agents step one at a time along the same directions
-instead, each judged after the moves before it.
+Each iteration takes every agent's gradient at once: the others' miss of
+every agent from one running product over the detection rows, and every
+agent's pull against its cell offsets in one stacked matrix product.  It then
+proposes a joint step of all agents against the same configuration.  At each
+step length the movers' targets are decided by one feasibility call, only
+the infeasible ones are projected, and the agents that moved get their new
+rows from one detection-matrix call.  Collisions are still tested in agent
+order: a target within ``COLLISION_RADIUS`` of another agent, as moved so
+far, is dropped.  When backtracking vetoes the joint step, the agents step
+one at a time along the same directions instead, each judged after the moves
+before it.
 """
 
 from __future__ import annotations
@@ -111,23 +113,25 @@ def _gradients(pos, rows, grid: QuadratureGrid, sensor: SensorModel) -> np.ndarr
 
     For agent i each cell x adds decay * w * Π_{j≠i}(1 - p_j) * p_i * (x - s_i)
     / |x - s_i|: the exact derivative wherever no cell's sight line or range
-    flips.  A cell centred on the agent adds nothing.  The others' miss
-    multiplies the rows in ascending order, as ``np.prod`` does, so every
-    agent's gradient is the same to the bit as one computed on its own.
+    flips.  A cell centred on the agent adds nothing.  Agent i's share of the
+    others' miss starts as the running product of the rows before it, and the
+    rows after it multiply in ascending order, as ``np.prod`` does, so every
+    agent's gradient is the same to the bit as one computed on its own.  All
+    agents' pulls meet their differences x - s_i in one stacked product.
     """
     q = 1.0 - rows
-    pull = np.ones_like(rows)
-    for j in range(len(rows)):
+    pull = np.empty_like(rows)
+    pull[0] = 1.0
+    for j in range(1, len(rows)):
+        np.multiply(pull[j - 1], q[j - 1], out=pull[j])
         pull[:j] *= q[j]
-        pull[j + 1 :] *= q[j]
     pull *= grid.weights
     pull *= rows
-    dist = np.hypot(grid.centers[:, 0] - pos[:, :1], grid.centers[:, 1] - pos[:, 1:])
+    dx = grid.centers[:, 0] - pos[:, :1]
+    dy = grid.centers[:, 1] - pos[:, 1:]
+    dist = np.hypot(dx, dy)
     pull = np.divide(pull, dist, out=np.zeros_like(dist), where=dist > 0)
-    grads = np.empty((len(pos), 2))
-    for i in range(len(pos)):
-        grads[i] = sensor.decay * (pull[i] @ (grid.centers - pos[i]))
-    return grads
+    return sensor.decay * (pull[:, None, :] @ np.stack((dx, dy), axis=2))[:, 0]
 
 
 def objective_gradient(
@@ -149,7 +153,8 @@ def objective_gradient(
 
 def _collides(candidate: np.ndarray, pos: np.ndarray, i: int) -> bool:
     """True when ``candidate`` lands on an agent of ``pos`` other than agent i."""
-    dist = np.linalg.norm(pos - candidate, axis=1)
+    d = pos - candidate
+    dist = np.sqrt(np.add.reduce(d * d, axis=1))  # np.linalg.norm's own arithmetic
     dist[i] = np.inf
     return bool(np.min(dist) < COLLISION_RADIUS)
 
@@ -275,8 +280,8 @@ def _agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs):
         if not np.any(dirs[i]):
             continue
         # the others' miss weights the only part of the objective that agent i moves
-        miss = miss_product(np.delete(rows, i, 0))
-        base_gain = marginal_gain(grid, miss, rows[i])
+        weighted_miss = grid.weights * miss_product(np.delete(rows, i, 0))
+        base_gain = marginal_gain(weighted_miss, rows[i])
         for scale in _scales(grid.cell_size, tally):
             q = project_feasible(pos[i] + scale * dirs[i], space)
             if _collides(q, pos, i):
@@ -284,7 +289,7 @@ def _agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs):
                 continue
             new_row = detection_row(q, space, grid.centers, sensor)
             tally["rows"] += 1
-            if marginal_gain(grid, miss, new_row) > base_gain:
+            if marginal_gain(weighted_miss, new_row) > base_gain:
                 pos[i], rows[i] = q, new_row
                 moved = True
                 break

@@ -2,9 +2,10 @@
 
 One loop places the agents: each round it takes the candidate with the
 largest marginal coverage gain, breaking exact ties toward the lowest
-candidate index, and updates the miss vector.  The variants differ only in
-the picker that finds that candidate.  The eager picker evaluates every
-remaining candidate (Nemhauser, Wolsey and Fisher 1978).  The lazy picker
+candidate index, and updates the miss vector and its density-weighted copy,
+against which every gain of the next round is taken.  The variants differ
+only in the picker that finds that candidate.  The eager picker evaluates
+every remaining candidate (Nemhauser, Wolsey and Fisher 1978).  The lazy picker
 (Minoux 1978) keeps stale gains in a max-heap and recomputes only entries
 that reach the top; because gains never grow as the team fills in, a
 recomputed entry that stays on top is the true maximizer.  Both variants
@@ -71,12 +72,13 @@ def greedy_place(
 
     rows = detection_matrix(cand, space, grid.centers, sensor)
     miss = np.ones(grid.cell_count)
+    weighted_miss = grid.weights * miss
     evaluations = 0
 
     def gain(j: int) -> float:
         nonlocal evaluations
         evaluations += 1
-        return marginal_gain(grid, miss, rows[j])
+        return marginal_gain(weighted_miss, rows[j])
 
     pick = (_eager if method == "eager" else _lazy)(gain, len(rows))
     chosen: list[int] = []
@@ -95,6 +97,7 @@ def greedy_place(
         gains.append(g)
         values.append(total)
         miss *= 1.0 - rows[j]
+        np.multiply(grid.weights, miss, out=weighted_miss)
     return GreedyResult(
         chosen, cand[chosen], gains, values, evaluations, stopped,
         constraint_slack=team_size > len(cand),

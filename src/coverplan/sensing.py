@@ -8,10 +8,15 @@ misses an event only when every member misses it, and the objective is the
 density-weighted integral of the joint detection probability.
 
 Rows for several positions take their sight lines from one stacked
-``line_of_sight_many`` call; the float rows are still built one at a time,
-so a matrix holds no (n, T) float array besides the result.  Distances are
-taken against the targets' (2, T) coordinate rows, copied C-contiguous once
-per call, so each row sweeps contiguous memory whatever the targets' layout.
+``line_of_sight_many`` call.  The float rows are then built a few at a time,
+straight into the result: distances are written into the block's rows and
+the detection rule runs there in place, so a matrix holds no (n, T) float
+array besides the result.  A block takes as many rows as keep its one float
+temporary under glibc's 128 KiB mmap threshold (5 rows at 3000 cells, 1 from
+8192 cells on), so the temporary is reused from the heap instead of being
+mapped and faulted in anew.  Distances are taken against the targets' (2, T)
+coordinate rows, copied C-contiguous once per call, so each block sweeps
+contiguous memory whatever the targets' layout.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ import numpy as np
 from .errors import InvalidParameterError
 from .field import QuadratureGrid
 from .geometry import EPS, MissionSpace, as_points_array, as_xy, line_of_sight_many
+
+# Floats in 128 KiB, glibc's default mmap threshold, which a detection
+# block's float temporary stays under.
+_BLOCK_FLOATS = (128 * 1024) // 8
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,12 @@ class SensorModel:
         return out
 
 
-def _distances(sources: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Distances from a (k, 2) stack of sources to (2, T) coordinate rows: shape (k, T)."""
-    dx = xy[0] - sources[:, 0, None]
+def _distances(sources: np.ndarray, xy: np.ndarray, out=None) -> np.ndarray:
+    """Distances from a (k, 2) stack of sources to (2, T) coordinate rows: shape (k, T).
+
+    ``out``, when given, receives them in place of a fresh array.
+    """
+    dx = np.subtract(xy[0], sources[:, 0, None], out=out)
     dy = xy[1] - sources[:, 1, None]
     dx *= dx
     dy *= dy
@@ -80,9 +92,16 @@ def detection_matrix(positions, space: MissionSpace, targets, sensor: SensorMode
     los = line_of_sight_many(pos, pts, space)
     xy = np.ascontiguousarray(pts.T)  # (2, T)
     rows = np.empty((len(pos), len(pts)))
-    for i in range(len(pos)):
-        sensor.detect(_distances(pos[i : i + 1], xy)[0], los[i], out=rows[i])
+    step = _block_rows(len(pts))
+    for a in range(0, len(pos), step):
+        block = rows[a : a + step]
+        sensor.detect(_distances(pos[a : a + step], xy, out=block), los[a : a + step], out=block)
     return rows
+
+
+def _block_rows(cells: int) -> int:
+    """Rows per block: the most whose (rows, cells) float temporary is under 128 KiB."""
+    return max(1, (_BLOCK_FLOATS - 1) // max(cells, 1))
 
 
 class DetectionCache:
@@ -136,10 +155,11 @@ def coverage(positions, space: MissionSpace, grid: QuadratureGrid, sensor: Senso
     return coverage_from_rows(grid, rows)
 
 
-def marginal_gain(grid: QuadratureGrid, miss: np.ndarray, row: np.ndarray) -> float:
+def marginal_gain(weighted_miss: np.ndarray, row: np.ndarray) -> float:
     """Increase of the objective from adding one agent with detection ``row``.
 
-    ``miss`` is the current per-target miss probability; the gain integrates
-    miss * row against the weighted density.  Every greedy gain comes from here.
+    ``weighted_miss`` is the grid's weights times the current per-target miss
+    probability, formed once by the caller for every gain against the same
+    team.  Every greedy gain comes from here.
     """
-    return float(np.dot(grid.weights * miss, row))
+    return float(np.dot(weighted_miss, row))

@@ -232,7 +232,8 @@ def central_difference(pos, miss, space, grid, sensor, fd_epsilon):
             continue
         h_plus, h_minus = (
             marginal_gain(
-                grid, miss, detection_row(project_feasible(p, space), space, grid.centers, sensor)
+                grid.weights * miss,
+                detection_row(project_feasible(p, space), space, grid.centers, sensor),
             )
             for p in (plus, minus)
         )
@@ -413,6 +414,24 @@ def test_refine_rows_guard_on_bundled_scenarios(name):
     seed, result = _bundled_refine(name)
     assert result.value >= seed.value
     assert result.rows <= PARENT_ROWS[name]
+
+
+@pytest.mark.parametrize("name", ["wall_60x50", "random_60x50"])
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_every_agents_gradient_equals_the_per_agent_oracle(name, n):
+    # the running prefix of the others' miss and the stacked product give
+    # each agent the oracle's gradient to the bit, for teams past the
+    # hypothesis tests' four agents too
+    (_, space, grid, sensor), _, _ = _bundled(name)
+    xmin, ymin, xmax, ymax = space.bbox
+    off = np.random.default_rng(n).uniform((xmin, ymin), (xmax, ymax), size=(100, 2))
+    pos = off[space.feasible_many(off)][:n]
+    assert len(pos) == n
+    rows = detection_matrix(pos, space, grid.centers, sensor)
+    every = [agent_gradient(p, grid.weights * others_miss(rows, i), rows[i], grid, sensor)
+             for i, p in enumerate(pos)]
+    got = gradient._gradients(pos, rows, grid, sensor)
+    assert np.array_equal(got, every) and np.all(np.any(got != 0, axis=1))
 
 
 def reference_refine(initial, space, grid, sensor, max_iterations):

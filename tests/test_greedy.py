@@ -176,7 +176,7 @@ def test_eager_and_lazy_share_one_selection(rows, data):
     miss = np.ones(TINY_GRID.cell_count)
     left = list(range(n))
     for k in range(min(team, n)):
-        gains = [marginal_gain(TINY_GRID, miss, rows[j]) for j in left]
+        gains = [marginal_gain(TINY_GRID.weights * miss, rows[j]) for j in left]
         best = max(gains)
         if best <= GAIN_TOLERANCE:
             assert eager.stopped_early and len(eager.indices) == k
@@ -187,3 +187,19 @@ def test_eager_and_lazy_share_one_selection(rows, data):
         miss *= 1.0 - rows[j]
     else:
         assert not eager.stopped_early and len(eager.indices) == min(team, n)
+
+
+@pytest.mark.parametrize("method", ["eager", "lazy"])
+def test_evaluations_count_every_marginal_gain_call(block_problem, monkeypatch, method):
+    # every gain goes through sensing.marginal_gain, so the count a run
+    # reports is the number of those calls
+    space, grid, sensor, cand = block_problem
+    calls = []
+
+    def counted(weighted_miss, row):
+        calls.append(1)
+        return marginal_gain(weighted_miss, row)
+
+    monkeypatch.setattr(greedy_mod, "marginal_gain", counted)
+    result = greedy_place(space, grid, sensor, cand, 5, method=method)
+    assert result.evaluations == len(calls) > 0

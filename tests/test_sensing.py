@@ -7,6 +7,7 @@ from coverplan import (
     DetectionCache,
     InvalidParameterError,
     MissionSpace,
+    Polygon,
     QuadratureGrid,
     SensorModel,
     UniformDensity,
@@ -21,6 +22,7 @@ from coverplan import (
     miss_product,
     parse_scenario,
 )
+from coverplan import sensing
 from coverplan.geometry import EPS
 
 from problems import make_problem, sees
@@ -114,7 +116,7 @@ def test_marginal_gain_is_objective_difference(block_problem):
         base_rows = detection_matrix(cand[base_idx], space, grid.centers, sensor)
         new_row = detection_row(cand[new_idx], space, grid.centers, sensor)
         miss = miss_product(base_rows) if k else np.ones(grid.cell_count)
-        fast = marginal_gain(grid, miss, new_row)
+        fast = marginal_gain(grid.weights * miss, new_row)
         slow = coverage_from_rows(grid, np.vstack([base_rows, new_row[None, :]])) - (
             coverage_from_rows(grid, base_rows) if k else 0.0
         )
@@ -195,6 +197,34 @@ def test_stacked_rows_equal_single_rows(name):
     rows = np.array([detection_row(p, space, pts, sensor) for p in src])
     assert_same_bits(detection_matrix(src, space, pts, sensor), rows)
     assert_same_bits(DetectionCache(src, space, pts).probs(sensor), rows)
+
+
+@pytest.mark.parametrize(
+    "obstacles",
+    [[], [[(20, 10), (40, 10), (40, 20), (30, 20), (30, 35), (20, 35)]]],
+    ids=["open", "non-convex obstacle"],
+)
+def test_blocked_matrix_equals_stacked_rows(obstacles):
+    # matrices build their rows a block at a time; stacks that end before,
+    # on and after a block's edge equal rows taken one by one, and an
+    # infeasible source's row is all zero wherever it sits in the stack
+    space = MissionSpace(
+        Polygon([(0, 0), (60, 0), (60, 50), (0, 50)]), [Polygon(o) for o in obstacles]
+    )
+    pts = QuadratureGrid(space, 1.0, UniformDensity()).centers
+    sensor = SensorModel(decay=0.12, radius=40.0)
+    block = sensing._block_rows(len(pts))
+    assert block >= 2
+    off = np.random.default_rng(9).uniform((0, 0), (60, 50), size=(60, 2))
+    feasible = off[space.feasible_many(off)]
+    assert len(feasible) > 2 * block
+    outside = (25.0, 15.0) if obstacles else (70.0, 25.0)
+    assert not space.feasible_many(np.array([outside]))[0]
+    for n in (1, block - 1, block, block + 1, 2 * block + 1):
+        for src in (feasible[:n], np.insert(feasible[: n - 1], n // 2, outside, axis=0)):
+            rows = np.array([detection_row(p, space, pts, sensor) for p in src])
+            assert_same_bits(detection_matrix(src, space, pts, sensor), rows)
+        assert not rows[n // 2].any()
 
 
 def target_layouts(centers):
