@@ -150,7 +150,7 @@ def _read_positions(path, space) -> np.ndarray:
     rows = {}  # agent -> (x, y, line)
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read positions file {path}: {exc}") from exc
     for ln, line in enumerate(lines, start=1):
         line = line.strip()

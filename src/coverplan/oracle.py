@@ -14,7 +14,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, InvalidParameterError
+from .errors import InstanceTooLargeError, InvalidParameterError, positive_int
 from .field import QuadratureGrid
 from .geometry import MissionSpace, as_points_array
 from .sensing import SensorModel, detection_matrix
@@ -50,11 +50,8 @@ def brute_force(
     """
     cand = as_points_array(candidates)
     n = len(cand)
-    integer = isinstance(team_size, (int, np.integer)) and not isinstance(team_size, bool)
-    if not integer or not 1 <= team_size <= n:
-        raise InvalidParameterError(
-            f"team size must be between 1 and {n}, got {team_size}"
-        )
+    if positive_int(team_size, "team size") > n:
+        raise InvalidParameterError(f"team size must be between 1 and {n}, got {team_size}")
     count = math.comb(n, team_size)
     if count > cap:
         raise InstanceTooLargeError(count, cap)
@@ -167,8 +164,7 @@ def check_submodular(
     Each trial draws S subset of T and an element outside T, then requires the
     element's gain on S to be at least its gain on T, and H(S) <= H(T).
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    trials = positive_int(trials, "trials")
     ev = _SubsetEvaluator(candidates, space, grid, sensor)
     if ev.n < 2:
         raise InvalidParameterError("need at least 2 candidates for nested draws")
@@ -215,8 +211,7 @@ def check_definition_equivalence(
     (S n T) subset of (S u T) built from the same draw.  Both must come out
     violation-free on a correct implementation.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    trials = positive_int(trials, "trials")
     ev = _SubsetEvaluator(candidates, space, grid, sensor)
     rng = np.random.default_rng(seed)
     set_bad = 0

@@ -10,7 +10,8 @@ path, and the parsed scenario is proven constructible before it is returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,43 +27,30 @@ from .field import (
 from .geometry import MissionSpace, Polygon
 from .sensing import SensorModel
 
-_TOP_FIELDS = {
-    "name",
-    "boundary",
-    "obstacles",
-    "density",
-    "grid_cell_size",
-    "candidate_spacing",
-    "team_size",
-    "sensor",
-    "refine",
-    "seed",
-}
-_SENSOR_FIELDS = {"decay", "radius"}
-_REFINE_FIELDS = {"max_iterations"}
-_DENSITY_TYPES = {"uniform", "gaussian_mixture", "sampled"}
+_SENSOR_FIELDS = ("decay", "radius")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A fully validated run description, kept as plain JSON-shaped data.
 
-    The space and grid built to prove a scenario constructible are kept on
-    the object, so ``build_space`` and ``build_grid`` hand those back instead
-    of building them again; they are no part of the data, its equality or
-    its JSON form, and live exactly as long as this object.
+    The density builder, space and grid made while proving a scenario
+    constructible are kept on the object, so ``build_space`` and
+    ``build_grid`` hand those back instead of building them again; they are
+    no part of the data, its equality or its JSON form, and live exactly as
+    long as this object.
     """
 
+    name: str
     boundary: tuple
+    obstacles: tuple
+    density: dict
+    grid_cell_size: float
+    candidate_spacing: float
     team_size: int
     sensor: dict
-    name: str = ""
-    obstacles: tuple = ()
-    density: dict = field(default_factory=lambda: {"type": "uniform", "value": 1.0})
-    grid_cell_size: float = 1.0
-    candidate_spacing: float = 5.0
-    refine: dict = field(default_factory=dict)
-    seed: int = 0
+    refine: dict
+    seed: int
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -91,7 +79,9 @@ class Scenario:
         return self._built["space"]
 
     def build_density(self):
-        return _build_density(self.density)
+        if "density" not in self._built:
+            self._built["density"] = _density(self.density, "density")
+        return self._built["density"]()
 
     def build_grid(self, space: MissionSpace | None = None) -> QuadratureGrid:
         """The kept grid, unless ``space`` is another space than the kept one."""
@@ -113,6 +103,9 @@ class Scenario:
         return _tagged("candidate_spacing", candidate_lattice, space, self.candidate_spacing)
 
 
+_TOP_FIELDS = {f.name for f in fields(Scenario) if f.init}  # the JSON fields
+
+
 def _tagged(path: str, build, *args):
     """``build(*args)``, with a library error reported against the field it came from."""
     try:
@@ -121,25 +114,27 @@ def _tagged(path: str, build, *args):
         raise ScenarioError(str(exc), field=path) from exc
 
 
-def _build_density(spec: dict):
-    kind = spec["type"]
-    if kind == "uniform":
-        return UniformDensity(spec.get("value", 1.0))
-    if kind == "gaussian_mixture":
-        comps = spec["components"]
-        return GaussianMixtureDensity(
-            centers=[c["center"] for c in comps],
-            weights=[c["weight"] for c in comps],
-            sigmas=[c["sigma"] for c in comps],
-            baseline=spec.get("baseline", 0.0),
-        )
-    return SampledDensity(spec["origin"], spec["spacing"], spec["values"])
+def _want_object(value, path: str, allowed, required=()) -> dict:
+    """``value`` if it is an object with no field outside ``allowed`` and every ``required`` one."""
+    if not isinstance(value, dict):
+        raise ScenarioError("expected an object", field=path)
+    unknown = set(value) - set(allowed)
+    if unknown:
+        name = sorted(unknown)[0]
+        raise ScenarioError("unknown field", field=f"{path}.{name}" if path else name)
+    for key in required:
+        if key not in value:
+            raise ScenarioError(f"missing required field {key!r}", field=path or key)
+    return value
 
 
 def _want_number(value, path: str, minimum=None, strict_minimum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"expected a number, got {value!r}", field=path)
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past the float range
+        v = np.inf
     if not np.isfinite(v):
         raise ScenarioError(f"must be finite, got {value!r}", field=path)
     if minimum is not None and v < minimum:
@@ -147,13 +142,6 @@ def _want_number(value, path: str, minimum=None, strict_minimum=None) -> float:
     if strict_minimum is not None and v <= strict_minimum:
         raise ScenarioError(f"must be > {strict_minimum}, got {value!r}", field=path)
     return v
-
-
-def _want_pair(value, path: str) -> None:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ScenarioError("expected an [x, y] pair", field=path)
-    for i in (0, 1):
-        _want_number(value[i], f"{path}[{i}]")
 
 
 def _want_int(value, path: str, minimum=None) -> int:
@@ -164,79 +152,73 @@ def _want_int(value, path: str, minimum=None) -> int:
     return value
 
 
+def _want_pair(value, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError("expected an [x, y] pair", field=path)
+    return tuple(_want_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
 def _want_ring(value, path: str) -> tuple:
     if not isinstance(value, list) or len(value) < 3:
         raise ScenarioError("expected a list of at least 3 [x, y] vertices", field=path)
-    ring = []
-    for i, v in enumerate(value):
-        if not isinstance(v, list) or len(v) != 2:
-            raise ScenarioError("expected an [x, y] pair", field=f"{path}[{i}]")
-        ring.append(
-            (
-                _want_number(v[0], f"{path}[{i}][0]"),
-                _want_number(v[1], f"{path}[{i}][1]"),
-            )
+    return tuple(_want_pair(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+# Each density kind validates its spec and returns a builder of the density,
+# so a table that the density class rejects fails where the grid is built.
+
+
+def _uniform(spec: dict, path: str):
+    _want_object(spec, path, {"type", "value"})
+    value = _want_number(spec.get("value", 1.0), f"{path}.value", minimum=0.0)
+    return partial(UniformDensity, value)
+
+
+def _gaussian_mixture(spec: dict, path: str):
+    _want_object(spec, path, {"type", "baseline", "components"})
+    baseline = _want_number(spec.get("baseline", 0.0), f"{path}.baseline", minimum=0.0)
+    comps = spec.get("components")
+    if not isinstance(comps, list) or not comps:
+        raise ScenarioError("expected a non-empty list", field=f"{path}.components")
+    centers, weights, sigmas = [], [], []
+    keys = ("center", "weight", "sigma")
+    for i, comp in enumerate(comps):
+        cpath = f"{path}.components[{i}]"
+        _want_object(comp, cpath, keys, keys)
+        centers.append(_want_pair(comp["center"], f"{cpath}.center"))
+        weights.append(_want_number(comp["weight"], f"{cpath}.weight", minimum=0.0))
+        sigmas.append(_want_number(comp["sigma"], f"{cpath}.sigma", strict_minimum=0.0))
+    return partial(GaussianMixtureDensity, centers, weights, sigmas, baseline)
+
+
+def _sampled(spec: dict, path: str):
+    keys = ("origin", "spacing", "values")
+    _want_object(spec, path, {"type", *keys}, keys)
+    origin = _want_pair(spec["origin"], f"{path}.origin")
+    spacing = _want_number(spec["spacing"], f"{path}.spacing", strict_minimum=0.0)
+    values = spec["values"]
+    if not isinstance(values, list) or not values or not isinstance(values[0], list):
+        raise ScenarioError("expected a 2-d list of numbers", field=f"{path}.values")
+    table = []
+    for r, row in enumerate(values):
+        if not isinstance(row, list) or len(row) != len(values[0]):
+            raise ScenarioError("rows must have equal length", field=f"{path}.values[{r}]")
+        table.append(
+            [_want_number(v, f"{path}.values[{r}][{c}]", minimum=0.0) for c, v in enumerate(row)]
         )
-    return tuple(ring)
+    return partial(_tagged, f"{path}.values", SampledDensity, origin, spacing, table)
 
 
-def _check_unknown(data: dict, allowed: set, path: str):
-    unknown = set(data) - allowed
-    if unknown:
-        name = sorted(unknown)[0]
-        where = f"{path}.{name}" if path else name
-        raise ScenarioError("unknown field", field=where)
+_DENSITIES = {"gaussian_mixture": _gaussian_mixture, "sampled": _sampled, "uniform": _uniform}
 
 
-def _validate_density(spec, path: str) -> dict:
-    if not isinstance(spec, dict):
-        raise ScenarioError("expected an object", field=path)
-    if "type" not in spec:
-        raise ScenarioError("missing required field 'type'", field=path)
+def _density(spec, path: str):
+    _want_object(spec, path, spec, ("type",))  # its kind decides the other fields
     kind = spec["type"]
-    if kind not in _DENSITY_TYPES:
-        raise ScenarioError(
-            f"must be one of {sorted(_DENSITY_TYPES)}, got {kind!r}", field=f"{path}.type"
-        )
-    if kind == "uniform":
-        _check_unknown(spec, {"type", "value"}, path)
-        if "value" in spec:
-            _want_number(spec["value"], f"{path}.value", minimum=0.0)
-    elif kind == "gaussian_mixture":
-        _check_unknown(spec, {"type", "baseline", "components"}, path)
-        if "baseline" in spec:
-            _want_number(spec["baseline"], f"{path}.baseline", minimum=0.0)
-        comps = spec.get("components")
-        if not isinstance(comps, list) or not comps:
-            raise ScenarioError("expected a non-empty list", field=f"{path}.components")
-        for i, comp in enumerate(comps):
-            cpath = f"{path}.components[{i}]"
-            if not isinstance(comp, dict):
-                raise ScenarioError("expected an object", field=cpath)
-            _check_unknown(comp, {"center", "weight", "sigma"}, cpath)
-            for key in ("center", "weight", "sigma"):
-                if key not in comp:
-                    raise ScenarioError(f"missing required field {key!r}", field=cpath)
-            _want_pair(comp["center"], f"{cpath}.center")
-            _want_number(comp["weight"], f"{cpath}.weight", minimum=0.0)
-            _want_number(comp["sigma"], f"{cpath}.sigma", strict_minimum=0.0)
-    else:
-        _check_unknown(spec, {"type", "origin", "spacing", "values"}, path)
-        for key in ("origin", "spacing", "values"):
-            if key not in spec:
-                raise ScenarioError(f"missing required field {key!r}", field=path)
-        _want_pair(spec["origin"], f"{path}.origin")
-        _want_number(spec["spacing"], f"{path}.spacing", strict_minimum=0.0)
-        values = spec["values"]
-        if not isinstance(values, list) or not values or not isinstance(values[0], list):
-            raise ScenarioError("expected a 2-d list of numbers", field=f"{path}.values")
-        width = len(values[0])
-        for r, rowvals in enumerate(values):
-            if not isinstance(rowvals, list) or len(rowvals) != width:
-                raise ScenarioError("rows must have equal length", field=f"{path}.values[{r}]")
-            for c, entry in enumerate(rowvals):
-                _want_number(entry, f"{path}.values[{r}][{c}]", minimum=0.0)
-    return dict(spec)
+    if not isinstance(kind, str) or kind not in _DENSITIES:
+        message = f"must be one of {sorted(_DENSITIES)}, got {kind!r}"
+        raise ScenarioError(message, field=f"{path}.type")
+    return _DENSITIES[kind](spec, path)
 
 
 def scenario_from_dict(data: dict, **overrides) -> Scenario:
@@ -256,59 +238,37 @@ def scenario_from_dict(data: dict, **overrides) -> Scenario:
             data[key] = value
         elif isinstance(data.get("sensor"), dict):
             data["sensor"] = {**data["sensor"], key: value}
-    _check_unknown(data, _TOP_FIELDS, "")
-    for key in ("boundary", "team_size", "sensor"):
-        if key not in data:
-            raise ScenarioError(f"missing required field {key!r}", field=key)
+    _want_object(data, "", _TOP_FIELDS, ("boundary", "team_size", "sensor"))
 
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ScenarioError("expected a string", field="name")
     boundary = _want_ring(data["boundary"], "boundary")
-    raw_obstacles = data.get("obstacles", [])
-    if not isinstance(raw_obstacles, list):
+    obstacles = data.get("obstacles", [])
+    if not isinstance(obstacles, list):
         raise ScenarioError("expected a list of polygons", field="obstacles")
-    obstacles = tuple(
-        _want_ring(o, f"obstacles[{k}]") for k, o in enumerate(raw_obstacles)
-    )
-    density = _validate_density(data.get("density", {"type": "uniform", "value": 1.0}), "density")
+    obstacles = tuple(_want_ring(o, f"obstacles[{k}]") for k, o in enumerate(obstacles))
+    density = data.get("density", {"type": "uniform", "value": 1.0})
+    make_density = _density(density, "density")
     cell = _want_number(data.get("grid_cell_size", 1.0), "grid_cell_size", strict_minimum=0.0)
     spacing = _want_number(
         data.get("candidate_spacing", 5.0), "candidate_spacing", strict_minimum=0.0
     )
     team = _want_int(data["team_size"], "team_size", minimum=1)
-
-    sensor = data["sensor"]
-    if not isinstance(sensor, dict):
-        raise ScenarioError("expected an object", field="sensor")
-    _check_unknown(sensor, _SENSOR_FIELDS, "sensor")
-    for key in _SENSOR_FIELDS:
-        if key not in sensor:
-            raise ScenarioError(f"missing required field {key!r}", field="sensor")
-    _want_number(sensor["decay"], "sensor.decay", minimum=0.0)
-    _want_number(sensor["radius"], "sensor.radius", strict_minimum=0.0)
-
-    refine = data.get("refine", {})
-    if not isinstance(refine, dict):
-        raise ScenarioError("expected an object", field="refine")
-    _check_unknown(refine, _REFINE_FIELDS, "refine")
+    sensor = _want_object(data["sensor"], "sensor", _SENSOR_FIELDS, _SENSOR_FIELDS)
+    sensor = {
+        "decay": _want_number(sensor["decay"], "sensor.decay", minimum=0.0),
+        "radius": _want_number(sensor["radius"], "sensor.radius", strict_minimum=0.0),
+    }
+    refine = _want_object(data.get("refine", {}), "refine", {"max_iterations"})
     if "max_iterations" in refine:
         _want_int(refine["max_iterations"], "refine.max_iterations", minimum=1)
-
     seed = _want_int(data.get("seed", 0), "seed", minimum=0)
 
     scenario = Scenario(
-        name=name,
-        boundary=boundary,
-        obstacles=obstacles,
-        density=density,
-        grid_cell_size=cell,
-        candidate_spacing=spacing,
-        team_size=team,
-        sensor={"decay": float(sensor["decay"]), "radius": float(sensor["radius"])},
-        refine=dict(refine),
-        seed=seed,
+        name, boundary, obstacles, dict(density), cell, spacing, team, sensor, dict(refine), seed
     )
+    scenario._built["density"] = make_density
     # the space and grid built here are kept for the scenario's commands
     if not np.any(scenario.build_grid().feasible):
         raise ScenarioError("no feasible grid cell; space is fully blocked")
@@ -319,12 +279,10 @@ def parse_scenario(path, **overrides) -> Scenario:
     """Load and validate a scenario JSON file, with ``scenario_from_dict``'s overrides."""
     p = Path(path)
     try:
-        text = p.read_text()
+        data = json.loads(p.read_text())
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {p}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, or too long or deep to load
         raise ScenarioError(f"malformed JSON in {p}: {exc}") from exc
     return scenario_from_dict(data, **overrides)
 

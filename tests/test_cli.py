@@ -291,6 +291,50 @@ def test_bad_positions_file_exits_2(tmp_path, small_scenario, capsys):
     assert "pos.csv" in capsys.readouterr().err
 
 
+DIAMOND = {**SMALL, "boundary": [[10, 0], [20, 10], [10, 20], [0, 10]], "candidate_spacing": 20}
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, message",
+    [
+        pytest.param(["greedy", "--scenario", "{tmp}/diamond.json"],
+                     {"diamond.json": json.dumps(DIAMOND)},
+                     2, "no feasible candidate at spacing 20.0", id="empty-lattice"),
+        pytest.param(["sweep", "--sweep", "lambda:1:2:x"], {}, 2,
+                     "bad sweep range 'lambda:1:2:x': invalid literal for int() with base 10: 'x'",
+                     id="sweep-steps-not-integer"),
+        pytest.param(["sweep", "--sweep", "lambda:1:2:0"], {}, 2,
+                     "sweep needs at least 1 step, got 0", id="sweep-no-steps"),
+        pytest.param(["evaluate", "--positions-file", "{tmp}"], {}, 2,
+                     "cannot read positions file {tmp}: [Errno 21] Is a directory: '{tmp}'",
+                     id="positions-unreadable"),
+        pytest.param(["evaluate", "--positions-file", "{tmp}/pos.csv"],
+                     {"pos.csv": b"agent,x,y\n0,5,\xb55\n"}, 2,
+                     "cannot read positions file {tmp}/pos.csv: 'utf-8' codec can't decode "
+                     "byte 0xb5 in position 14: invalid start byte", id="positions-not-utf-8"),
+        pytest.param(["evaluate", "--positions-file", "{tmp}/pos.csv"],
+                     {"pos.csv": "agent,x,y\n0,5.0,five\n"}, 2,
+                     "{tmp}/pos.csv:2: could not convert string to float: 'five'",
+                     id="positions-not-numeric"),
+        pytest.param(["heatmap", "--positions-file", "{tmp}/pos.csv"],
+                     {"pos.csv": "agent,x,y\n# none\n"}, 2,
+                     "positions file {tmp}/pos.csv holds no positions", id="positions-empty"),
+        pytest.param(["greedy", "--out", "{tmp}/taken"], {"taken": "a file"}, 1,
+                     "[Errno 17] File exists: '{tmp}/taken'", id="out-is-a-file"),
+    ],
+)
+def test_bad_input_exits_with_its_code(tmp_path, small_scenario, capsys, argv, files, code,
+                                       message):
+    for name, content in files.items():
+        target = tmp_path / name
+        target.write_bytes(content) if isinstance(content, bytes) else target.write_text(content)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--scenario" not in argv:
+        argv[1:1] = ["--scenario", small_scenario]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_position_exits_2(tmp_path, small_scenario, capsys, command, value):

@@ -86,6 +86,24 @@ def test_brute_force_rejects_a_bool_team_size(empty_rect):
         brute_force(cand, True, empty_rect, grid, sensor)
 
 
+@pytest.mark.parametrize("team_size", [2.0, 0, -1, np.int64(0)])
+def test_brute_force_takes_a_positive_integer_team_size(empty_rect, team_size):
+    grid, sensor, cand = make_problem(empty_rect, spacing=5.0)
+    with pytest.raises(InvalidParameterError, match="team size must be a positive integer, got"):
+        brute_force(cand, team_size, empty_rect, grid, sensor)
+    assert brute_force(cand, np.int64(1), empty_rect, grid, sensor).subsets_evaluated == len(cand)
+
+
+@pytest.mark.parametrize("check", [check_submodular, check_definition_equivalence])
+@pytest.mark.parametrize("trials", [True, 2.5, np.float64(3.0), "4"])
+def test_checks_take_a_positive_integer_trial_count(block_problem, check, trials):
+    space, grid, sensor, cand = block_problem
+    message = f"trials must be a positive integer, got {trials}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        check(cand, space, grid, sensor, trials=trials)
+    assert check(cand, space, grid, sensor, trials=np.int64(2)).trials == 2
+
+
 def test_coverage_passes_submodularity_check(block_problem):
     space, grid, sensor, cand = block_problem
     report = check_submodular(cand, space, grid, sensor, trials=400, seed=7)

@@ -1,9 +1,17 @@
+import copy
 import json
+import os
+import random
+import subprocess
+import sys
+import warnings
 from inspect import signature
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coverplan
 from coverplan import (
     Scenario,
     ScenarioError,
@@ -87,29 +95,240 @@ def test_refine_keys_are_refines_keyword_arguments():
     assert scenario_from_dict(variant(refine=options)).refine == options
 
 
-def test_missing_required_fields():
-    for field in ("boundary", "team_size", "sensor"):
-        d = variant()
-        del d[field]
-        with pytest.raises(ScenarioError, match=field):
-            scenario_from_dict(d)
+def without(key):
+    d = variant()
+    del d[key]
+    return d
 
 
-def test_type_and_range_validation():
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(variant(team_size=0))
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(variant(team_size=2.5))
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(variant(team_size=True))
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(variant(grid_cell_size=0))
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(variant(sensor={"decay": -0.1, "radius": 3.0}))
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(variant(boundary=[[0, 0], [1, 0]]))
-    with pytest.raises(ScenarioError, match="boundary"):
-        scenario_from_dict(variant(boundary=[[0, 0], [1, 0], ["x", 1]]))
+def density(**spec):
+    return variant(density=spec)
+
+
+def mixture(**component):
+    return density(type="gaussian_mixture",
+                   components=[{"center": [4, 4], "weight": 1.0, "sigma": 2.0, **component}])
+
+
+def table(**spec):
+    return density(**{"type": "sampled", "origin": [0, 0], "spacing": 10.0,
+                      "values": [[1.0, 1.0]], **spec})
+
+
+TYPES = "must be one of ['gaussian_mixture', 'sampled', 'uniform']"
+
+# every raise ScenarioError in scenario validation: (input, message, field)
+ERROR_SITES = [
+    pytest.param([BASE], "scenario root must be an object", None, id="root-not-object"),
+    pytest.param(variant(colour="red"), "unknown field", "colour", id="top-unknown"),
+    pytest.param(without("boundary"), "missing required field 'boundary'", "boundary",
+                 id="missing-boundary"),
+    pytest.param(without("team_size"), "missing required field 'team_size'", "team_size",
+                 id="missing-team_size"),
+    pytest.param(without("sensor"), "missing required field 'sensor'", "sensor",
+                 id="missing-sensor"),
+    pytest.param(variant(name=7), "expected a string", "name", id="name-not-string"),
+    pytest.param(variant(boundary=[[0, 0], [1, 0]]),
+                 "expected a list of at least 3 [x, y] vertices", "boundary",
+                 id="boundary-two-vertices"),
+    pytest.param(variant(boundary={"x": 0}),
+                 "expected a list of at least 3 [x, y] vertices", "boundary",
+                 id="boundary-not-list"),
+    pytest.param(variant(boundary=[[0, 0], [1, 0], ["x", 1]]), "expected a number, got 'x'",
+                 "boundary[2][0]", id="boundary-vertex-not-number"),
+    pytest.param(variant(boundary=[[0, 0], [1], [0, 1]]), "expected an [x, y] pair",
+                 "boundary[1]", id="boundary-vertex-not-pair"),
+    pytest.param(variant(obstacles={}), "expected a list of polygons", "obstacles",
+                 id="obstacles-not-list"),
+    pytest.param(variant(obstacles=[[[1, 1], [2, 1], [2, 2]], [[1, 1], [2, 1]]]),
+                 "expected a list of at least 3 [x, y] vertices", "obstacles[1]",
+                 id="obstacle-two-vertices"),
+    pytest.param(variant(density=[]), "expected an object", "density", id="density-not-object"),
+    pytest.param(density(value=1.0), "missing required field 'type'", "density",
+                 id="density-missing-type"),
+    pytest.param(density(type="fractal"), f"{TYPES}, got 'fractal'", "density.type",
+                 id="density-unknown-type"),
+    pytest.param(density(type=["uniform"]), f"{TYPES}, got ['uniform']", "density.type",
+                 id="density-list-type"),
+    pytest.param(density(type={}), f"{TYPES}, got {{}}", "density.type",
+                 id="density-object-type"),
+    pytest.param(density(type="uniform", baseline=1.0), "unknown field", "density.baseline",
+                 id="uniform-unknown"),
+    pytest.param(density(type="uniform", value=-1), "must be >= 0.0, got -1", "density.value",
+                 id="uniform-negative"),
+    pytest.param(density(type="uniform", value=float("inf")), "must be finite, got inf",
+                 "density.value", id="uniform-infinite"),
+    pytest.param(density(type="uniform", value=10**400), f"must be finite, got {10**400}",
+                 "density.value", id="uniform-past-float-range"),
+    pytest.param(density(type="uniform", value="1"), "expected a number, got '1'",
+                 "density.value", id="uniform-string"),
+    pytest.param(density(type="gaussian_mixture", baseline=-0.5, components=[]),
+                 "must be >= 0.0, got -0.5", "density.baseline", id="mixture-negative-baseline"),
+    pytest.param(density(type="gaussian_mixture"), "expected a non-empty list",
+                 "density.components", id="mixture-missing-components"),
+    pytest.param(density(type="gaussian_mixture", components=[]), "expected a non-empty list",
+                 "density.components", id="mixture-no-components"),
+    pytest.param(density(type="gaussian_mixture", components=[[4, 4]]), "expected an object",
+                 "density.components[0]", id="component-not-object"),
+    pytest.param(mixture(height=3), "unknown field", "density.components[0].height",
+                 id="component-unknown"),
+    pytest.param(density(type="gaussian_mixture", components=[{"center": [4, 4], "weight": 1}]),
+                 "missing required field 'sigma'", "density.components[0]",
+                 id="component-missing-sigma"),
+    pytest.param(density(type="gaussian_mixture", components=[{"weight": 1, "sigma": 2}]),
+                 "missing required field 'center'", "density.components[0]",
+                 id="component-missing-center"),
+    pytest.param(mixture(center=[4, 4, 4]), "expected an [x, y] pair",
+                 "density.components[0].center", id="component-center-not-pair"),
+    pytest.param(mixture(weight=-1), "must be >= 0.0, got -1", "density.components[0].weight",
+                 id="component-negative-weight"),
+    pytest.param(mixture(sigma=0), "must be > 0.0, got 0", "density.components[0].sigma",
+                 id="component-zero-sigma"),
+    pytest.param(table(scale=2), "unknown field", "density.scale", id="sampled-unknown"),
+    pytest.param(density(type="sampled", origin=[0, 0], values=[[1.0]]),
+                 "missing required field 'spacing'", "density", id="sampled-missing-spacing"),
+    pytest.param(density(type="sampled", spacing=1.0, values=[[1.0]]),
+                 "missing required field 'origin'", "density", id="sampled-missing-origin"),
+    pytest.param(table(origin=0), "expected an [x, y] pair", "density.origin",
+                 id="sampled-origin-not-pair"),
+    pytest.param(table(spacing=0), "must be > 0.0, got 0", "density.spacing",
+                 id="sampled-zero-spacing"),
+    pytest.param(table(values=[1.0, 1.0]), "expected a 2-d list of numbers", "density.values",
+                 id="sampled-values-1d"),
+    pytest.param(table(values=[]), "expected a 2-d list of numbers", "density.values",
+                 id="sampled-values-empty"),
+    pytest.param(table(values=[[1.0, 1.0], [1.0]]), "rows must have equal length",
+                 "density.values[1]", id="sampled-values-ragged"),
+    pytest.param(table(values=[[1.0, 1.0], 1.0]), "rows must have equal length",
+                 "density.values[1]", id="sampled-values-row-not-list"),
+    pytest.param(table(values=[[], []]), "values must be a non-empty 2-d table",
+                 "density.values", id="sampled-values-empty-rows"),
+    pytest.param(table(values=[[1.0, -2]]), "must be >= 0.0, got -2", "density.values[0][1]",
+                 id="sampled-negative-value"),
+    pytest.param(variant(grid_cell_size=0), "must be > 0.0, got 0", "grid_cell_size",
+                 id="grid_cell_size-zero"),
+    pytest.param(variant(candidate_spacing="5"), "expected a number, got '5'",
+                 "candidate_spacing", id="candidate_spacing-string"),
+    pytest.param(variant(team_size=0), "must be >= 1, got 0", "team_size", id="team_size-zero"),
+    pytest.param(variant(team_size=2.5), "expected an integer, got 2.5", "team_size",
+                 id="team_size-float"),
+    pytest.param(variant(team_size=True), "expected an integer, got True", "team_size",
+                 id="team_size-bool"),
+    pytest.param(variant(sensor=[0.1, 3.0]), "expected an object", "sensor",
+                 id="sensor-not-object"),
+    pytest.param(variant(sensor={"decay": 0.1, "radius": 3.0, "range": 9}), "unknown field",
+                 "sensor.range", id="sensor-unknown"),
+    pytest.param(variant(sensor={"radius": 3.0}), "missing required field 'decay'", "sensor",
+                 id="sensor-missing-decay"),
+    pytest.param(variant(sensor={"decay": 0.1}), "missing required field 'radius'", "sensor",
+                 id="sensor-missing-radius"),
+    pytest.param(variant(sensor={}), "missing required field 'decay'", "sensor",
+                 id="sensor-empty"),
+    pytest.param(variant(sensor={"decay": -0.1, "radius": 3.0}), "must be >= 0.0, got -0.1",
+                 "sensor.decay", id="sensor-negative-decay"),
+    pytest.param(variant(sensor={"decay": 0.1, "radius": 0}), "must be > 0.0, got 0",
+                 "sensor.radius", id="sensor-zero-radius"),
+    pytest.param(variant(refine=[]), "expected an object", "refine", id="refine-not-object"),
+    pytest.param(variant(refine={"max_iterations": 0}), "must be >= 1, got 0",
+                 "refine.max_iterations", id="refine-zero-iterations"),
+    pytest.param(variant(seed=-1), "must be >= 0, got -1", "seed", id="seed-negative"),
+    pytest.param(variant(boundary=[[0, 0], [4, 0], [4, 4], [0, 4]],
+                         obstacles=[[[0.05, 0.05], [3.95, 0.05], [3.95, 3.95], [0.05, 3.95]]]),
+                 "no feasible grid cell; space is fully blocked", None, id="fully-blocked"),
+]
+
+
+@pytest.mark.parametrize("data, message, field", ERROR_SITES)
+def test_every_scenario_error_site(data, message, field):
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == (f"{field}: {message}" if field else message)
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("key", ["value", "baseline"])
+@pytest.mark.parametrize("big", [2**64, 10**20], ids=["2**64", "10**20"])
+def test_an_integer_density_number_is_taken_as_its_float(key, big):
+    spec = {"type": "uniform"} if key == "value" else {
+        "type": "gaussian_mixture", "components": [{"center": [4, 4], "weight": 1, "sigma": 2}]
+    }
+    as_int = scenario_from_dict(variant(density={**spec, key: big}))
+    as_float = scenario_from_dict(variant(density={**spec, key: float(big)}))
+    assert as_int.density[key] == big
+    mass = [sc.build_grid().total_mass() for sc in (as_int, as_float)]
+    assert mass[0] == mass[1] > 0
+
+
+def test_a_missing_sensor_field_is_named_the_same_under_every_hash_seed(tmp_path):
+    path = tmp_path / "sensorless.json"
+    path.write_text(json.dumps(variant(sensor={})))
+    src = str(Path(coverplan.__file__).parents[1])
+    errors = set()
+    for hash_seed in ("0", "1"):  # the two orders a set of both names can take
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-m", "coverplan.cli", "greedy", "--scenario", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run.returncode == 2
+        errors.add(run.stderr)
+    assert errors == {"error: sensor: missing required field 'decay'\n"}
+
+
+NASTY = [None, True, 0, -1, 2.5, 1e300, 10**20, 2**63, 10**400, float("nan"), "x", "uniform",
+         [], {}, [1, 2], [[]], [[0, 0], [1, 0], [0, 1]], {"type": ["uniform"]}, {"decay": 0.1}]
+RICH = variant(
+    obstacles=[[[5, 3], [8, 3], [8, 7], [5, 7]]],
+    density={"type": "gaussian_mixture", "baseline": 0.5,
+             "components": [{"center": [4, 4], "weight": 2, "sigma": 3.0}]},
+    refine={"max_iterations": 5},
+    seed=3,
+)
+TABLE = table(values=[[1.0, 2], [0, 3.0]])
+
+
+def _nodes(node) -> list:
+    """Every object and list inside ``node``, ``node`` first."""
+    if not isinstance(node, (dict, list)):
+        return []
+    inner = node.values() if isinstance(node, dict) else node
+    return [node, *(n for value in inner for n in _nodes(value))]
+
+
+def mutated(rng, count):
+    """``count`` copies of the sample scenarios, each with 1-3 values set, added or removed."""
+    for _ in range(count):
+        data = copy.deepcopy(rng.choice([BASE, RICH, TABLE]))
+        for _ in range(rng.randint(1, 3)):
+            node = rng.choice(_nodes(data))
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            nasty = copy.deepcopy(rng.choice(NASTY))
+            if not keys or rng.random() < 0.1:  # add a value
+                if isinstance(node, dict):
+                    node["extra"] = nasty
+                else:
+                    node.append(nasty)
+            elif rng.random() < 0.2:  # remove one
+                del node[rng.choice(keys)]
+            else:  # replace one
+                node[rng.choice(keys)] = nasty
+        yield data
+
+
+def test_a_mutated_scenario_is_accepted_or_a_scenario_error():
+    # Numbers near 1e300 overflow the float arithmetic of geometry and density, a
+    # RuntimeWarning that this suite's filter would raise; here it is recorded instead.
+    accepted = 0
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for data in mutated(random.Random(0), 2000):
+            try:
+                scenario_from_dict(data)
+                accepted += 1
+            except ScenarioError:
+                pass
+    assert 0 < accepted < 2000
+    assert {w.category for w in seen} <= {RuntimeWarning}
 
 
 def test_obstacle_errors_name_the_obstacle():
@@ -164,6 +383,17 @@ def test_parse_reports_file_problems(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     with pytest.raises(ScenarioError, match="broken.json"):
+        parse_scenario(bad)
+
+
+@pytest.mark.parametrize(
+    "text", [b"\xff\xfe{}", b"{\"seed\": " + b"1" * 5000 + b"}", b"[" * 100_000],
+    ids=["not-utf-8", "integer-too-long", "nested-too-deep"],
+)
+def test_parse_reports_text_it_cannot_load(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    with pytest.raises(ScenarioError, match=f"^malformed JSON in {bad}: "):
         parse_scenario(bad)
 
 
