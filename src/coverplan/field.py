@@ -104,6 +104,14 @@ def _check_indexable(count: float, what: str) -> None:
         )
 
 
+def _check_holdable(count: int, what: str) -> None:
+    """Reject ``count`` points in all when numpy cannot index the bytes of their (x, y) floats."""
+    if not 16 * count < np.iinfo(np.intp).max:
+        raise InvalidParameterError(
+            f"{what} puts {count:g} points in all, more than numpy can index"
+        )
+
+
 class QuadratureGrid:
     """Midpoint-rule grid over the mission-space bounding box.
 
@@ -125,6 +133,7 @@ class QuadratureGrid:
         _check_indexable(max(rx, ry), f"cell size {cell_size}")
         self.nx = max(1, math.ceil(rx))
         self.ny = max(1, math.ceil(ry))
+        _check_holdable(self.nx * self.ny, f"cell size {cell_size}")
         xs = xmin + (np.arange(self.nx) + 0.5) * cell_size
         ys = ymin + (np.arange(self.ny) + 0.5) * cell_size
         gx, gy = np.meshgrid(xs, ys)  # (ny, nx), y outer
@@ -177,6 +186,7 @@ def candidate_lattice(space: MissionSpace, spacing: float) -> np.ndarray:
     _check_indexable(max(rx, ry) + 1, f"lattice spacing {spacing}")
     nx = int(math.floor(rx)) + 1
     ny = int(math.floor(ry)) + 1
+    _check_holdable(nx * ny, f"lattice spacing {spacing}")
     xs = xmin + np.arange(nx) * spacing
     ys = ymin + np.arange(ny) * spacing
     gx, gy = np.meshgrid(xs, ys)

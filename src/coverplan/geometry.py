@@ -17,7 +17,11 @@ and ``strictly_contains_many`` follow the same rule for one ring.
 
 Sight lines from many sources usually share one target set (the quadrature
 cell centers).  ``line_of_sight_many`` takes one source or a stack of them
-and keeps the target-side work for the last target set on the mission space.
+and keeps the target-side work for the last target set on the mission space,
+with the decided rows of its recent sources (``_SightMemo``).  So a source
+asked for again, as refine's rescue asks for the proposals of a vetoed joint
+step, is unpacked, not decided again.  A space with no blocking ring keeps no
+rows: there a row is the target mask.
 Seen from a source, a convex obstacle hides exactly the targets in its
 shadow, bounded by the two sight lines through its tangent vertices and the
 chord between them.  So every blocking ring becomes, once and on first use,
@@ -54,6 +58,13 @@ from .errors import GeometryError
 
 # Geometric tolerance, in length units.
 EPS = 1e-9
+
+# Bytes of sight-line rows kept per target set, packed eight targets to a
+# byte, the oldest row dropped first: 349 rows at 3000 targets, none above
+# 1,048,576 targets.  A refine reuses a vetoed joint step's rows (up to 9
+# scales per moving agent) only while they all fit: 11,650 targets for 10
+# agents.
+_ROW_BYTES = 128 * 1024
 
 
 def as_xy(p) -> np.ndarray:
@@ -436,10 +447,12 @@ def _excursions(p: np.ndarray, q: np.ndarray, poly: Polygon, seek_outside: bool)
 
 
 class _SightMemo:
-    """What line_of_sight_many keeps of one target set: feasibility, on-ring masks.
+    """What line_of_sight_many keeps of one target set: feasibility, on-ring masks, rows.
 
     Whether the feasible targets lie on each blocking ring is built on first
-    use, for sources on that ring.
+    use, for sources on that ring.  ``rows`` maps the coordinate bytes of
+    recent feasible sources to their decided (T,) masks, packed, oldest
+    first, within the ``_ROW_BYTES`` budget.
     """
 
     def __init__(self, ms: MissionSpace, tgt: np.ndarray, key: bytes):
@@ -450,11 +463,29 @@ class _SightMemo:
         self.xy = np.ascontiguousarray(self.pts.T)  # (2, T) rows for the shadow pass
         self.rings = ms._blocking
         self._on_ring = [None] * len(self.rings)
+        self.rows: dict[bytes, np.ndarray] = {}
+        self._cap = _ROW_BYTES // ((len(tgt) + 7) // 8)
 
     def on_ring(self, k: int) -> np.ndarray:
         if self._on_ring[k] is None:
             self._on_ring[k] = self.rings[k][0].on_boundary_many(self.pts)
         return self._on_ring[k]
+
+    def row(self, key: bytes) -> np.ndarray | None:
+        """The kept mask of the source whose coordinate bytes are ``key``, if any."""
+        packed = self.rows.get(key)
+        if packed is None:
+            return None
+        return np.unpackbits(packed, count=len(self.feasible)).view(bool)
+
+    def keep(self, rows) -> None:
+        """Keep new sources' (key, row) pairs, packed, dropping the oldest past the budget."""
+        if not self._cap:  # not even one row fits
+            return
+        for key, row in rows:
+            self.rows[key] = np.packbits(row)
+        for key in list(itertools.islice(self.rows, max(len(self.rows) - self._cap, 0))):
+            del self.rows[key]
 
 
 def _is_one_location(p) -> bool:
@@ -486,7 +517,11 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
     source lies on, whatever that ring's own pieces say; the fallback runs
     one batch per ring for the whole stack.  Zero-length segments are never
     blocked.  Target-side work (feasibility, on-ring masks) is kept on
-    ``ms`` for later calls with the same targets.
+    ``ms`` for later calls with the same targets, and so are the rows of the
+    last feasible sources decided against them, keyed by their coordinate
+    bytes (``_SightMemo``).  A kept source's row is unpacked into the
+    result, and only the other sources reach the shadow pass and the exact
+    fallback.  A space with no blocking ring keeps no rows.
     """
     if _is_one_location(sources):
         return line_of_sight_many(as_xy(sources)[None, :], targets, ms)[0]
@@ -502,6 +537,17 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
     out[rows] = memo.feasible
     if not memo.rings or not len(memo.idx):
         return out
+    # a source seen before copies its kept row; only the others are decided
+    new = []  # (key, row) of each source without a kept row
+    for r in rows:
+        key = src[r].tobytes()
+        if (kept := memo.row(key)) is not None:
+            out[r] = kept
+        else:
+            new.append((key, r))
+    if not new:
+        return out
+    rows = np.array([r for _, r in new], dtype=np.intp)
     shadows = ms._shadows
     src = src[rows]
     pts = memo.pts
@@ -546,4 +592,5 @@ def line_of_sight_many(sources, targets, ms: MissionSpace) -> np.ndarray:
         sel = sel[out[oi[sel], ot[sel]]]
         if len(sel):
             out[oi[sel], ot[sel]] = ~_excursions(src[i[sel]], pts[t[sel]], *memo.rings[k])
+    memo.keep((key, out[r]) for key, r in new)
     return out

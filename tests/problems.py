@@ -39,6 +39,11 @@ def sees(a, b, ms):
     return bool(line_of_sight_many(a, [b], ms)[0])
 
 
+def fresh(space):
+    """A new space of the same rings, whose sight memo keeps nothing from earlier calls."""
+    return MissionSpace(space.boundary, space.obstacles)
+
+
 def make_problem(space, cell_size=1.0, decay=0.1, radius=30.0, spacing=4.0):
     grid = QuadratureGrid(space, cell_size, UniformDensity())
     sensor = SensorModel(decay=decay, radius=radius)

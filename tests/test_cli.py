@@ -292,6 +292,10 @@ def test_bad_positions_file_exits_2(tmp_path, small_scenario, capsys):
 
 
 DIAMOND = {**SMALL, "boundary": [[10, 0], [20, 10], [10, 20], [0, 10]], "candidate_spacing": 20}
+# Each axis of these spaces holds fewer points than numpy can index, but
+# their (x, y) pairs take more bytes than it can index.
+WIDE = {**SMALL, "boundary": [[0, 0], [2**63, 0], [2**63, 10], [0, 10]]}
+VAST = {**SMALL, "boundary": [[0, 0], [2**63, 0], [2**63, 2**62], [0, 2**62]]}
 
 
 @pytest.mark.parametrize(
@@ -319,6 +323,15 @@ DIAMOND = {**SMALL, "boundary": [[10, 0], [20, 10], [10, 20], [0, 10]], "candida
         pytest.param(["heatmap", "--positions-file", "{tmp}/pos.csv"],
                      {"pos.csv": "agent,x,y\n# none\n"}, 2,
                      "positions file {tmp}/pos.csv holds no positions", id="positions-empty"),
+        pytest.param(["bounds", "--scenario", "{tmp}/wide.json", "--grid-h", "2"],
+                     {"wide.json": json.dumps(WIDE)}, 2,
+                     "grid_cell_size: cell size 2.0 puts 2.30584e+19 points in all, "
+                     "more than numpy can index", id="grid-too-big"),
+        pytest.param(["bounds", "--scenario", "{tmp}/vast.json", "--grid-h", str(2.0**60),
+                      "--candidates-spacing", "2"],
+                     {"vast.json": json.dumps(VAST)}, 2,
+                     "candidate_spacing: lattice spacing 2.0 puts 1.06338e+37 points in all, "
+                     "more than numpy can index", id="lattice-too-big"),
         pytest.param(["greedy", "--out", "{tmp}/taken"], {"taken": "a file"}, 1,
                      "[Errno 17] File exists: '{tmp}/taken'", id="out-is-a-file"),
     ],

@@ -380,6 +380,31 @@ def test_rows_counts_every_row_refine_asks_for(one_block, monkeypatch):
     assert result.rows == asked[0] > len(start)
 
 
+def test_refine_decides_each_sight_line_once(monkeypatch):
+    # greedy's lattice call decides the seed's sight lines, and a vetoed joint
+    # step every proposal the rescue makes again, bit for bit: the space keeps
+    # their rows, so no source reaches the shadow pass twice
+    from coverplan.shadows import Shadows
+
+    sc = parse_scenario(bundled_scenario_path("random_60x50"))
+    space = sc.build_space()
+    grid, sensor, cand = sc.build_grid(space), sc.build_sensor(), sc.build_candidates(space)
+    shadowed = []
+    lines = Shadows.lines
+
+    def spy_lines(self, src):
+        shadowed.extend(p.tobytes() for p in src)
+        return lines(self, src)
+
+    monkeypatch.setattr(Shadows, "lines", spy_lines)
+    seed = greedy_place(space, grid, sensor, cand, sc.team_size)
+    result = refine(seed.positions, space, grid, sensor, max_iterations=1)
+    assert result.rescues == 1
+    assert len(shadowed) == len(set(shadowed))
+    # past greedy's lattice, fewer sources than refine's rows beyond its seed
+    assert len(shadowed) - len(cand) < result.rows - sc.team_size
+
+
 # Rows refine computed with a finite-difference gradient and no step floor, on
 # each bundled scenario at its own settings: 1440 / 7260 / 7270 / 6918 / 8104
 # in its sweeps, plus the 10 starting rows.

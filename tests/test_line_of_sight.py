@@ -31,9 +31,10 @@ from coverplan import (
     project_feasible,
 )
 
+from coverplan import geometry
 from coverplan.geometry import EPS, _cross_inside, _excursions
 
-from problems import TOUCHING_LAYOUTS, random_space, sees
+from problems import TOUCHING_LAYOUTS, fresh, random_space, sees
 from los_reference import _segment_excursion, reference_line_of_sight_many
 
 BUNDLED = ("empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50")
@@ -205,6 +206,93 @@ def test_memo_follows_the_target_set():
     line_of_sight_many(src, targets, space)
     targets[:, 1] += 9.0
     assert_matches_reference([src], targets, space)
+    # the kept rows go with their target set
+    line_of_sight_many(src, grid.centers, space)
+    assert list(space._sight.rows) == [src.tobytes()]
+    line_of_sight_many(src + 1.0, other, space)
+    assert list(space._sight.rows) == [(src + 1.0).tobytes()]
+    line_of_sight_many(src, grid.centers, space)
+    assert list(space._sight.rows) == [src.tobytes()]
+
+
+@pytest.mark.parametrize("name", BUNDLED[1:])
+def test_kept_rows_answer_as_a_fresh_space_does(name):
+    # one stack mixing sources an earlier call decided, new ones, repeats of
+    # both and infeasible ones equals the same stack on a space that kept
+    # nothing; the new feasible sources are kept for the next call
+    sc = parse_scenario(bundled_scenario_path(name))
+    space = sc.build_space()
+    targets = sc.build_grid(space).centers
+    cand = sc.build_candidates(space)
+    known, new = cand[:12], cand[12:20]
+    line_of_sight_many(known, targets, space)
+    infeasible = [space.obstacles[0].vertices.mean(axis=0), np.array([-1.0, 3.0])]
+    assert not space.feasible_many(np.array(infeasible)).any()
+    stack = np.concatenate([new[:3], known[::3], infeasible, new[3:], known[:2], new[:2]])
+    got = line_of_sight_many(stack, targets, space)
+    assert np.array_equal(got, line_of_sight_many(stack, targets, fresh(space)))
+    kept = space._sight.rows
+    assert list(kept)[: len(known)] == [p.tobytes() for p in known]
+    assert list(kept)[len(known) :] == [p.tobytes() for p in new]
+    for p in infeasible:
+        assert p.tobytes() not in kept
+
+
+def test_a_returned_mask_changed_in_place_changes_no_later_answer():
+    space = u_space()
+    targets = QuadratureGrid(space, 1.0, UniformDensity()).centers
+    sources = np.array([[15.0, 4.0], [25.0, 5.0], [15.0, 4.0]])
+    first = line_of_sight_many(sources, targets, space)
+    want = first.copy()
+    first[:] = ~first
+    assert np.array_equal(line_of_sight_many(sources, targets, space), want)
+    one = line_of_sight_many(sources[1], targets, space)
+    one[:] = False
+    assert np.array_equal(line_of_sight_many(sources[1], targets, space), want[1])
+    assert np.array_equal(line_of_sight_many(sources, targets, space), want)
+
+
+def test_kept_rows_stay_within_the_budget():
+    # the oldest rows go first once the rows' packed bytes would pass the budget
+    sc = parse_scenario(bundled_scenario_path("random_60x50"))
+    space = sc.build_space()
+    targets = sc.build_grid(space).centers
+    sources = candidate_lattice(space, 1.5)
+    cap = geometry._ROW_BYTES // ((len(targets) + 7) // 8)
+    assert cap == 349 and len(sources) > cap + 20
+    for chunk in np.array_split(sources, 5):
+        line_of_sight_many(chunk, targets, space)
+        kept = space._sight.rows
+        assert sum(row.nbytes for row in kept.values()) <= geometry._ROW_BYTES
+    assert list(kept) == [p.tobytes() for p in sources[-cap:]]
+
+
+def test_no_rows_are_kept_when_not_one_fits(monkeypatch):
+    # a budget below one packed row keeps nothing, and the answers stay those
+    # of a space that keeps rows
+    space = u_space()
+    targets = QuadratureGrid(space, 1.0, UniformDensity()).centers
+    sources = np.array([[15.0, 4.0], [25.0, 5.0], [15.0, 4.0]])
+    want = line_of_sight_many(sources, targets, space)
+    monkeypatch.setattr(geometry, "_ROW_BYTES", (len(targets) + 7) // 8 - 1)
+    space = fresh(space)
+    assert np.array_equal(line_of_sight_many(sources, targets, space), want)
+    assert np.array_equal(line_of_sight_many(sources[1], targets, space), want[1])
+    assert space._sight.rows == {}
+
+
+@pytest.mark.parametrize("name", ["empty_60x50", "random_open"])
+def test_an_open_space_keeps_no_rows(name):
+    # with no blocking ring a sight line is only the target mask: nothing to keep
+    if name == "random_open":
+        space = random_space(np.random.default_rng(3), with_obstacle=False)
+    else:
+        space = parse_scenario(bundled_scenario_path(name)).build_space()
+    targets = QuadratureGrid(space, 1.0, UniformDensity()).centers
+    sources = candidate_lattice(space, 4.0)
+    line_of_sight_many(sources, targets, space)
+    line_of_sight_many(sources[0], targets, space)
+    assert space._sight.rows == {}
 
 
 def test_no_targets():
@@ -294,7 +382,8 @@ def test_matches_reference_on_random_nonconvex_rings(seed):
         stacked = line_of_sight_many(sources, targets, space)
         for row, src in zip(stacked, sources):
             assert np.array_equal(row, reference_line_of_sight_many(src, targets, space))
-            assert np.array_equal(row, line_of_sight_many(src, targets, space))
+            # a fresh space decides the source alone, not from the stack's kept row
+            assert np.array_equal(row, line_of_sight_many(src, targets, fresh(space)))
 
 
 def star_case(seed, snap, frac):
@@ -421,10 +510,13 @@ def test_stacked_rows_match_reference(seed, shape, k, no_targets):
     assert got.shape == (k, len(targets)) and got.dtype == bool
     for row, src in zip(got, sources):
         assert np.array_equal(row, reference_line_of_sight_many(src, targets, space))
-        assert np.array_equal(row, line_of_sight_many(src, targets, space))
+        # a fresh space decides the source alone, not from the stack's kept row
+        assert np.array_equal(row, line_of_sight_many(src, targets, fresh(space)))
 
 
 def test_stack_shapes():
+    # every call but the shape checks runs on a fresh space, so each form
+    # decides its source itself instead of reading a row an earlier call kept
     space = u_space()
     targets = QuadratureGrid(space, 1.0, UniformDensity()).centers
     one = np.array([15.0, 4.0])
@@ -432,11 +524,12 @@ def test_stack_shapes():
     assert line_of_sight_many(one[None, :], targets, space).shape == (1, len(targets))
     assert line_of_sight_many(np.empty((0, 2)), targets, space).shape == (0, len(targets))
     assert line_of_sight_many([(15.0, 4.0), (4.0, 4.0)], targets[:0], space).shape == (2, 0)
-    both = line_of_sight_many([(15.0, 4.0), (4.0, 4.0)], targets, space)
-    assert np.array_equal(both[0], line_of_sight_many(one, targets, space))
-    assert not both[1].any()  # inside the square obstacle
-    assert np.array_equal(line_of_sight_many((15.0, 4.0), targets, space), both[0])
-    assert np.array_equal(line_of_sight_many([(15.0, 4.0)], targets, space), both[:1])
+    stack = line_of_sight_many([(15.0, 4.0), (4.0, 4.0), (25.0, 5.0)], targets, fresh(space))
+    assert np.array_equal(stack[0], line_of_sight_many(one, targets, fresh(space)))
+    assert not stack[1].any()  # inside the square obstacle
+    assert np.array_equal(line_of_sight_many((15.0, 4.0), targets, fresh(space)), stack[0])
+    assert np.array_equal(line_of_sight_many([(15.0, 4.0)], targets, fresh(space)), stack[:1])
+    assert np.array_equal(line_of_sight_many((25.0, 5.0), targets, fresh(space)), stack[2])
     with pytest.raises(GeometryError):
         line_of_sight_many([(15.0, 4.0), (4.0,)], targets, space)
 

@@ -25,7 +25,7 @@ from coverplan import (
 from coverplan import sensing
 from coverplan.geometry import EPS
 
-from problems import make_problem, sees
+from problems import fresh, make_problem, sees
 
 
 def test_sensor_model_validation():
@@ -157,7 +157,8 @@ def assert_same_bits(a, b):
     "name", ["empty_60x50", "wall_60x50", "maze_60x50", "random_60x50", "rooms_60x50"]
 )
 def test_detection_paths_match_reference_rows(name):
-    # rows, matrices and cache probabilities all equal the reference bit for bit
+    # rows, matrices and cache probabilities all equal the reference bit for
+    # bit; each path runs on a fresh space, so none reads rows another kept
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
     pts = sc.build_grid(space).centers
@@ -171,12 +172,13 @@ def test_detection_paths_match_reference_rows(name):
         SensorModel(decay=0.0, radius=base.radius),
         SensorModel(decay=0.3, radius=exact),  # a cell sits exactly at the cutoff
     ]
-    cache = DetectionCache(src, space, pts)
+    cache = DetectionCache(src, fresh(space), pts)
     for sensor in sensors:
-        ref = np.array([reference_row(p, space, pts, sensor) for p in src])
+        ref_space, row_space = fresh(space), fresh(space)
+        ref = np.array([reference_row(p, ref_space, pts, sensor) for p in src])
         for p, r in zip(src, ref):
-            assert_same_bits(detection_row(p, space, pts, sensor), r)
-        assert_same_bits(detection_matrix(src, space, pts, sensor), ref)
+            assert_same_bits(detection_row(p, row_space, pts, sensor), r)
+        assert_same_bits(detection_matrix(src, fresh(space), pts, sensor), ref)
         assert_same_bits(cache.probs(sensor), ref)
 
 
@@ -185,7 +187,9 @@ def test_detection_paths_match_reference_rows(name):
 )
 def test_stacked_rows_equal_single_rows(name):
     # matrices and cache probabilities take their sight lines from one stacked
-    # call; every row must equal the single-source row, infeasible sources too
+    # call; every row must equal the single-source row, infeasible sources too.
+    # Each side runs on a fresh space, so the single rows are decided one
+    # source per call and not read from the stack's kept rows
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
     pts = sc.build_grid(space).centers
@@ -194,9 +198,10 @@ def test_stacked_rows_equal_single_rows(name):
     off = np.random.default_rng(6).uniform((xmin - 2, ymin - 2), (xmax + 2, ymax + 2), size=(12, 2))
     src = np.vstack([sc.build_candidates(space), verts, off])
     sensor = sc.build_sensor()
-    rows = np.array([detection_row(p, space, pts, sensor) for p in src])
-    assert_same_bits(detection_matrix(src, space, pts, sensor), rows)
-    assert_same_bits(DetectionCache(src, space, pts).probs(sensor), rows)
+    single = fresh(space)
+    rows = np.array([detection_row(p, single, pts, sensor) for p in src])
+    assert_same_bits(detection_matrix(src, fresh(space), pts, sensor), rows)
+    assert_same_bits(DetectionCache(src, fresh(space), pts).probs(sensor), rows)
 
 
 @pytest.mark.parametrize(
@@ -207,7 +212,8 @@ def test_stacked_rows_equal_single_rows(name):
 def test_blocked_matrix_equals_stacked_rows(obstacles):
     # matrices build their rows a block at a time; stacks that end before,
     # on and after a block's edge equal rows taken one by one, and an
-    # infeasible source's row is all zero wherever it sits in the stack
+    # infeasible source's row is all zero wherever it sits in the stack; each
+    # side runs on a fresh space, so neither reads the other's kept rows
     space = MissionSpace(
         Polygon([(0, 0), (60, 0), (60, 50), (0, 50)]), [Polygon(o) for o in obstacles]
     )
@@ -222,8 +228,9 @@ def test_blocked_matrix_equals_stacked_rows(obstacles):
     assert not space.feasible_many(np.array([outside]))[0]
     for n in (1, block - 1, block, block + 1, 2 * block + 1):
         for src in (feasible[:n], np.insert(feasible[: n - 1], n // 2, outside, axis=0)):
-            rows = np.array([detection_row(p, space, pts, sensor) for p in src])
-            assert_same_bits(detection_matrix(src, space, pts, sensor), rows)
+            single = fresh(space)
+            rows = np.array([detection_row(p, single, pts, sensor) for p in src])
+            assert_same_bits(detection_matrix(src, fresh(space), pts, sensor), rows)
         assert not rows[n // 2].any()
 
 
@@ -251,13 +258,13 @@ def test_results_do_not_depend_on_the_target_layout(name):
     results = {}
     for layout, pts in target_layouts(sc.build_grid(space).centers).items():
         # a fresh space, so its sight memo is built from this layout
-        fresh = MissionSpace(space.boundary, space.obstacles)
-        cache = DetectionCache(src, fresh, pts)
+        own = fresh(space)
+        cache = DetectionCache(src, own, pts)
         results[layout] = [
-            line_of_sight_many(src, pts, fresh),
-            line_of_sight_many(src[0], pts, fresh),
-            np.array([detection_row(p, fresh, pts, sensor) for p in src]),
-            detection_matrix(src, fresh, pts, sensor),
+            line_of_sight_many(src, pts, own),
+            line_of_sight_many(src[0], pts, own),
+            np.array([detection_row(p, own, pts, sensor) for p in src]),
+            detection_matrix(src, own, pts, sensor),
             cache.dist,
             cache.probs(sensor),
         ]
@@ -280,8 +287,7 @@ def test_a_second_target_set_of_the_same_shape_rebuilds_the_sight_memo():
     got = line_of_sight_many(src, second, space)
     assert space._sight is not memo
     assert np.array_equal(space._sight.xy, second[space._sight.idx].T)
-    fresh = MissionSpace(space.boundary, space.obstacles)
-    assert np.array_equal(got, line_of_sight_many(src, second, fresh))
+    assert np.array_equal(got, line_of_sight_many(src, second, fresh(space)))
 
 
 @pytest.mark.parametrize(
