@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import EPS, MissionSpace, as_points_array
+from .geometry import EPS, MAX_COORD, MissionSpace, as_points_array
 
 
 class UniformDensity:
@@ -54,11 +54,17 @@ class GaussianMixtureDensity:
             raise InvalidParameterError("mixture weights must be finite and >= 0")
         if np.any(self.sigmas <= 0) or not np.all(np.isfinite(self.sigmas)):
             raise InvalidParameterError("mixture sigmas must be finite and > 0")
+        if not np.all(np.abs(self.centers) <= MAX_COORD):
+            raise InvalidParameterError(
+                f"mixture center coordinates must be finite and at most {MAX_COORD:g} in magnitude"
+            )
 
     def __call__(self, points) -> np.ndarray:
         pts = as_points_array(points)
         d2 = np.sum((pts[:, None, :] - self.centers[None, :, :]) ** 2, axis=-1)
-        bumps = self.weights[None, :] * np.exp(-d2 / (2.0 * self.sigmas[None, :] ** 2))
+        with np.errstate(over="ignore"):  # a sigma past 1e154 squares to inf: a flat bump
+            spread = 2.0 * self.sigmas[None, :] ** 2
+        bumps = self.weights[None, :] * np.exp(-d2 / spread)
         return self.baseline + np.sum(bumps, axis=1)
 
     def __repr__(self):

@@ -59,6 +59,10 @@ from .errors import GeometryError
 # Geometric tolerance, in length units.
 EPS = 1e-9
 
+# Largest magnitude of a ring vertex's coordinates: the squares and cross
+# products of coordinate differences then stay far below the float maximum.
+MAX_COORD = 1e150
+
 # Bytes of sight-line rows kept per target set, packed eight targets to a
 # byte, the oldest row dropped first: 349 rows at 3000 targets, none above
 # 1,048,576 targets.  A refine reuses a vetoed joint step's rows (up to 9
@@ -166,12 +170,14 @@ class Polygon:
 
     def __init__(self, vertices):
         verts = as_points_array(vertices)
+        if not np.all(np.abs(verts) <= MAX_COORD):
+            raise GeometryError(
+                f"polygon vertex coordinates must be finite and at most {MAX_COORD:g} in magnitude"
+            )
         if len(verts) >= 2 and np.linalg.norm(verts[0] - verts[-1]) <= EPS:
             verts = verts[:-1]  # tolerate an explicitly closed ring
         if len(verts) < 3:
             raise GeometryError(f"polygon needs at least 3 vertices, got {len(verts)}")
-        if not np.all(np.isfinite(verts)):
-            raise GeometryError("polygon vertices must be finite")
         self.vertices = verts
         self._validate_simple()
         a, b = self.edges

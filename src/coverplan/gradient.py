@@ -11,11 +11,12 @@ scaled by a power of two refines the same, scaled.
 
 Each iteration takes every agent's gradient at once: the others' miss of
 every agent from one running product over the detection rows, and every
-agent's pull against its cell offsets in one stacked matrix product.  It then
-proposes a joint step of all agents against the same configuration.  At each
-step length the movers' targets are decided by one feasibility call, only
-the infeasible ones are projected, and the agents that moved get their new
-rows from one detection-matrix call.  Collisions are still tested in agent
+agent's pull against its cell offsets in one stacked matrix product; the
+distances to the cells are measured as the detection rule measures them.
+It then proposes a joint step of all agents against the same configuration.
+At each step length the movers' targets are decided by one feasibility call,
+only the infeasible ones are projected, and the agents that moved get their
+new rows from one detection-matrix call.  Collisions are still tested in agent
 order: a target within ``COLLISION_RADIUS`` of another agent, as moved so
 far, is dropped.  When backtracking vetoes the joint step, the agents step
 one at a time along the same directions instead, each judged after the moves
@@ -40,6 +41,7 @@ from .geometry import (
 )
 from .sensing import (
     SensorModel,
+    _distances,
     coverage_from_rows,
     detection_matrix,
     detection_row,
@@ -116,8 +118,10 @@ def _gradients(pos, rows, grid: QuadratureGrid, sensor: SensorModel) -> np.ndarr
     flips.  A cell centred on the agent adds nothing.  Agent i's share of the
     others' miss starts as the running product of the rows before it, and the
     rows after it multiply in ascending order, as ``np.prod`` does, so every
-    agent's gradient is the same to the bit as one computed on its own.  All
-    agents' pulls meet their differences x - s_i in one stacked product.
+    agent's gradient is the same to the bit as one computed on its own.
+    |x - s_i| comes from ``sensing._distances``, the detection rule's own
+    arithmetic.  All agents' pulls meet their differences x - s_i in one
+    stacked product.
     """
     q = 1.0 - rows
     pull = np.empty_like(rows)
@@ -127,10 +131,13 @@ def _gradients(pos, rows, grid: QuadratureGrid, sensor: SensorModel) -> np.ndarr
         pull[:j] *= q[j]
     pull *= grid.weights
     pull *= rows
-    dx = grid.centers[:, 0] - pos[:, :1]
-    dy = grid.centers[:, 1] - pos[:, 1:]
-    dist = np.hypot(dx, dy)
-    pull = np.divide(pull, dist, out=np.zeros_like(dist), where=dist > 0)
+    xy = np.ascontiguousarray(grid.centers.T)
+    dist = _distances(pos, xy, out=q)  # the miss factors are spent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pull /= dist
+    pull[dist == 0] = 0.0
+    dx = xy[0] - pos[:, :1]
+    dy = xy[1] - pos[:, 1:]
     return sensor.decay * (pull[:, None, :] @ np.stack((dx, dy), axis=2))[:, 0]
 
 

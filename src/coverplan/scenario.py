@@ -188,7 +188,7 @@ def _gaussian_mixture(spec: dict, path: str):
         centers.append(_want_pair(comp["center"], f"{cpath}.center"))
         weights.append(_want_number(comp["weight"], f"{cpath}.weight", minimum=0.0))
         sigmas.append(_want_number(comp["sigma"], f"{cpath}.sigma", strict_minimum=0.0))
-    return partial(GaussianMixtureDensity, centers, weights, sigmas, baseline)
+    return partial(_tagged, path, GaussianMixtureDensity, centers, weights, sigmas, baseline)
 
 
 def _sampled(spec: dict, path: str):

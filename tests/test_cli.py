@@ -296,6 +296,8 @@ DIAMOND = {**SMALL, "boundary": [[10, 0], [20, 10], [10, 20], [0, 10]], "candida
 # their (x, y) pairs take more bytes than it can index.
 WIDE = {**SMALL, "boundary": [[0, 0], [2**63, 0], [2**63, 10], [0, 10]]}
 VAST = {**SMALL, "boundary": [[0, 0], [2**63, 0], [2**63, 2**62], [0, 2**62]]}
+# an obstacle vertex so far out that squaring its edges' lengths would overflow
+FAR = {**SMALL, "obstacles": [[[1e300, 3], [8, 3], [8, 7], [5, 7]]]}
 
 
 @pytest.mark.parametrize(
@@ -332,6 +334,9 @@ VAST = {**SMALL, "boundary": [[0, 0], [2**63, 0], [2**63, 2**62], [0, 2**62]]}
                      {"vast.json": json.dumps(VAST)}, 2,
                      "candidate_spacing: lattice spacing 2.0 puts 1.06338e+37 points in all, "
                      "more than numpy can index", id="lattice-too-big"),
+        pytest.param(["greedy", "--scenario", "{tmp}/far.json"], {"far.json": json.dumps(FAR)}, 2,
+                     "obstacles[0]: polygon vertex coordinates must be finite and at most "
+                     "1e+150 in magnitude", id="obstacle-too-far"),
         pytest.param(["greedy", "--out", "{tmp}/taken"], {"taken": "a file"}, 1,
                      "[Errno 17] File exists: '{tmp}/taken'", id="out-is-a-file"),
     ],

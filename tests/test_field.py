@@ -32,6 +32,24 @@ def test_gaussian_mixture_density():
         GaussianMixtureDensity(centers=[(0, 0)], weights=[1.0, 2.0], sigmas=[1.0])
 
 
+def test_a_sigma_whose_square_overflows_gives_a_flat_bump():
+    # 2 sigma^2 is inf, so every point gets the whole weight: the limit as sigma grows,
+    # and no overflow warning, which this suite would raise
+    d = GaussianMixtureDensity(centers=[(0, 0)], weights=[2.0], sigmas=[1e300], baseline=0.5)
+    assert np.array_equal(d([(0, 0), (3, -4), (1e150, -1e150)]), [2.5, 2.5, 2.5])
+
+
+@pytest.mark.parametrize("coordinate", [1.0000000000000002e150, -1e300, np.inf, np.nan])
+def test_mixture_centers_are_bounded_as_ring_vertices_are(coordinate):
+    with pytest.raises(InvalidParameterError) as info:
+        GaussianMixtureDensity(centers=[(0, 0), (4, coordinate)], weights=[1, 1], sigmas=[1, 1])
+    assert str(info.value) == (
+        "mixture center coordinates must be finite and at most 1e+150 in magnitude"
+    )
+    d = GaussianMixtureDensity(centers=[(-1e150, 1e150)], weights=[1.0], sigmas=[1.0])
+    assert np.array_equal(d([(0, 0)]), [0.0])
+
+
 def test_sampled_density_nearest_lookup():
     table = [[1.0, 2.0], [3.0, 4.0]]  # values[iy][ix] at origin + (ix, iy) * 10
     d = SampledDensity(origin=(0, 0), spacing=10.0, values=table)

@@ -29,6 +29,7 @@ from coverplan import (
     refine,
 )
 from coverplan import gradient
+from coverplan.sensing import _distances
 
 from problems import make_problem
 
@@ -206,14 +207,21 @@ def others_miss(rows, i):
     return miss_product(np.delete(rows, i, 0))
 
 
-def agent_gradient(pos, weighted_miss, row, grid, sensor):
+def rule_distances(pos, grid):
+    """|x - s| from each of the (k, 2) sources to every cell, as the detection rule measures it."""
+    return _distances(np.asarray(pos, dtype=float), np.ascontiguousarray(grid.centers.T))
+
+
+def agent_gradient(pos, weighted_miss, row, grid, sensor, dist=None):
     """Oracle: the area-term gradient of one agent, computed on its own.
 
     Each cell x adds decay * w * Π_{j≠i}(1 - p_j) * p_i * (x - s_i) / |x - s_i|;
-    a cell centred on the agent adds nothing.
+    a cell centred on the agent adds nothing.  |x - s_i| is ``dist`` when
+    given, else the detection rule's distance.
     """
     d = grid.centers - pos
-    dist = np.hypot(d[:, 0], d[:, 1])
+    if dist is None:
+        dist = rule_distances(np.reshape(pos, (1, 2)), grid)[0]
     pull = np.divide(weighted_miss * row, dist, out=np.zeros_like(dist), where=dist > 0)
     return sensor.decay * (pull @ d)
 
@@ -457,6 +465,24 @@ def test_every_agents_gradient_equals_the_per_agent_oracle(name, n):
              for i, p in enumerate(pos)]
     got = gradient._gradients(pos, rows, grid, sensor)
     assert np.array_equal(got, every) and np.all(np.any(got != 0, axis=1))
+
+
+def test_the_gradient_measures_distances_as_the_detection_rule_does(empty_rect):
+    # off the lattice np.hypot rounds some |x - s| otherwise than the rule's
+    # sqrt(dx*dx + dy*dy), and the gradient follows the rule to the bit
+    grid, sensor, _ = make_problem(empty_rect, decay=0.12)
+    pos = np.array([[3.3, 4.7], [12.1, 6.9], [17.77, 2.123], [0.4, 9.31]])
+    d = grid.centers - pos[:, None]
+    hypot = np.hypot(d[..., 0], d[..., 1])
+    assert np.any(hypot != rule_distances(pos, grid), axis=1).all()
+    rows = detection_matrix(pos, empty_rect, grid.centers, sensor)
+    wm = [grid.weights * others_miss(rows, i) for i in range(len(pos))]
+    got = gradient._gradients(pos, rows, grid, sensor)
+    rule = [agent_gradient(p, wm[i], rows[i], grid, sensor) for i, p in enumerate(pos)]
+    assert got.tobytes() == np.array(rule).tobytes()
+    by_hypot = [agent_gradient(p, wm[i], rows[i], grid, sensor, hypot[i])
+                for i, p in enumerate(pos)]
+    assert np.any(got != by_hypot)
 
 
 def reference_refine(initial, space, grid, sensor, max_iterations):
