@@ -29,25 +29,23 @@ from .oracle import brute_force, check_definition_equivalence, check_submodular
 from .scenario import bundled_scenario_path, parse_scenario
 from .sensing import DetectionCache, coverage, detection_matrix, joint_detection
 
-# the scenario fields a flag can override, each the dest of its flag
-_OVERRIDES = ("seed", "grid_cell_size", "candidate_spacing", "team_size", "decay", "radius")
+# the scenario fields a flag can override: (flag, field, type, help)
+_OVERRIDES = (
+    ("--seed", "seed", int, "override the scenario seed"),
+    ("--grid-h", "grid_cell_size", float, "override the quadrature cell size"),
+    ("--candidates-spacing", "candidate_spacing", float, "override the candidate lattice spacing"),
+    ("--n", "team_size", int, "override the team size"),
+    ("--lambda", "decay", float, "override the sensing decay rate"),
+    ("--delta", "radius", float, "override the sensing radius"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     common.add_argument("--out", default=None, help="directory for CSV artifacts")
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common.add_argument("--grid-h", type=float, default=None, dest="grid_cell_size",
-                        help="override the quadrature cell size")
-    common.add_argument("--candidates-spacing", type=float, default=None,
-                        dest="candidate_spacing", help="override the candidate lattice spacing")
-    common.add_argument("--n", type=int, default=None, dest="team_size",
-                        help="override the team size")
-    common.add_argument("--lambda", type=float, default=None, dest="decay",
-                        help="override the sensing decay rate")
-    common.add_argument("--delta", type=float, default=None, dest="radius",
-                        help="override the sensing radius")
+    for flag, dest, kind, text in _OVERRIDES:
+        common.add_argument(flag, type=kind, default=None, dest=dest, help=text)
 
     parser = argparse.ArgumentParser(
         prog="coverplan",
@@ -56,18 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coverplan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="objective value of a placement read from CSV")
+    def command(name, handler, text):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("evaluate", _cmd_evaluate, "objective value of a placement read from CSV")
     p.add_argument("--positions-file", required=True, help="CSV with agent,x,y rows")
 
-    p = sub.add_parser("greedy", parents=[common], help="greedy placement on the candidate lattice")
+    p = command("greedy", _cmd_greedy, "greedy placement on the candidate lattice")
     p.add_argument("--method", choices=("eager", "lazy"), default="lazy")
 
-    sub.add_parser("gga", parents=[common], help="greedy placement plus gradient refinement")
-    bounds = sub.add_parser("bounds", parents=[common],
-                            help="curvatures and certified greedy guarantees")
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="bounds along a sensing-parameter sweep")
+    command("gga", _cmd_gga, "greedy placement plus gradient refinement")
+    bounds = command("bounds", _cmd_bounds, "curvatures and certified greedy guarantees")
+    sweep = command("sweep", _cmd_sweep, "bounds along a sensing-parameter sweep")
     for p in (bounds, sweep):
         p.add_argument("--alpha-domain", choices=("feasible", "omega"), default="feasible",
                        dest="alpha_domain",
@@ -75,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sweep", required=True, metavar="PARAM:START:STOP:STEPS",
                        help="PARAM is 'lambda' or 'delta'")
 
-    sub.add_parser("oracle", parents=[common], help="exhaustive optimal placement (small instances)")
+    command("oracle", _cmd_oracle, "exhaustive optimal placement (small instances)")
 
-    p = sub.add_parser("check", parents=[common], help="randomized submodularity property checks")
+    p = command("check", _cmd_check, "randomized submodularity property checks")
     p.add_argument("--trials", type=int, default=1000, help="trials for the nested-gain check")
 
-    p = sub.add_parser("heatmap", parents=[common], help="joint detection field as CSV and PGM")
+    p = command("heatmap", _cmd_heatmap, "joint detection field as CSV and PGM")
     p.add_argument("--positions-file", default=None,
                    help="CSV with agent,x,y rows; defaults to running gga")
     return parser
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(_Run(args), args)
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -109,16 +109,16 @@ class _Run:
         if not Path(spec).exists() and "/" not in spec and "\\" not in spec:
             # bare names refer to the bundled scenario library
             spec = bundled_scenario_path(spec.removesuffix(".json"))
-        self.scenario = parse_scenario(spec, **{f: getattr(args, f) for f in _OVERRIDES})
+        self.scenario = parse_scenario(spec, **{f: getattr(args, f) for _, f, *_ in _OVERRIDES})
         self.space = self.scenario.build_space()
-        self.grid = self.scenario.build_grid(self.space)
+        self.grid = self.scenario.build_grid()
         self.sensor = self.scenario.build_sensor()
         self.out = Path(args.out) if args.out else None
         if self.out:
             self.out.mkdir(parents=True, exist_ok=True)
 
     def candidates(self) -> np.ndarray:
-        cand = self.scenario.build_candidates(self.space)
+        cand = self.scenario.build_candidates()
         if len(cand) == 0:
             raise EmptyCandidateSetError(
                 f"no feasible candidate at spacing {self.scenario.candidate_spacing}"
@@ -184,21 +184,6 @@ def _read_positions(path, space) -> np.ndarray:
     return positions
 
 
-def _dispatch(args) -> int:
-    run = _Run(args)
-    handler = {
-        "evaluate": _cmd_evaluate,
-        "greedy": _cmd_greedy,
-        "gga": _cmd_gga,
-        "bounds": _cmd_bounds,
-        "sweep": _cmd_sweep,
-        "oracle": _cmd_oracle,
-        "check": _cmd_check,
-        "heatmap": _cmd_heatmap,
-    }[args.command]
-    return handler(run, args)
-
-
 def _cmd_evaluate(run: _Run, args) -> int:
     positions = _read_positions(args.positions_file, run.space)
     value = coverage(positions, run.space, run.grid, run.sensor)
@@ -244,6 +229,15 @@ def _cmd_gga(run: _Run, args) -> int:
     return 0
 
 
+# the guarantee columns of bounds.csv and sweep.csv, each with its BoundReport field
+_GUARANTEES = {"c": "total_curvature", "alpha": "elemental_curvature", "T": "from_total",
+               "E": "from_elemental", "L": "certified"}
+
+
+def _guarantees(report) -> tuple:
+    return tuple(getattr(report, name) for name in _GUARANTEES.values())
+
+
 def _cmd_bounds(run: _Run, args) -> int:
     cand = run.candidates()
     probs = detection_matrix(cand, run.space, run.grid.centers, run.sensor)
@@ -263,27 +257,22 @@ def _cmd_bounds(run: _Run, args) -> int:
         f"certified {_fmt(report.certified)} for {report.team_size} agents"
     )
     if run.out:
-        _write_csv(
-            run.out / "bounds.csv",
-            "c,alpha,T,E,L",
-            [(
-                report.total_curvature,
-                report.elemental_curvature,
-                report.from_total,
-                report.from_elemental,
-                report.certified,
-            )],
-        )
+        _write_csv(run.out / "bounds.csv", ",".join(_GUARANTEES), [_guarantees(report)])
     return 0
 
 
+# the sweep parameters, each named as its flag and as its SensorModel field
+_SWEPT = {"lambda": "decay", "delta": "radius"}
+
+
 def _parse_sweep(text: str):
+    """The swept parameter's flag name, its SensorModel field and its values."""
     parts = text.split(":")
     if len(parts) != 4:
         raise ScenarioError(f"--sweep expects PARAM:START:STOP:STEPS, got {text!r}")
-    param = {"lambda": "decay", "delta": "radius"}.get(parts[0])
-    if param is None:
-        raise ScenarioError(f"sweep parameter must be 'lambda' or 'delta', got {parts[0]!r}")
+    label = parts[0]
+    if label not in _SWEPT:
+        raise ScenarioError(f"sweep parameter must be 'lambda' or 'delta', got {label!r}")
     try:
         start, stop = float(parts[1]), float(parts[2])
         steps = int(parts[3])
@@ -293,26 +282,22 @@ def _parse_sweep(text: str):
         raise ScenarioError(f"sweep needs at least 1 step, got {steps}")
     if not (0 < start < np.inf and 0 < stop < np.inf):
         raise ScenarioError("sweep values must be finite and positive")
-    return param, np.linspace(start, stop, steps)
+    return label, _SWEPT[label], np.linspace(start, stop, steps)
 
 
 def _cmd_sweep(run: _Run, args) -> int:
-    param, values = _parse_sweep(args.sweep)
+    label, param, values = _parse_sweep(args.sweep)
     cand = run.candidates()
     cache = DetectionCache(cand, run.space, run.grid.centers)
     table = sweep_bounds(
         cache, run.grid, run.scenario.team_size, run.sensor, param, values, args.alpha_domain
     )
-    rows = [
-        (v, r.total_curvature, r.elemental_curvature, r.from_total, r.from_elemental, r.certified)
-        for v, r in table
-    ]
-    label = "lambda" if param == "decay" else "delta"
-    print(f"swept {label} over {len(rows)} values in [{_fmt(values[0])}, {_fmt(values[-1])}]")
-    print(f"certified guarantee range: [{_fmt(min(r[5] for r in rows))}, "
-          f"{_fmt(max(r[5] for r in rows))}]")
+    certified = [r.certified for _, r in table]
+    print(f"swept {label} over {len(table)} values in [{_fmt(values[0])}, {_fmt(values[-1])}]")
+    print(f"certified guarantee range: [{_fmt(min(certified))}, {_fmt(max(certified))}]")
     if run.out:
-        _write_csv(run.out / "sweep.csv", "param,c,alpha,T,E,L", rows)
+        rows = [(v, *_guarantees(r)) for v, r in table]
+        _write_csv(run.out / "sweep.csv", ",".join(["param", *_GUARANTEES]), rows)
     return 0
 
 
@@ -344,17 +329,10 @@ def _cmd_check(run: _Run, args) -> int:
             "check,trials,seed,violations,max_violation",
             [
                 ("submodularity", sub.trials, sub.seed, sub.violations, sub.max_violation),
-                (
-                    "definition_equivalence",
-                    eq.trials,
-                    eq.seed,
-                    eq.union_intersection_violations + eq.nested_gain_violations,
-                    eq.max_violation,
-                ),
+                ("definition_equivalence", eq.trials, eq.seed, eq.violations, eq.max_violation),
             ],
         )
-    total_bad = sub.violations + eq.union_intersection_violations + eq.nested_gain_violations
-    return 1 if total_bad else 0
+    return 1 if sub.violations + eq.violations else 0
 
 
 def _cmd_heatmap(run: _Run, args) -> int:

@@ -11,6 +11,10 @@ class InvalidParameterError(CoverplanError):
     """A numeric argument is outside its documented range."""
 
 
+class InfiniteMassError(InvalidParameterError):
+    """An event density whose mass on a grid's cells is not finite."""
+
+
 def positive_int(value, name: str) -> int:
     """``value`` as an int; a bool, a non-integer or one below 1 is an InvalidParameterError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InfiniteMassError, InvalidParameterError
 from .geometry import EPS, MAX_COORD, MissionSpace, as_points_array
 
 
@@ -64,7 +64,9 @@ class GaussianMixtureDensity:
         d2 = np.sum((pts[:, None, :] - self.centers[None, :, :]) ** 2, axis=-1)
         with np.errstate(over="ignore"):  # a sigma past 1e154 squares to inf: a flat bump
             spread = 2.0 * self.sigmas[None, :] ** 2
-        bumps = self.weights[None, :] * np.exp(-d2 / spread)
+        # a sigma under 1e-162 squares to 0: a point bump, its whole weight at its center alone
+        scaled = np.divide(d2, spread, out=np.where(d2 > 0, np.inf, 0.0), where=spread > 0)
+        bumps = self.weights[None, :] * np.exp(-scaled)
         return self.baseline + np.sum(bumps, axis=1)
 
     def __repr__(self):
@@ -94,9 +96,11 @@ class SampledDensity:
     def __call__(self, points) -> np.ndarray:
         pts = as_points_array(points)
         ny, nx = self.values.shape
-        ix = np.clip(np.rint((pts[:, 0] - self.origin[0]) / self.spacing), 0, nx - 1)
-        iy = np.clip(np.rint((pts[:, 1] - self.origin[1]) / self.spacing), 0, ny - 1)
-        return self.values[iy.astype(int), ix.astype(int)]
+        # offsets are clamped to the table before they are divided, so no quotient overflows
+        span = (self.spacing * (nx - 1), self.spacing * (ny - 1))  # Python floats: no warning
+        offset = np.clip(pts - self.origin, 0.0, span)
+        ix, iy = np.rint(offset / self.spacing).astype(int).T
+        return self.values[iy, ix]
 
     def __repr__(self):
         return f"SampledDensity({self.values.shape[1]}x{self.values.shape[0]} table)"
@@ -146,10 +150,14 @@ class QuadratureGrid:
         self.centers = np.column_stack([gx.ravel(), gy.ravel()])
         self.in_boundary = space.boundary.contains_many(self.centers)
         self.feasible = space.feasible_many(self.centers)
-        dens = np.asarray(density(self.centers), dtype=float)
-        if dens.shape != (len(self.centers),):
-            raise InvalidParameterError("density must return one value per query point")
-        self.weights = np.where(self.feasible, dens * cell_size**2, 0.0)
+        with np.errstate(over="ignore"):  # an infinite mass is rejected below
+            dens = np.asarray(density(self.centers), dtype=float)
+            if dens.shape != (len(self.centers),):
+                raise InvalidParameterError("density must return one value per query point")
+            self.weights = np.where(self.feasible, dens * cell_size**2, 0.0)
+            mass = np.sum(self.weights)
+        if not np.isfinite(mass):
+            raise InfiniteMassError(f"event mass on cells of size {cell_size} is not finite")
 
     @property
     def cell_count(self) -> int:

@@ -155,7 +155,7 @@ def _ray_crossings(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(E, T): edge a-b crosses the ray from each point toward +x (half-open rule)."""
     y = pts[:, 1]
     ax, ay, bx, by = (c[:, None] for c in (a[:, 0], a[:, 1], b[:, 0], b[:, 1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xint = ax + (y - ay) * (bx - ax) / (by - ay)
     return ((ay > y) != (by > y)) & (pts[:, 0] < xint)
 

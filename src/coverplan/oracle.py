@@ -115,6 +115,10 @@ class EquivalenceReport:
     nested_gain_violations: int
     max_violation: float
 
+    @property
+    def violations(self) -> int:
+        return self.union_intersection_violations + self.nested_gain_violations
+
     def as_text(self) -> str:
         return (
             f"definition equivalence check: {self.trials} trials, seed {self.seed}: "

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverplanError, ScenarioError
+from .errors import CoverplanError, InfiniteMassError, InvalidParameterError, ScenarioError
 from .field import (
     GaussianMixtureDensity,
     QuadratureGrid,
@@ -84,23 +84,31 @@ class Scenario:
         return self._built["density"]()
 
     def build_grid(self, space: MissionSpace | None = None) -> QuadratureGrid:
-        """The kept grid, unless ``space`` is another space than the kept one."""
-        if space is not None and space is not self._built.get("space"):
-            return self._grid(space)
+        """The kept grid, on the kept space."""
+        space = self._kept_space(space)
         if "grid" not in self._built:
-            self._built["grid"] = self._grid(self.build_space())
+            density = self.build_density()
+            try:
+                self._built["grid"] = QuadratureGrid(space, self.grid_cell_size, density)
+            except CoverplanError as exc:
+                field = "density" if isinstance(exc, InfiniteMassError) else "grid_cell_size"
+                raise ScenarioError(str(exc), field=field) from exc
         return self._built["grid"]
-
-    def _grid(self, space: MissionSpace) -> QuadratureGrid:
-        density = self.build_density()
-        return _tagged("grid_cell_size", QuadratureGrid, space, self.grid_cell_size, density)
 
     def build_sensor(self) -> SensorModel:
         return SensorModel(decay=float(self.sensor["decay"]), radius=float(self.sensor["radius"]))
 
     def build_candidates(self, space: MissionSpace | None = None) -> np.ndarray:
-        space = space or self.build_space()
+        """The candidate lattice on the kept space."""
+        space = self._kept_space(space)
         return _tagged("candidate_spacing", candidate_lattice, space, self.candidate_spacing)
+
+    def _kept_space(self, space) -> MissionSpace:
+        """The kept space; ``space``, which ``perfbench`` still passes, may only be that space."""
+        kept = self.build_space()
+        if space is not None and space is not kept:
+            raise InvalidParameterError("a scenario builds only on the space it keeps")
+        return kept
 
 
 _TOP_FIELDS = {f.name for f in fields(Scenario) if f.init}  # the JSON fields
@@ -260,6 +268,7 @@ def scenario_from_dict(data: dict, **overrides) -> Scenario:
         "decay": _want_number(sensor["decay"], "sensor.decay", minimum=0.0),
         "radius": _want_number(sensor["radius"], "sensor.radius", strict_minimum=0.0),
     }
+    _tagged("sensor.decay", SensorModel, sensor["decay"], sensor["radius"])  # bounds the decay
     refine = _want_object(data.get("refine", {}), "refine", {"max_iterations"})
     if "max_iterations" in refine:
         _want_int(refine["max_iterations"], "refine.max_iterations", minimum=1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .field import QuadratureGrid
-from .geometry import EPS, MissionSpace, as_points_array, as_xy, line_of_sight_many
+from .geometry import EPS, MAX_COORD, MissionSpace, as_points_array, as_xy, line_of_sight_many
 
 # Floats in 128 KiB, glibc's default mmap threshold, which a detection
 # block's float temporary stays under.
@@ -42,8 +42,12 @@ class SensorModel:
     radius: float
 
     def __post_init__(self):
-        if not np.isfinite(self.decay) or self.decay < 0:
-            raise InvalidParameterError(f"decay must be finite and >= 0, got {self.decay}")
+        # coordinates are bounded at MAX_COORD and a cell's area is finite, so a distance
+        # is under 1e155 and the exponent decay * distance stays finite
+        if not 0 <= self.decay <= MAX_COORD:
+            raise InvalidParameterError(
+                f"decay must be >= 0 and at most {MAX_COORD:g}, got {self.decay}"
+            )
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise InvalidParameterError(f"radius must be finite and > 0, got {self.radius}")
 

@@ -42,8 +42,8 @@ def _cases(extra):
 def row(sc, sensor) -> dict:
     """Greedy, then refine at the scenario's own settings: the fields of one table line."""
     space = sc.build_space()
-    grid = sc.build_grid(space)
-    seed = greedy_place(space, grid, sensor, sc.build_candidates(space), sc.team_size)
+    grid = sc.build_grid()
+    seed = greedy_place(space, grid, sensor, sc.build_candidates(), sc.team_size)
     result = refine(seed.positions, space, grid, sensor, **sc.refine)
     positions = np.ascontiguousarray(result.positions, dtype=float)
     return {

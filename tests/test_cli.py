@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from coverplan.cli import main
 from coverplan.field import QuadratureGrid
 from coverplan.geometry import MissionSpace
+from coverplan.oracle import EquivalenceReport, SubmodularityReport
 
 SMALL = {
     "name": "cli-small",
@@ -146,6 +148,27 @@ def test_check_reports_clean(tmp_path, small_scenario, capsys):
     for line in lines[1:]:
         assert int(line.split(",")[3]) == 0
     assert "violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gains, monotonicity, set_form, gain_form, code", [
+    (0, 0, 0, 0, 0), (3, 4, 0, 0, 1), (0, 0, 1, 2, 1), (1, 0, 0, 2, 1),
+])
+def test_check_counts_every_violation(tmp_path, small_scenario, monkeypatch, capsys,
+                                      gains, monotonicity, set_form, gain_form, code):
+    # each check's violations add up in checks.csv, and any of them fails the command
+    monkeypatch.setattr("coverplan.cli.check_submodular", lambda *a, trials, seed:
+                        SubmodularityReport(trials, seed, gains, monotonicity, 0.25))
+    monkeypatch.setattr("coverplan.cli.check_definition_equivalence", lambda *a, trials, seed:
+                        EquivalenceReport(trials, seed, set_form, gain_form, 0.5))
+    out = tmp_path / "art"
+    argv = ["check", "--scenario", small_scenario, "--out", str(out), "--trials", "8"]
+    assert main(argv) == code
+    assert read_artifact(out / "checks.csv")[1:] == [
+        f"submodularity,8,0,{gains + monotonicity},0.25",
+        f"definition_equivalence,4,0,{set_form + gain_form},0.5",
+    ]
+    printed = capsys.readouterr().out
+    assert f"{set_form} set-form violations, {gain_form} gain-form violations" in printed
 
 
 def test_heatmap_artifacts(tmp_path, small_scenario, capsys):
@@ -353,6 +376,41 @@ def test_bad_input_exits_with_its_code(tmp_path, small_scenario, capsys, argv, f
     assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
 
 
+# the 4x4 block in a 20 x 10 box, a team of 3, decay 0.1, radius 15
+BLOCK = {**SMALL, "obstacles": [[[8, 3], [12, 3], [12, 7], [8, 7]]],
+         "sensor": {"decay": 0.1, "radius": 15.0}}
+HUGE = {
+    "uniform": {"type": "uniform", "value": 1e308},
+    "mixture": {"type": "gaussian_mixture",
+                "components": [{"center": [3, 3], "weight": 1e308, "sigma": 2.0}] * 2},
+}
+
+
+@pytest.mark.parametrize("command", ["greedy", "gga", "bounds"])
+@pytest.mark.parametrize("density", sorted(HUGE))
+def test_event_mass_that_is_not_finite_exits_2(tmp_path, capsys, command, density):
+    # it once gave greedy an infinite coverage, gga nan gradients and bounds,
+    # from the mixture, a false certificate of 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**BLOCK, "density": HUGE[density]}))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main([command, "--scenario", str(path)]) == 2
+    assert [str(w.message) for w in seen] == []
+    assert capsys.readouterr() == ("", "error: density: event mass on cells of size 1.0 "
+                                       "is not finite\n")
+
+
+def test_a_swept_decay_past_its_bound_exits_2_before_any_output(capsys, small_scenario):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--scenario", small_scenario, "--sweep", "lambda:0.1:1e308:3"])
+    assert code == 2
+    assert [str(w.message) for w in seen] == []
+    assert capsys.readouterr() == ("", "error: decay must be >= 0 and at most 1e+150, "
+                                       "got 5e+307\n")
+
+
 @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_position_exits_2(tmp_path, small_scenario, capsys, command, value):
@@ -473,6 +531,7 @@ def test_grid_override_keeps_the_space(capsys, builds):
                                "more than numpy can index"),
         ("--candidates-spacing", "1e-300", "candidate_spacing: lattice spacing 1e-300 puts "
                                            "6e+301 points on an axis, more than numpy can index"),
+        ("--lambda", "1e308", "sensor.decay: decay must be >= 0 and at most 1e+150, got 1e+308"),
     ],
 )
 def test_invalid_override_exits_2(capsys, flag, value, message):

@@ -39,6 +39,13 @@ def test_a_sigma_whose_square_overflows_gives_a_flat_bump():
     assert np.array_equal(d([(0, 0), (3, -4), (1e150, -1e150)]), [2.5, 2.5, 2.5])
 
 
+def test_a_sigma_whose_square_underflows_gives_a_point_bump():
+    # 2 sigma^2 is 0, so the bump keeps its whole weight at its center and none elsewhere:
+    # the limit as sigma shrinks, where the quotient was nan at the center and warned
+    d = GaussianMixtureDensity(centers=[(3.5, 5.5)], weights=[2.0], sigmas=[1e-200], baseline=0.5)
+    assert np.array_equal(d([(3.5, 5.5), (3.5, 5.6), (1e150, -1e150)]), [2.5, 0.5, 0.5])
+
+
 @pytest.mark.parametrize("coordinate", [1.0000000000000002e150, -1e300, np.inf, np.nan])
 def test_mixture_centers_are_bounded_as_ring_vertices_are(coordinate):
     with pytest.raises(InvalidParameterError) as info:
@@ -64,6 +71,26 @@ def test_sampled_density_nearest_lookup():
     for origin in [(float("nan"), 0), (0, float("inf"))]:
         with pytest.raises(InvalidParameterError, match="origin"):
             SampledDensity(origin=origin, spacing=10.0, values=table)
+    # at a spacing of 1e-320 every offset clamps to the border, and no quotient overflows
+    d = SampledDensity(origin=(0, 0), spacing=1e-320, values=table)
+    assert np.array_equal(d([(0, 0), (5, 0), (0, 5), (5, 5), (-5, 5)]), [1, 2, 3, 4, 3])
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        UniformDensity(1e308),
+        GaussianMixtureDensity(centers=[(3, 3), (3, 3)], weights=[1e308, 1e308], sigmas=[2, 2]),
+    ],
+    ids=["uniform", "mixture"],
+)
+def test_a_grid_rejects_event_mass_that_is_not_finite(empty_rect, density):
+    # a cell weight or the sum of all of them overflows, and no overflow warning is raised
+    with pytest.raises(InvalidParameterError) as info:
+        QuadratureGrid(empty_rect, 1.0, density)
+    assert str(info.value) == "event mass on cells of size 1.0 is not finite"
+    grid = QuadratureGrid(empty_rect, 1.0, UniformDensity(1e305))
+    assert grid.total_mass() == pytest.approx(2e307)
 
 
 def test_grid_layout_and_counts(empty_rect):

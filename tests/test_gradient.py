@@ -396,7 +396,7 @@ def test_refine_decides_each_sight_line_once(monkeypatch):
 
     sc = parse_scenario(bundled_scenario_path("random_60x50"))
     space = sc.build_space()
-    grid, sensor, cand = sc.build_grid(space), sc.build_sensor(), sc.build_candidates(space)
+    grid, sensor, cand = sc.build_grid(), sc.build_sensor(), sc.build_candidates()
     shadowed = []
     lines = Shadows.lines
 
@@ -430,9 +430,9 @@ def _bundled(name):
     """A bundled scenario's problem and refine settings, and its greedy seed."""
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
-    grid = sc.build_grid(space)
+    grid = sc.build_grid()
     sensor = sc.build_sensor()
-    seed = greedy_place(space, grid, sensor, sc.build_candidates(space), sc.team_size)
+    seed = greedy_place(space, grid, sensor, sc.build_candidates(), sc.team_size)
     return (seed.positions, space, grid, sensor), sc.refine, seed
 
 

@@ -150,9 +150,9 @@ def assert_matches_reference(sources, targets, space):
 def test_matches_reference_on_bundled_scenarios(name):
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
-    grid = sc.build_grid(space)
+    grid = sc.build_grid()
     sources = np.concatenate(
-        [sc.build_candidates(space)[::2], ring_points(space), projected_points(space, 8, 1)]
+        [sc.build_candidates()[::2], ring_points(space), projected_points(space, 8, 1)]
     )
     assert_matches_reference(sources, grid.centers, space)
 
@@ -222,8 +222,8 @@ def test_kept_rows_answer_as_a_fresh_space_does(name):
     # nothing; the new feasible sources are kept for the next call
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
-    targets = sc.build_grid(space).centers
-    cand = sc.build_candidates(space)
+    targets = sc.build_grid().centers
+    cand = sc.build_candidates()
     known, new = cand[:12], cand[12:20]
     line_of_sight_many(known, targets, space)
     infeasible = [space.obstacles[0].vertices.mean(axis=0), np.array([-1.0, 3.0])]
@@ -256,7 +256,7 @@ def test_kept_rows_stay_within_the_budget():
     # the oldest rows go first once the rows' packed bytes would pass the budget
     sc = parse_scenario(bundled_scenario_path("random_60x50"))
     space = sc.build_space()
-    targets = sc.build_grid(space).centers
+    targets = sc.build_grid().centers
     sources = candidate_lattice(space, 1.5)
     cap = geometry._ROW_BYTES // ((len(targets) + 7) // 8)
     assert cap == 349 and len(sources) > cap + 20

@@ -119,6 +119,7 @@ def test_coverage_passes_equivalence_check(block_problem):
     space, grid, sensor, cand = block_problem
     report = check_definition_equivalence(cand, space, grid, sensor, trials=300, seed=11)
     assert report.trials == 300
+    assert report.violations == 0
     assert report.union_intersection_violations == 0
     assert report.nested_gain_violations == 0
 

@@ -49,7 +49,7 @@ def _run(name, s):
     data = json.loads(bundled_scenario_path(name).read_text())
     sc = scenario_from_dict(scaled(data, s))
     space, grid, sensor = sc.build_space(), sc.build_grid(), sc.build_sensor()
-    cand = sc.build_candidates(space)
+    cand = sc.build_candidates()
     seed = greedy_place(space, grid, sensor, cand, sc.team_size)
     probs = detection_matrix(cand, space, grid.centers, sensor)
     reports = [bound_report(probs, grid, sc.team_size, d).as_dict() for d in ("feasible", "omega")]

@@ -13,6 +13,7 @@ import pytest
 
 import coverplan
 from coverplan import (
+    InvalidParameterError,
     Scenario,
     ScenarioError,
     bundled_scenario_path,
@@ -41,9 +42,9 @@ def test_minimal_scenario_builds():
     assert sc.team_size == 3
     assert sc.grid_cell_size == 1.0
     space = sc.build_space()
-    grid = sc.build_grid(space)
+    grid = sc.build_grid()
     assert grid.cell_count == 200
-    cand = sc.build_candidates(space)
+    cand = sc.build_candidates()
     assert len(cand) > 0
     assert sc.build_sensor().decay == 0.1
     assert sc.refine == {}
@@ -54,13 +55,24 @@ def test_bundled_scenarios_parse_and_build():
         sc = parse_scenario(bundled_scenario_path(name))
         assert sc.name == name
         space = sc.build_space()
-        grid = sc.build_grid(space)
+        grid = sc.build_grid()
         assert grid.cell_count == 3000
         assert sc.team_size == 10
     empty = parse_scenario(bundled_scenario_path("empty_60x50"))
-    grid = empty.build_grid(empty.build_space())
+    grid = empty.build_grid()
     assert grid.feasible_count == 3000
     assert len(empty.build_candidates()) == 143
+
+
+def test_a_scenario_builds_on_the_space_it_keeps_only():
+    sc = scenario_from_dict(BASE)
+    space = sc.build_space()
+    assert sc.build_grid(space) is sc.build_grid()
+    assert np.array_equal(sc.build_candidates(space), sc.build_candidates())
+    other = scenario_from_dict(BASE).build_space()
+    for build in (sc.build_grid, sc.build_candidates):
+        with pytest.raises(InvalidParameterError, match="^a scenario builds only on the space"):
+            build(other)
 
 
 def test_bundled_path_rejects_unknown():
@@ -187,6 +199,12 @@ ERROR_SITES = [
     pytest.param(mixture(center=[4, -1e300]),
                  "mixture center coordinates must be finite and at most 1e+150 in magnitude",
                  "density", id="component-center-too-far"),
+    pytest.param(density(type="uniform", value=1e308),
+                 "event mass on cells of size 1.0 is not finite", "density",
+                 id="uniform-mass-not-finite"),
+    pytest.param(mixture(weight=1e308),
+                 "event mass on cells of size 1.0 is not finite", "density",
+                 id="mixture-mass-not-finite"),
     pytest.param(table(scale=2), "unknown field", "density.scale", id="sampled-unknown"),
     pytest.param(density(type="sampled", origin=[0, 0], values=[[1.0]]),
                  "missing required field 'spacing'", "density", id="sampled-missing-spacing"),
@@ -231,6 +249,9 @@ ERROR_SITES = [
                  "sensor.decay", id="sensor-negative-decay"),
     pytest.param(variant(sensor={"decay": 0.1, "radius": 0}), "must be > 0.0, got 0",
                  "sensor.radius", id="sensor-zero-radius"),
+    pytest.param(variant(sensor={"decay": 1e308, "radius": 3.0}),
+                 "decay must be >= 0 and at most 1e+150, got 1e+308", "sensor.decay",
+                 id="sensor-decay-too-large"),
     pytest.param(variant(refine=[]), "expected an object", "refine", id="refine-not-object"),
     pytest.param(variant(refine={"max_iterations": 0}), "must be >= 1, got 0",
                  "refine.max_iterations", id="refine-zero-iterations"),
@@ -284,8 +305,9 @@ def test_a_missing_sensor_field_is_named_the_same_under_every_hash_seed(tmp_path
     assert errors == {"error: sensor: missing required field 'decay'\n"}
 
 
-NASTY = [None, True, 0, -1, 2.5, 1e300, 10**20, 2**63, 10**400, float("nan"), "x", "uniform",
-         [], {}, [1, 2], [[]], [[0, 0], [1, 0], [0, 1]], {"type": ["uniform"]}, {"decay": 0.1}]
+NASTY = [None, True, 0, -1, 2.5, 1e300, 1e308, 1e-320, 10**20, 2**63, 10**400, float("nan"),
+         "x", "uniform", [], {}, [1, 2], [[]], [[0, 0], [1, 0], [0, 1]], {"type": ["uniform"]},
+         {"decay": 0.1}]
 RICH = variant(
     obstacles=[[[5, 3], [8, 3], [8, 7], [5, 7]]],
     density={"type": "gaussian_mixture", "baseline": 0.5,
@@ -337,6 +359,28 @@ def test_a_mutated_scenario_is_accepted_or_a_scenario_error():
             except ScenarioError:
                 pass
     assert 0 < accepted < 2000
+    assert [str(w.message) for w in seen] == []
+
+
+@pytest.mark.parametrize(
+    "data, mass",
+    [
+        pytest.param(mixture(center=[3.5, 5.5], weight=2, sigma=1e-200), 2.0,
+                     id="sigma-squared-underflows"),
+        pytest.param(mixture(center=[3.5, 5.5], weight=2, sigma=1e300), 400.0,
+                     id="sigma-squared-overflows"),
+        pytest.param(table(spacing=1e-320, values=[[1.0, 2.0], [3.0, 4.0]]), 800.0,
+                     id="spacing-quotients-overflow"),
+        pytest.param(variant(sensor={"decay": 1e150, "radius": 3.0}), 200.0,
+                     id="decay-at-its-bound"),
+    ],
+)
+def test_extreme_valid_numbers_build_without_a_warning(data, mass):
+    # each once warned of an overflow or a division by zero
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        sc = scenario_from_dict(data)
+        assert sc.build_grid().total_mass() == mass
     assert [str(w.message) for w in seen] == []
 
 
@@ -452,13 +496,13 @@ def test_geometry_errors_name_the_ring_they_come_from():
 
 def test_density_variants_build():
     flat = scenario_from_dict(variant(density={"type": "uniform", "value": 2.0}))
-    grid = flat.build_grid(flat.build_space())
+    grid = flat.build_grid()
     assert grid.total_mass() == pytest.approx(400.0)
     table = scenario_from_dict(
         variant(density={"type": "sampled", "origin": [0, 0], "spacing": 10.0,
                          "values": [[1.0, 1.0], [1.0, 1.0]]})
     )
-    grid = table.build_grid(table.build_space())
+    grid = table.build_grid()
     assert grid.total_mass() == pytest.approx(200.0)
     with pytest.raises(ScenarioError, match="density.type"):
         scenario_from_dict(variant(density={"type": "fractal"}))

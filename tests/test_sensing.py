@@ -161,10 +161,10 @@ def test_detection_paths_match_reference_rows(name):
     # bit; each path runs on a fresh space, so none reads rows another kept
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
-    pts = sc.build_grid(space).centers
+    pts = sc.build_grid().centers
     xmin, ymin, xmax, ymax = space.bbox
     off = np.random.default_rng(5).uniform((xmin, ymin), (xmax, ymax), size=(40, 2))
-    src = np.vstack([sc.build_candidates(space)[::5], off[space.feasible_many(off)][:8]])
+    src = np.vstack([sc.build_candidates()[::5], off[space.feasible_many(off)][:8]])
     base = sc.build_sensor()
     exact = float(np.linalg.norm(pts[len(pts) // 2] - src[0]))
     sensors = [
@@ -192,11 +192,11 @@ def test_stacked_rows_equal_single_rows(name):
     # source per call and not read from the stack's kept rows
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
-    pts = sc.build_grid(space).centers
+    pts = sc.build_grid().centers
     verts = np.concatenate([p.vertices for p in [space.boundary] + space.obstacles])
     xmin, ymin, xmax, ymax = space.bbox
     off = np.random.default_rng(6).uniform((xmin - 2, ymin - 2), (xmax + 2, ymax + 2), size=(12, 2))
-    src = np.vstack([sc.build_candidates(space), verts, off])
+    src = np.vstack([sc.build_candidates(), verts, off])
     sensor = sc.build_sensor()
     single = fresh(space)
     rows = np.array([detection_row(p, single, pts, sensor) for p in src])
@@ -254,9 +254,9 @@ def test_results_do_not_depend_on_the_target_layout(name):
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
     sensor = sc.build_sensor()
-    src = sc.build_candidates(space)[::4]
+    src = sc.build_candidates()[::4]
     results = {}
-    for layout, pts in target_layouts(sc.build_grid(space).centers).items():
+    for layout, pts in target_layouts(sc.build_grid().centers).items():
         # a fresh space, so its sight memo is built from this layout
         own = fresh(space)
         cache = DetectionCache(src, own, pts)
@@ -277,7 +277,7 @@ def test_a_second_target_set_of_the_same_shape_rebuilds_the_sight_memo():
     sc = parse_scenario(bundled_scenario_path("random_60x50"))
     centers = sc.build_grid().centers
     space = MissionSpace(sc.build_space().boundary, sc.build_space().obstacles)
-    src = sc.build_candidates(space)[::6]
+    src = sc.build_candidates()[::6]
     first, second = centers[0::2], centers[1::2][: len(centers[0::2])]
     assert first.shape == second.shape
     line_of_sight_many(src, first, space)
@@ -298,8 +298,8 @@ def test_detection_bits_equal_the_pairwise_differences(name):
     # same order, give the matrix and the cache bit for bit
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
-    pts = sc.build_grid(space).centers
-    src = sc.build_candidates(space)
+    pts = sc.build_grid().centers
+    src = sc.build_candidates()
     sensor = sc.build_sensor()
     d = pts[None, :, :] - src[:, None, :]
     los = line_of_sight_many(src, pts, space)
@@ -316,8 +316,8 @@ def test_probabilities_fill_a_given_buffer_bit_for_bit(name):
     # change back and forth, into a buffer holding stale values
     sc = parse_scenario(bundled_scenario_path(name))
     space = sc.build_space()
-    pts = sc.build_grid(space).centers
-    src = sc.build_candidates(space)
+    pts = sc.build_grid().centers
+    src = sc.build_candidates()
     cache = DetectionCache(src, space, pts)
     buf = np.full(cache.dist.shape, np.nan)
     for decay, radius in [(0.02, 80.0), (0.3, 80.0), (0.3, 12.0), (0.0, 12.0), (0.02, 80.0)]:
@@ -335,8 +335,8 @@ def test_detection_cache_holds_no_pairwise_difference_array():
     # the (n, T) distances and one (n, T) temporary, not an (n, T, 2) difference
     sc = parse_scenario(bundled_scenario_path("random_60x50"))
     space = sc.build_space()
-    pts = sc.build_grid(space).centers
-    src = sc.build_candidates(space)
+    pts = sc.build_grid().centers
+    src = sc.build_candidates()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
