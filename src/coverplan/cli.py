@@ -110,7 +110,6 @@ class _Run:
             # bare names refer to the bundled scenario library
             spec = bundled_scenario_path(spec.removesuffix(".json"))
         self.scenario = parse_scenario(spec, **{f: getattr(args, f) for _, f, *_ in _OVERRIDES})
-        self.space = self.scenario.build_space()
         self.grid = self.scenario.build_grid()
         self.sensor = self.scenario.build_sensor()
         self.out = Path(args.out) if args.out else None
@@ -185,8 +184,8 @@ def _read_positions(path, space) -> np.ndarray:
 
 
 def _cmd_evaluate(run: _Run, args) -> int:
-    positions = _read_positions(args.positions_file, run.space)
-    value = coverage(positions, run.space, run.grid, run.sensor)
+    positions = _read_positions(args.positions_file, run.grid.space)
+    value = coverage(positions, run.grid, run.sensor)
     print(f"agents: {len(positions)}")
     print(f"coverage: {_fmt(value)} of {_fmt(run.grid.total_mass())} attainable")
     return 0
@@ -195,7 +194,7 @@ def _cmd_evaluate(run: _Run, args) -> int:
 def _cmd_greedy(run: _Run, args) -> int:
     cand = run.candidates()
     result = greedy_place(
-        run.space, run.grid, run.sensor, cand, run.scenario.team_size, method=args.method
+        run.grid.space, run.grid, run.sensor, cand, run.scenario.team_size, method=args.method
     )
     for i, (x, y) in enumerate(result.positions):
         print(f"agent {i}: ({_fmt(float(x))}, {_fmt(float(y))})")
@@ -209,10 +208,10 @@ def _cmd_greedy(run: _Run, args) -> int:
 
 def _run_gga(run: _Run):
     cand = run.candidates()
-    seed_result = greedy_place(run.space, run.grid, run.sensor, cand, run.scenario.team_size)
+    seed_result = greedy_place(run.grid.space, run.grid, run.sensor, cand, run.scenario.team_size)
     if len(seed_result.indices) == 0:
         raise DegenerateCandidateError("greedy placed no agent: no candidate covers event mass")
-    refined = refine(seed_result.positions, run.space, run.grid, run.sensor, **run.scenario.refine)
+    refined = refine(seed_result.positions, run.grid, run.sensor, **run.scenario.refine)
     return seed_result, refined
 
 
@@ -240,7 +239,7 @@ def _guarantees(report) -> tuple:
 
 def _cmd_bounds(run: _Run, args) -> int:
     cand = run.candidates()
-    probs = detection_matrix(cand, run.space, run.grid.centers, run.sensor)
+    probs = detection_matrix(cand, run.grid.space, run.grid.centers, run.sensor)
     report = bound_report(probs, run.grid, run.scenario.team_size, args.alpha_domain)
     if report.dropped:
         spots = cand[list(report.dropped)]
@@ -288,7 +287,7 @@ def _parse_sweep(text: str):
 def _cmd_sweep(run: _Run, args) -> int:
     label, param, values = _parse_sweep(args.sweep)
     cand = run.candidates()
-    cache = DetectionCache(cand, run.space, run.grid.centers)
+    cache = DetectionCache(cand, run.grid.space, run.grid.centers)
     table = sweep_bounds(
         cache, run.grid, run.scenario.team_size, run.sensor, param, values, args.alpha_domain
     )
@@ -303,7 +302,7 @@ def _cmd_sweep(run: _Run, args) -> int:
 
 def _cmd_oracle(run: _Run, args) -> int:
     cand = run.candidates()
-    result = brute_force(cand, run.scenario.team_size, run.space, run.grid, run.sensor)
+    result = brute_force(cand, run.scenario.team_size, run.grid, run.sensor)
     print(f"optimal subset: {list(result.best_subset)}")
     print(f"optimal coverage: {_fmt(result.best_value)} "
           f"({result.subsets_evaluated} subsets evaluated)")
@@ -315,11 +314,9 @@ def _cmd_oracle(run: _Run, args) -> int:
 def _cmd_check(run: _Run, args) -> int:
     cand = run.candidates()
     seed = run.scenario.seed
-    sub = check_submodular(
-        cand, run.space, run.grid, run.sensor, trials=args.trials, seed=seed
-    )
+    sub = check_submodular(cand, run.grid, run.sensor, trials=args.trials, seed=seed)
     eq = check_definition_equivalence(
-        cand, run.space, run.grid, run.sensor, trials=max(1, args.trials // 2), seed=seed
+        cand, run.grid, run.sensor, trials=max(1, args.trials // 2), seed=seed
     )
     print(sub.as_text())
     print(eq.as_text())
@@ -337,11 +334,11 @@ def _cmd_check(run: _Run, args) -> int:
 
 def _cmd_heatmap(run: _Run, args) -> int:
     if args.positions_file:
-        positions = _read_positions(args.positions_file, run.space)
+        positions = _read_positions(args.positions_file, run.grid.space)
     else:
         _, refined = _run_gga(run)
         positions = refined.positions
-    rows = detection_matrix(positions, run.space, run.grid.centers, run.sensor)
+    rows = detection_matrix(positions, run.grid.space, run.grid.centers, run.sensor)
     detect = joint_detection(rows)
     grid = run.grid
     image = detect.reshape(grid.ny, grid.nx)[::-1]  # top row = largest y

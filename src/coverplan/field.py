@@ -129,7 +129,8 @@ class QuadratureGrid:
     ``centers.reshape(ny, nx, 2)`` recovers the image layout.  ``weights``
     already folds in the cell area, the density at the center, and the
     feasibility mask, so integrals reduce to dot products against per-cell
-    values.
+    values.  ``space`` is the mission space the grid was built on, so every
+    function that takes a grid reads the space from it.
     """
 
     def __init__(self, space: MissionSpace, cell_size: float, density):
@@ -137,6 +138,7 @@ class QuadratureGrid:
             raise InvalidParameterError(f"cell size must be finite and > 0, got {cell_size}")
         if not math.isfinite(cell_size * cell_size):
             raise InvalidParameterError(f"cell size {cell_size} gives an infinite cell area")
+        self.space = space
         self.cell_size = float(cell_size)
         xmin, ymin, xmax, ymax = space.bbox
         rx, ry = (xmax - xmin - EPS) / cell_size, (ymax - ymin - EPS) / cell_size

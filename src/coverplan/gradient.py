@@ -142,19 +142,15 @@ def _gradients(pos, rows, grid: QuadratureGrid, sensor: SensorModel) -> np.ndarr
 
 
 def objective_gradient(
-    positions,
-    agent_index: int,
-    space: MissionSpace,
-    grid: QuadratureGrid,
-    sensor: SensorModel,
+    positions, agent_index: int, grid: QuadratureGrid, sensor: SensorModel
 ) -> np.ndarray:
     """The area-term gradient of the objective in one agent's position, as refine uses it."""
     pos = as_points_array(positions)
     if not 0 <= agent_index < len(pos):
         raise InvalidParameterError(f"agent index {agent_index} out of range for {len(pos)} agents")
-    if not is_feasible(pos[agent_index], space):
+    if not is_feasible(pos[agent_index], grid.space):
         raise InvalidParameterError(f"agent {agent_index} is at an infeasible position")
-    rows = detection_matrix(pos, space, grid.centers, sensor)
+    rows = detection_matrix(pos, grid.space, grid.centers, sensor)
     return _gradients(pos, rows, grid, sensor)[agent_index]
 
 
@@ -167,11 +163,7 @@ def _collides(candidate: np.ndarray, pos: np.ndarray, i: int) -> bool:
 
 
 def refine(
-    initial,
-    space: MissionSpace,
-    grid: QuadratureGrid,
-    sensor: SensorModel,
-    max_iterations: int = 500,
+    initial, grid: QuadratureGrid, sensor: SensorModel, max_iterations: int = 500
 ) -> RefineResult:
     """Run the projected ascent from an initial placement until it stalls.
 
@@ -185,7 +177,7 @@ def refine(
     n = len(pos)
     if n == 0:
         raise InvalidParameterError("initial placement is empty")
-    feas = space.feasible_many(pos)
+    feas = grid.space.feasible_many(pos)
     if not np.all(feas):
         k = int(np.argmin(feas))
         raise InvalidParameterError(
@@ -195,7 +187,7 @@ def refine(
         if _collides(pos[i], pos, i):
             raise InvalidParameterError("initial positions must be pairwise distinct")
 
-    rows = detection_matrix(pos, space, grid.centers, sensor)
+    rows = detection_matrix(pos, grid.space, grid.centers, sensor)
     tally = {"rows": n, "halvings": 0, "rescues": 0, "forfeits": 0}
     value = coverage_from_rows(grid, rows)
     steps = [RefineStep(0, pos.copy(), value, np.zeros(n))]
@@ -211,7 +203,7 @@ def refine(
             break
 
         moved, pos, rows, value = _synchronous_sweep(
-            pos, rows, value, space, grid, sensor, tally, grads, norms
+            pos, rows, value, grid, sensor, tally, grads, norms
         )
         steps.append(RefineStep(it, pos.copy(), value, norms))
         if not moved:
@@ -251,18 +243,18 @@ def _scales(h, tally):
         yield scale
 
 
-def _synchronous_sweep(pos, rows, value, space, grid, sensor, tally, grads, norms):
+def _synchronous_sweep(pos, rows, value, grid, sensor, tally, grads, norms):
     """One joint line search along the unit gradients, some norm being positive."""
     moving = np.nonzero(norms > 0)[0]
     dirs = np.zeros_like(grads)
     dirs[moving] = grads[moving] / norms[moving, None]
     for scale in _scales(grid.cell_size, tally):
-        cand = _joint_proposal(pos, moving, dirs, scale, space, tally)
+        cand = _joint_proposal(pos, moving, dirs, scale, grid.space, tally)
         changed = np.nonzero(np.any(cand != pos, axis=1))[0]
         if len(changed) == 0:
             return False, pos, rows, value
         new_rows = rows.copy()
-        new_rows[changed] = detection_matrix(cand[changed], space, grid.centers, sensor)
+        new_rows[changed] = detection_matrix(cand[changed], grid.space, grid.centers, sensor)
         tally["rows"] += len(changed)
         new_value = coverage_from_rows(grid, new_rows)
         if new_value > value:
@@ -271,10 +263,10 @@ def _synchronous_sweep(pos, rows, value, space, grid, sensor, tally, grads, norm
     # cliff, where the area term misses the jump in coverage.  Keep the
     # synchronously computed directions but accept moves one agent at a
     # time, so a stuck agent forfeits only its own step.
-    return _agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs)
+    return _agent_sweep(pos, rows, value, grid, sensor, tally, dirs)
 
 
-def _agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs):
+def _agent_sweep(pos, rows, value, grid, sensor, tally, dirs):
     """Move agents one at a time along the unit rows of ``dirs``.
 
     Each agent is judged against the others as they stand after the moves
@@ -290,11 +282,11 @@ def _agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs):
         weighted_miss = grid.weights * miss_product(np.delete(rows, i, 0))
         base_gain = marginal_gain(weighted_miss, rows[i])
         for scale in _scales(grid.cell_size, tally):
-            q = project_feasible(pos[i] + scale * dirs[i], space)
+            q = project_feasible(pos[i] + scale * dirs[i], grid.space)
             if _collides(q, pos, i):
                 tally["forfeits"] += 1
                 continue
-            new_row = detection_row(q, space, grid.centers, sensor)
+            new_row = detection_row(q, grid.space, grid.centers, sensor)
             tally["rows"] += 1
             if marginal_gain(weighted_miss, new_row) > base_gain:
                 pos[i], rows[i] = q, new_row

@@ -62,6 +62,7 @@ def greedy_place(
     Stops early when the best remaining gain is at most ``GAIN_TOLERANCE``;
     the result then holds fewer positions than requested.  A team larger
     than the candidate set takes every candidate and is flagged as slack.
+    ``space`` must be ``grid.space`` (``perfbench`` reads the later arguments by position).
     """
     cand = as_points_array(candidates)
     if len(cand) == 0:
@@ -69,6 +70,8 @@ def greedy_place(
     team_size = positive_int(team_size, "team size")
     if method not in ("eager", "lazy"):
         raise InvalidParameterError(f"method must be 'eager' or 'lazy', got {method!r}")
+    if space is not grid.space:
+        raise InvalidParameterError("space must be the space the grid was built on")
 
     rows = detection_matrix(cand, space, grid.centers, sensor)
     miss = np.ones(grid.cell_count)
@@ -129,12 +132,12 @@ def _lazy(gain, n_cand: int):
     fresh_round = np.zeros(n_cand, dtype=int)
 
     def pick(step: int) -> tuple[int, float]:
-        while heap:
+        # each pick takes one entry off for good and at most n picks run, so the heap never empties
+        while True:
             neg_g, j = heapq.heappop(heap)
             if fresh_round[j] == step:
                 return j, -neg_g
             fresh_round[j] = step
             heapq.heappush(heap, (-gain(j), j))
-        return -1, 0.0
 
     return pick

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidParameterError, positive_int
 from .field import QuadratureGrid
-from .geometry import MissionSpace, as_points_array
+from .geometry import as_points_array
 from .sensing import SensorModel, detection_matrix
 
 # Exhaustive search refuses instances with more subsets than this.
@@ -36,12 +36,7 @@ class OracleResult:
 
 
 def brute_force(
-    candidates,
-    team_size: int,
-    space: MissionSpace,
-    grid: QuadratureGrid,
-    sensor: SensorModel,
-    cap: int = SUBSET_CAP,
+    candidates, team_size: int, grid: QuadratureGrid, sensor: SensorModel, cap: int = SUBSET_CAP
 ) -> OracleResult:
     """Evaluate every size-``team_size`` subset and return the best.
 
@@ -56,7 +51,7 @@ def brute_force(
     if count > cap:
         raise InstanceTooLargeError(count, cap)
 
-    ev = _SubsetEvaluator(cand, space, grid, sensor)
+    ev = _SubsetEvaluator(cand, grid, sensor)
     q, w, total = ev.q, ev.w, ev.total
 
     best_subset: tuple[int, ...] | None = None
@@ -131,12 +126,12 @@ class EquivalenceReport:
 class _SubsetEvaluator:
     """Fast subset values over a fixed candidate ground set."""
 
-    def __init__(self, candidates, space, grid, sensor):
+    def __init__(self, candidates, grid, sensor):
         cand = as_points_array(candidates)
         if len(cand) == 0:
             raise InvalidParameterError("candidate ground set is empty")
         self.n = len(cand)
-        rows = detection_matrix(cand, space, grid.centers, sensor)
+        rows = detection_matrix(cand, grid.space, grid.centers, sensor)
         self.q = 1.0 - rows
         self.w = grid.weights
         self.total = float(np.sum(self.w))
@@ -156,12 +151,7 @@ def _exceeds(lhs: float, rhs: float) -> float:
 
 
 def check_submodular(
-    candidates,
-    space: MissionSpace,
-    grid: QuadratureGrid,
-    sensor: SensorModel,
-    trials: int = 1000,
-    seed: int = 0,
+    candidates, grid: QuadratureGrid, sensor: SensorModel, trials: int = 1000, seed: int = 0
 ) -> SubmodularityReport:
     """Randomized check of diminishing returns and monotonicity.
 
@@ -169,7 +159,7 @@ def check_submodular(
     element's gain on S to be at least its gain on T, and H(S) <= H(T).
     """
     trials = positive_int(trials, "trials")
-    ev = _SubsetEvaluator(candidates, space, grid, sensor)
+    ev = _SubsetEvaluator(candidates, grid, sensor)
     if ev.n < 2:
         raise InvalidParameterError("need at least 2 candidates for nested draws")
     rng = np.random.default_rng(seed)
@@ -201,12 +191,7 @@ def check_submodular(
 
 
 def check_definition_equivalence(
-    candidates,
-    space: MissionSpace,
-    grid: QuadratureGrid,
-    sensor: SensorModel,
-    trials: int = 500,
-    seed: int = 0,
+    candidates, grid: QuadratureGrid, sensor: SensorModel, trials: int = 500, seed: int = 0
 ) -> EquivalenceReport:
     """Check both submodularity formulations on shared random draws.
 
@@ -216,7 +201,7 @@ def check_definition_equivalence(
     violation-free on a correct implementation.
     """
     trials = positive_int(trials, "trials")
-    ev = _SubsetEvaluator(candidates, space, grid, sensor)
+    ev = _SubsetEvaluator(candidates, grid, sensor)
     rng = np.random.default_rng(seed)
     set_bad = 0
     gain_bad = 0

@@ -29,6 +29,9 @@ from .sensing import SensorModel
 
 _SENSOR_FIELDS = ("decay", "radius")
 
+# The largest team a scenario may ask for: the curvature bounds take it as a float.
+MAX_TEAM_SIZE = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -152,11 +155,13 @@ def _want_number(value, path: str, minimum=None, strict_minimum=None) -> float:
     return v
 
 
-def _want_int(value, path: str, minimum=None) -> int:
+def _want_int(value, path: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"expected an integer, got {value!r}", field=path)
     if minimum is not None and value < minimum:
         raise ScenarioError(f"must be >= {minimum}, got {value!r}", field=path)
+    if maximum is not None and value > maximum:
+        raise ScenarioError(f"must be <= {maximum}, got {value!r}", field=path)
     return value
 
 
@@ -262,7 +267,7 @@ def scenario_from_dict(data: dict, **overrides) -> Scenario:
     spacing = _want_number(
         data.get("candidate_spacing", 5.0), "candidate_spacing", strict_minimum=0.0
     )
-    team = _want_int(data["team_size"], "team_size", minimum=1)
+    team = _want_int(data["team_size"], "team_size", minimum=1, maximum=MAX_TEAM_SIZE)
     sensor = _want_object(data["sensor"], "sensor", _SENSOR_FIELDS, _SENSOR_FIELDS)
     sensor = {
         "decay": _want_number(sensor["decay"], "sensor.decay", minimum=0.0),

@@ -148,14 +148,14 @@ def coverage_from_rows(grid: QuadratureGrid, rows: np.ndarray) -> float:
     return grid.integrate(joint_detection(rows))
 
 
-def coverage(positions, space: MissionSpace, grid: QuadratureGrid, sensor: SensorModel) -> float:
-    """Density-weighted integral of the joint detection probability.
+def coverage(positions, grid: QuadratureGrid, sensor: SensorModel) -> float:
+    """Density-weighted integral of the joint detection probability over ``grid.space``.
 
     ``positions`` may be empty, in which case the value is 0.
     """
     if len(positions) == 0:
         return 0.0
-    rows = detection_matrix(positions, space, grid.centers, sensor)
+    rows = detection_matrix(positions, grid.space, grid.centers, sensor)
     return coverage_from_rows(grid, rows)
 
 

@@ -41,10 +41,9 @@ def _cases(extra):
 
 def row(sc, sensor) -> dict:
     """Greedy, then refine at the scenario's own settings: the fields of one table line."""
-    space = sc.build_space()
     grid = sc.build_grid()
-    seed = greedy_place(space, grid, sensor, sc.build_candidates(), sc.team_size)
-    result = refine(seed.positions, space, grid, sensor, **sc.refine)
+    seed = greedy_place(grid.space, grid, sensor, sc.build_candidates(), sc.team_size)
+    result = refine(seed.positions, grid, sensor, **sc.refine)
     positions = np.ascontiguousarray(result.positions, dtype=float)
     return {
         "rows": result.rows,

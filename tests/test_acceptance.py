@@ -57,7 +57,7 @@ def _gga(name, decay):
         sc, space, grid, cand = _load(name)
         sensor = SensorModel(decay=decay, radius=sc.sensor["radius"])
         seed = greedy_place(space, grid, sensor, cand, sc.team_size)
-        refined = refine(seed.positions, space, grid, sensor, **sc.refine)
+        refined = refine(seed.positions, grid, sensor, **sc.refine)
         _gga_cache[key] = (seed, refined)
     return _gga_cache[key]
 
@@ -91,10 +91,8 @@ def test_criterion_1_bound_formulas():
 def test_criterion_2_submodularity():
     bad = []
     for name, seed in (("empty_60x50", 0), ("wall_60x50", 1), ("maze_60x50", 2)):
-        sc, space, grid, cand = _load(name)
-        report = check_submodular(
-            cand, space, grid, sc.build_sensor(), trials=1000, seed=seed
-        )
+        sc, _, grid, cand = _load(name)
+        report = check_submodular(cand, grid, sc.build_sensor(), trials=1000, seed=seed)
         if report.violations:
             bad.append(f"{name}: {report.as_text()}")
     _report(2, "monotone submodularity", not bad, "; ".join(bad))
@@ -105,9 +103,7 @@ def test_criterion_3_definition_equivalence(one_block):
     assert len(cand) == 8
     grid = QuadratureGrid(one_block, 1.0, UniformDensity())
     sensor = SensorModel(decay=0.15, radius=30.0)
-    report = check_definition_equivalence(
-        cand, one_block, grid, sensor, trials=500, seed=0
-    )
+    report = check_definition_equivalence(cand, grid, sensor, trials=500, seed=0)
     _report(3, "definition equivalence", report.violations == 0, report.as_text())
 
 
@@ -125,7 +121,7 @@ def test_criterion_4_guarantee_chain():
         probs = detection_matrix(cand, space, grid.centers, sensor)
         cert = bound_report(probs, grid, team)
         greedy = greedy_place(space, grid, sensor, cand, team)
-        exact = brute_force(cand, team, space, grid, sensor)
+        exact = brute_force(cand, team, grid, sensor)
         ratio = greedy.value / exact.best_value
         if ratio < cert.certified - 1e-9 or ratio < floor - 1e-9:
             failures.append(f"seed {seed}: ratio {ratio:.6f} < bound {cert.certified:.6f}")
@@ -195,7 +191,7 @@ def test_criterion_8_gradient_consistency():
             [rng.uniform(5.0, 55.0, size=3), rng.uniform(5.0, 45.0, size=3)]
         )
         i = int(rng.integers(0, 3))
-        g = objective_gradient(pos, i, space, grid, sensor)
+        g = objective_gradient(pos, i, grid, sensor)
         scale = np.linalg.norm(g)
         for _ in range(8):
             u = rng.normal(size=2)

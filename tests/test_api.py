@@ -28,7 +28,7 @@ def test_removed_names_stay_removed(empty_rect):
     assert "method" not in {f.name for f in dataclasses.fields(GreedyResult)}
     assert not hasattr(RefineResult, "initial_value")
     grid = QuadratureGrid(empty_rect, 2.0, UniformDensity())
-    assert not hasattr(grid, "space") and not hasattr(grid, "density")
+    assert grid.space is empty_rect and not hasattr(grid, "density")
 
 
 def test_the_shadow_kernel_is_imported_on_first_use_only():

@@ -540,6 +540,14 @@ def test_invalid_override_exits_2(capsys, flag, value, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [["bounds"], ["sweep", "--sweep", "lambda:0.1:0.2:2"]])
+def test_a_team_past_the_float_range_exits_2(capsys, argv):
+    # the curvature bounds take the team size as a float, so its bound is checked up front
+    team = str(10**400)
+    assert main([argv[0], "--scenario", "random_60x50", "--n", team, *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: team_size: must be <= 2147483647, got {team}\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -9,7 +9,9 @@ from coverplan import (
     QuadratureGrid,
     SampledDensity,
     UniformDensity,
+    bundled_scenario_path,
     candidate_lattice,
+    parse_scenario,
 )
 
 
@@ -91,6 +93,13 @@ def test_a_grid_rejects_event_mass_that_is_not_finite(empty_rect, density):
     assert str(info.value) == "event mass on cells of size 1.0 is not finite"
     grid = QuadratureGrid(empty_rect, 1.0, UniformDensity(1e305))
     assert grid.total_mass() == pytest.approx(2e307)
+
+
+def test_a_grid_keeps_the_space_it_was_built_on(one_block):
+    # every function that takes a grid reads the space from it
+    assert QuadratureGrid(one_block, 2.0, UniformDensity()).space is one_block
+    sc = parse_scenario(bundled_scenario_path("wall_60x50"))
+    assert sc.build_grid().space is sc.build_space()
 
 
 def test_grid_layout_and_counts(empty_rect):

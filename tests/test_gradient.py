@@ -34,15 +34,15 @@ from coverplan.sensing import _distances
 from problems import make_problem
 
 
-def secant_directional(positions, i, direction, space, grid, sensor, t=1e-4):
+def secant_directional(positions, i, direction, grid, sensor, t=1e-4):
     """Two-sided secant of the full objective along one direction."""
     direction = np.asarray(direction) / np.linalg.norm(direction)
     plus = positions.copy()
     minus = positions.copy()
     plus[i] = positions[i] + t * direction
     minus[i] = positions[i] - t * direction
-    h_plus = coverage(plus, space, grid, sensor)
-    h_minus = coverage(minus, space, grid, sensor)
+    h_plus = coverage(plus, grid, sensor)
+    h_minus = coverage(minus, grid, sensor)
     return (h_plus - h_minus) / (2.0 * t)
 
 
@@ -55,10 +55,10 @@ def test_gradient_matches_full_objective_secant(empty_rect):
             [rng.uniform(2.0, 18.0, size=3), rng.uniform(2.0, 8.0, size=3)]
         )
         i = int(rng.integers(0, 3))
-        grad = objective_gradient(pos, i, empty_rect, grid, sensor)
+        grad = objective_gradient(pos, i, grid, sensor)
         if np.linalg.norm(grad) < 1e-6:
             continue
-        along = secant_directional(pos, i, grad, empty_rect, grid, sensor)
+        along = secant_directional(pos, i, grad, grid, sensor)
         assert along == pytest.approx(np.linalg.norm(grad), rel=0.01)
         checked += 1
 
@@ -68,14 +68,14 @@ def test_gradient_zero_at_symmetric_center():
     space = MissionSpace(boundary)
     grid = QuadratureGrid(space, 1.0, UniformDensity())
     sensor = SensorModel(decay=0.2, radius=100.0)
-    grad = objective_gradient(np.array([[5.0, 5.0]]), 0, space, grid, sensor)
+    grad = objective_gradient(np.array([[5.0, 5.0]]), 0, grid, sensor)
     assert np.linalg.norm(grad) < 1e-9
 
 
 def test_gradient_points_toward_uncovered_mass(empty_rect):
     # a lone agent near the left wall should want to move right
     grid, sensor, _ = make_problem(empty_rect)
-    grad = objective_gradient(np.array([[2.0, 5.0]]), 0, empty_rect, grid, sensor)
+    grad = objective_gradient(np.array([[2.0, 5.0]]), 0, grid, sensor)
     assert grad[0] > 0.0
     assert abs(grad[1]) < abs(grad[0])
 
@@ -84,16 +84,16 @@ def test_gradient_zero_when_out_of_reach(empty_rect):
     grid, _, _ = make_problem(empty_rect)
     sensor = SensorModel(decay=0.1, radius=0.2)
     # integer coordinates sit between cell centers, over 0.2 away from each
-    grad = objective_gradient(np.array([[10.0, 5.0]]), 0, empty_rect, grid, sensor)
+    grad = objective_gradient(np.array([[10.0, 5.0]]), 0, grid, sensor)
     assert np.array_equal(grad, np.zeros(2))
 
 
 def test_gradient_validation(empty_rect):
     grid, sensor, _ = make_problem(empty_rect)
     with pytest.raises(InvalidParameterError):
-        objective_gradient(np.array([[2.0, 5.0]]), 3, empty_rect, grid, sensor)
+        objective_gradient(np.array([[2.0, 5.0]]), 3, grid, sensor)
     with pytest.raises(InvalidParameterError):
-        objective_gradient(np.array([[50.0, 5.0]]), 0, empty_rect, grid, sensor)
+        objective_gradient(np.array([[50.0, 5.0]]), 0, grid, sensor)
 
 
 def test_project_feasible_cases(one_block):
@@ -117,21 +117,21 @@ def test_project_feasible_cases(one_block):
 def test_refine_rejects_a_max_iterations_that_is_no_positive_integer(empty_rect, cap):
     grid, sensor, _ = make_problem(empty_rect)
     with pytest.raises(InvalidParameterError, match=f"positive integer, got {cap}$"):
-        refine(np.array([[4.0, 4.0]]), empty_rect, grid, sensor, max_iterations=cap)
+        refine(np.array([[4.0, 4.0]]), grid, sensor, max_iterations=cap)
 
 
 def test_refine_takes_a_numpy_integer_max_iterations(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [15.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, max_iterations=np.int64(3))
+    result = refine(start, grid, sensor, max_iterations=np.int64(3))
     assert (result.reason, len(result.steps)) == ("max_iterations", 4)
-    assert_same_result(result, refine(start, empty_rect, grid, sensor, max_iterations=3))
+    assert_same_result(result, refine(start, grid, sensor, max_iterations=3))
 
 
 def test_refine_improves_and_stays_feasible(one_block):
     grid, sensor, _ = make_problem(one_block, decay=0.3)
     start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
-    result = refine(start, one_block, grid, sensor, max_iterations=40)
+    result = refine(start, grid, sensor, max_iterations=40)
     assert result.value >= result.steps[0].value
     values = [s.value for s in result.steps]
     assert np.all(np.diff(values) >= -1e-12)
@@ -140,14 +140,14 @@ def test_refine_improves_and_stays_feasible(one_block):
             assert is_feasible(p, one_block)
     assert result.reason in ("converged", "max_iterations", "no_improvement")
     assert result.value == pytest.approx(
-        coverage(result.positions, one_block, grid, sensor), abs=1e-9
+        coverage(result.positions, grid, sensor), abs=1e-9
     )
 
 
 def test_refine_improves_a_close_pair(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [5.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, max_iterations=30)
+    result = refine(start, grid, sensor, max_iterations=30)
     assert result.value > result.steps[0].value
 
 
@@ -156,7 +156,7 @@ def test_refine_converges_in_place_where_no_row_sees_mass(empty_rect):
     sensor = SensorModel(decay=0.1, radius=0.2)
     # integer coordinates sit between cell centers, over 0.2 away from each
     start = np.array([[4.0, 4.0], [15.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor)
+    result = refine(start, grid, sensor)
     assert result.reason == "converged"
     assert np.array_equal(result.positions, start)
     assert len(result.steps) == 1
@@ -165,14 +165,14 @@ def test_refine_converges_in_place_where_no_row_sees_mass(empty_rect):
 def test_refine_single_sweep_cap(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [15.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, max_iterations=1)
+    result = refine(start, grid, sensor, max_iterations=1)
     assert len(result.steps) <= 2
 
 
 def test_refine_trace_rows_shape(empty_rect):
     grid, sensor, _ = make_problem(empty_rect, decay=0.3)
     start = np.array([[4.0, 4.0], [15.0, 6.0]])
-    result = refine(start, empty_rect, grid, sensor, max_iterations=5)
+    result = refine(start, grid, sensor, max_iterations=5)
     rows = list(result.trace_rows())
     assert len(rows) == 2 * len(result.steps)
     iters = sorted({r[0] for r in rows})
@@ -185,18 +185,18 @@ def test_refine_trace_rows_shape(empty_rect):
 def test_refine_rejects_bad_start(empty_rect):
     grid, sensor, _ = make_problem(empty_rect)
     with pytest.raises(InvalidParameterError, match="position 1"):
-        refine(np.array([[4.0, 4.0], [50.0, 5.0]]), empty_rect, grid, sensor)
+        refine(np.array([[4.0, 4.0], [50.0, 5.0]]), grid, sensor)
     with pytest.raises(InvalidParameterError):
-        refine(np.empty((0, 2)), empty_rect, grid, sensor)
+        refine(np.empty((0, 2)), grid, sensor)
     with pytest.raises(InvalidParameterError, match="distinct"):
-        refine(np.array([[4.0, 4.0], [4.0, 4.0]]), empty_rect, grid, sensor)
+        refine(np.array([[4.0, 4.0], [4.0, 4.0]]), grid, sensor)
 
 
 def test_refine_agents_never_merge(empty_rect):
     # two agents pulled toward the same optimum must keep their spacing
     grid, sensor, _ = make_problem(empty_rect, decay=0.4)
     start = np.array([[9.9, 5.0], [10.1, 5.0]])
-    result = refine(start, empty_rect, grid, sensor, max_iterations=50)
+    result = refine(start, grid, sensor, max_iterations=50)
     for step in result.steps:
         d = np.linalg.norm(step.positions[0] - step.positions[1])
         assert d >= gradient.COLLISION_RADIUS
@@ -226,7 +226,7 @@ def agent_gradient(pos, weighted_miss, row, grid, sensor, dist=None):
     return sensor.decay * (pull @ d)
 
 
-def central_difference(pos, miss, space, grid, sensor, fd_epsilon):
+def central_difference(pos, miss, grid, sensor, fd_epsilon):
     """Oracle: central differences of the agent's part of the objective.
 
     Probes outside the feasible region are projected back into it; a component
@@ -236,6 +236,7 @@ def central_difference(pos, miss, space, grid, sensor, fd_epsilon):
     for d in range(2):
         offset = fd_epsilon * np.eye(2)[d]
         plus, minus = pos + offset, pos - offset
+        space = grid.space
         if not is_feasible(plus, space) and not is_feasible(minus, space):
             continue
         h_plus, h_minus = (
@@ -249,7 +250,7 @@ def central_difference(pos, miss, space, grid, sensor, fd_epsilon):
     return grad
 
 
-def _check_against_oracle(pos, i, space, grid, sensor):
+def _check_against_oracle(pos, i, grid, sensor):
     """The analytic gradient equals central differences at both probe sizes.
 
     The gap is measured against decay * sum(w * miss * p), the total size of
@@ -259,17 +260,17 @@ def _check_against_oracle(pos, i, space, grid, sensor):
     0.1 from every cell centre.
     """
     assume(float(np.min(np.linalg.norm(grid.centers - pos[i], axis=1))) >= 0.1)
-    rows = detection_matrix(pos, space, grid.centers, sensor)
+    rows = detection_matrix(pos, grid.space, grid.centers, sensor)
     miss = others_miss(rows, i)
     wm = grid.weights * miss
     analytic = agent_gradient(pos[i], wm, rows[i], grid, sensor)
-    assert np.array_equal(analytic, objective_gradient(pos, i, space, grid, sensor))
+    assert np.array_equal(analytic, objective_gradient(pos, i, grid, sensor))
     every = [agent_gradient(p, grid.weights * others_miss(rows, k), rows[k], grid, sensor)
              for k, p in enumerate(pos)]
     assert np.array_equal(gradient._gradients(pos, rows, grid, sensor), every)
     scale = sensor.decay * float(wm @ rows[i])
     for eps in (1e-3, 5e-4):
-        oracle = central_difference(pos[i], miss, space, grid, sensor, eps)
+        oracle = central_difference(pos[i], miss, grid, sensor, eps)
         assert np.linalg.norm(analytic - oracle) <= 1e-5 * scale
 
 
@@ -288,7 +289,7 @@ def test_gradient_matches_central_difference_without_obstacles(empty_rect, unit,
     for dens in (UniformDensity(), density):
         grid = QuadratureGrid(empty_rect, 1.0, dens)
         sensor = SensorModel(decay=data.draw(st.sampled_from([0.05, 0.12, 0.4])), radius=30.0)
-        _check_against_oracle(pos, i, empty_rect, grid, sensor)
+        _check_against_oracle(pos, i, grid, sensor)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -308,7 +309,7 @@ def test_gradient_matches_central_difference_where_no_sight_line_flips(
     assume(bool(np.all(space.feasible_many(probes))))
     masks = line_of_sight_many(probes, grid.centers, space)
     assume(bool(np.all(masks == masks[0])))
-    _check_against_oracle(pos, i, space, grid, sensor)
+    _check_against_oracle(pos, i, grid, sensor)
 
 
 def test_cell_centred_on_the_agent_adds_nothing(empty_rect):
@@ -319,7 +320,7 @@ def test_cell_centred_on_the_agent_adds_nothing(empty_rect):
     wm = grid.weights * others_miss(rows, 0)
     with np.errstate(all="raise"):
         got = agent_gradient(pos[0], wm, rows[0], grid, sensor)
-        assert np.array_equal(got, objective_gradient(pos, 0, empty_rect, grid, sensor))
+        assert np.array_equal(got, objective_gradient(pos, 0, grid, sensor))
     others = np.any(grid.centers != pos[0], axis=1)
     d = grid.centers[others] - pos[0]
     dist = np.linalg.norm(d, axis=1)
@@ -346,7 +347,7 @@ def test_line_search_stops_halving_at_fd_epsilon(one_block, monkeypatch):
     grid, sensor, _ = make_problem(one_block, cell_size=4.0, decay=0.3)
     start = np.array([[3.0, 2.0], [3.5, 7.5], [17.0, 5.0]])
     scales = _spy_scales(monkeypatch)
-    result = refine(start, one_block, grid, sensor, max_iterations=30)
+    result = refine(start, grid, sensor, max_iterations=30)
     assert min(scales) >= 4e-3
     assert set(scales) <= {2.0 * 0.5**k for k in range(9)}
     assert 2.0**-7 in scales  # the search did reach the floor
@@ -384,7 +385,7 @@ def test_rows_counts_every_row_refine_asks_for(one_block, monkeypatch):
 
     monkeypatch.setattr(gradient, "detection_row", spy_row)
     monkeypatch.setattr(gradient, "detection_matrix", spy_matrix)
-    result = refine(start, one_block, grid, sensor, max_iterations=20)
+    result = refine(start, grid, sensor, max_iterations=20)
     assert result.rows == asked[0] > len(start)
 
 
@@ -406,7 +407,7 @@ def test_refine_decides_each_sight_line_once(monkeypatch):
 
     monkeypatch.setattr(Shadows, "lines", spy_lines)
     seed = greedy_place(space, grid, sensor, cand, sc.team_size)
-    result = refine(seed.positions, space, grid, sensor, max_iterations=1)
+    result = refine(seed.positions, grid, sensor, max_iterations=1)
     assert result.rescues == 1
     assert len(shadowed) == len(set(shadowed))
     # past greedy's lattice, fewer sources than refine's rows beyond its seed
@@ -433,7 +434,7 @@ def _bundled(name):
     grid = sc.build_grid()
     sensor = sc.build_sensor()
     seed = greedy_place(space, grid, sensor, sc.build_candidates(), sc.team_size)
-    return (seed.positions, space, grid, sensor), sc.refine, seed
+    return (seed.positions, grid, sensor), sc.refine, seed
 
 
 @functools.lru_cache(maxsize=None)
@@ -455,7 +456,8 @@ def test_every_agents_gradient_equals_the_per_agent_oracle(name, n):
     # the running prefix of the others' miss and the stacked product give
     # each agent the oracle's gradient to the bit, for teams past the
     # hypothesis tests' four agents too
-    (_, space, grid, sensor), _, _ = _bundled(name)
+    (_, grid, sensor), _, _ = _bundled(name)
+    space = grid.space
     xmin, ymin, xmax, ymax = space.bbox
     off = np.random.default_rng(n).uniform((xmin, ymin), (xmax, ymax), size=(100, 2))
     pos = off[space.feasible_many(off)][:n]
@@ -485,7 +487,7 @@ def test_the_gradient_measures_distances_as_the_detection_rule_does(empty_rect):
     assert np.any(got != by_hypot)
 
 
-def reference_refine(initial, space, grid, sensor, max_iterations):
+def reference_refine(initial, grid, sensor, max_iterations):
     """Refine as it was before the joint step was stacked.
 
     Each iteration takes the agents' gradients one at a time from the oracle,
@@ -495,7 +497,7 @@ def reference_refine(initial, space, grid, sensor, max_iterations):
     """
     pos = np.array(initial, dtype=float)
     n = len(pos)
-    rows = detection_matrix(pos, space, grid.centers, sensor)
+    rows = detection_matrix(pos, grid.space, grid.centers, sensor)
     tally = {"rows": n, "halvings": 0, "rescues": 0, "forfeits": 0}
     value = coverage_from_rows(grid, rows)
     steps = [gradient.RefineStep(0, pos.copy(), value, np.zeros(n))]
@@ -513,7 +515,7 @@ def reference_refine(initial, space, grid, sensor, max_iterations):
             reason = "converged"
             break
         moved, pos, rows, value = _reference_joint_step(
-            pos, rows, value, space, grid, sensor, tally, grads
+            pos, rows, value, grid, sensor, tally, grads
         )
         steps.append(gradient.RefineStep(it, pos.copy(), value, norms))
         if not moved:
@@ -530,7 +532,7 @@ def _reference_propose(pos, i, direction, scale, space):
     return q
 
 
-def _reference_joint_step(pos, rows, value, space, grid, sensor, tally, grads):
+def _reference_joint_step(pos, rows, value, grid, sensor, tally, grads):
     norms = np.linalg.norm(grads, axis=1)
     moving = np.nonzero(norms > 0)[0]
     if len(moving) == 0:
@@ -540,7 +542,7 @@ def _reference_joint_step(pos, rows, value, space, grid, sensor, tally, grads):
     for scale in gradient._scales(grid.cell_size, tally):
         cand = pos.copy()
         for i in moving:
-            q = _reference_propose(cand, i, dirs[i], scale, space)
+            q = _reference_propose(cand, i, dirs[i], scale, grid.space)
             if q is None:
                 tally["forfeits"] += 1
             else:
@@ -550,12 +552,12 @@ def _reference_joint_step(pos, rows, value, space, grid, sensor, tally, grads):
             return False, pos, rows, value
         new_rows = rows.copy()
         for i in changed:
-            new_rows[i] = detection_row(cand[i], space, grid.centers, sensor)
+            new_rows[i] = detection_row(cand[i], grid.space, grid.centers, sensor)
         tally["rows"] += len(changed)
         new_value = coverage_from_rows(grid, new_rows)
         if new_value > value:
             return True, cand, new_rows, new_value
-    return gradient._agent_sweep(pos, rows, value, space, grid, sensor, tally, dirs)
+    return gradient._agent_sweep(pos, rows, value, grid, sensor, tally, dirs)
 
 
 def assert_same_result(got, want):
@@ -619,9 +621,9 @@ def test_refine_matches_the_reference_where_steps_hug_a_wall(request, branches, 
     space = request.getfixturevalue(shape)
     grid = _peaked(space, peak)
     sensor = SensorModel(decay=0.3, radius=30.0)
-    result = refine(np.array(start), space, grid, sensor, max_iterations=10)
+    result = refine(np.array(start), grid, sensor, max_iterations=10)
     assert branches["projected"] > 0
-    assert_same_result(result, reference_refine(start, space, grid, sensor, max_iterations=10))
+    assert_same_result(result, reference_refine(start, grid, sensor, max_iterations=10))
 
 
 @pytest.mark.parametrize(
@@ -640,11 +642,11 @@ def test_refine_matches_the_reference_when_a_mover_forfeits(branches, peak, star
         grid = QuadratureGrid(corridor, 1.0, GaussianMixtureDensity(
             centers=[(peak, 0.5)], weights=[1.0], sigmas=[0.5], baseline=0.01))
     start = np.array(start)
-    result = refine(start, corridor, grid, sensor, max_iterations=5)
+    result = refine(start, grid, sensor, max_iterations=5)
     assert result.forfeits == branches["forfeits"] > 0
     first = result.steps[1].positions
     assert first[stays, 0] == start[stays, 0] and first[1 - stays, 0] != start[1 - stays, 0]
-    assert_same_result(result, reference_refine(start, corridor, grid, sensor, max_iterations=5))
+    assert_same_result(result, reference_refine(start, grid, sensor, max_iterations=5))
 
 
 def test_refine_counts_its_rescue_sweeps(monkeypatch):
@@ -698,7 +700,7 @@ def test_joint_step_decides_and_builds_in_one_call_each(empty_rect, monkeypatch,
     # a lopsided huddle: every agent has room to spread and none lands on another
     start = np.array([[6.3 + 1.5 * (k % 5), 3.7 + 2.1 * (k // 5)] for k in range(n)])
     joint_step_calls = _spy_joint_step(monkeypatch)
-    result = refine(start, empty_rect, grid, sensor, max_iterations=1)
+    result = refine(start, grid, sensor, max_iterations=1)
     assert (result.reason, len(result.steps)) == ("max_iterations", 2)  # the step was taken
     changed = int(np.sum(np.any(result.positions != start, axis=1)))
     assert changed == n

@@ -12,10 +12,12 @@ from coverplan import (
     QuadratureGrid,
     SensorModel,
     UniformDensity,
+    bundled_scenario_path,
     candidate_lattice,
     coverage,
     greedy_place,
     marginal_gain,
+    parse_scenario,
 )
 from coverplan.greedy import GAIN_TOLERANCE
 
@@ -31,7 +33,7 @@ def test_greedy_matches_exhaustive_small(block_problem):
     assert np.array_equal(result.positions, cand[list(result.indices)])
     # reported value equals a from-scratch evaluation
     assert result.value == pytest.approx(
-        coverage(result.positions, space, grid, sensor), abs=1e-9
+        coverage(result.positions, grid, sensor), abs=1e-9
     )
 
 
@@ -114,6 +116,20 @@ def test_team_size_rejects_a_bool(block_problem):
     space, grid, sensor, cand = block_problem
     with pytest.raises(InvalidParameterError, match="positive integer, got True"):
         greedy_place(space, grid, sensor, cand, True)
+
+
+def test_greedy_refuses_a_space_the_grid_was_not_built_on():
+    # on empty_60x50's space sight lines cross wall_60x50's wall, so with the
+    # wall's grid greedy would score past what it reaches on the wall (2937.37)
+    empty, wall = (parse_scenario(bundled_scenario_path(name))
+                   for name in ("empty_60x50", "wall_60x50"))
+    grid = wall.build_grid()
+    with pytest.raises(InvalidParameterError, match="the space the grid was built on"):
+        greedy_place(empty.build_space(), grid, wall.build_sensor(), wall.build_candidates(),
+                     wall.team_size)
+    result = greedy_place(grid.space, grid, wall.build_sensor(), wall.build_candidates(),
+                          wall.team_size)
+    assert result.value == pytest.approx(2937.37, abs=0.01)
 
 
 def test_oversized_team_takes_every_candidate(empty_rect):

@@ -53,7 +53,7 @@ def _run(name, s):
     seed = greedy_place(space, grid, sensor, cand, sc.team_size)
     probs = detection_matrix(cand, space, grid.centers, sensor)
     reports = [bound_report(probs, grid, sc.team_size, d).as_dict() for d in ("feasible", "omega")]
-    result = refine(seed.positions, space, grid, sensor, **sc.refine)
+    result = refine(seed.positions, grid, sensor, **sc.refine)
     return cand, grid, seed, reports, result
 
 

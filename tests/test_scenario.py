@@ -233,6 +233,8 @@ ERROR_SITES = [
     pytest.param(variant(team_size=0), "must be >= 1, got 0", "team_size", id="team_size-zero"),
     pytest.param(variant(team_size=2.5), "expected an integer, got 2.5", "team_size",
                  id="team_size-float"),
+    pytest.param(variant(team_size=10**400), f"must be <= 2147483647, got {10**400}",
+                 "team_size", id="team_size-past-float"),
     pytest.param(variant(team_size=True), "expected an integer, got True", "team_size",
                  id="team_size-bool"),
     pytest.param(variant(sensor=[0.1, 3.0]), "expected an object", "sensor",

@@ -76,10 +76,10 @@ def test_joint_detection_independence():
 
 
 def test_coverage_monotone_in_agents(block_problem):
-    space, grid, sensor, cand = block_problem
+    _, grid, sensor, cand = block_problem
     rng = np.random.default_rng(5)
     picks = cand[rng.choice(len(cand), size=4, replace=False)]
-    values = [coverage(picks[:k], space, grid, sensor) for k in range(5)]
+    values = [coverage(picks[:k], grid, sensor) for k in range(5)]
     assert values[0] == 0.0
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-12
@@ -91,7 +91,7 @@ def test_coverage_upper_bound_single_agent(empty_rect):
     grid, sensor, _ = make_problem(empty_rect)
     pos = np.array([[10.0, 5.0]])
     row = detection_row(pos[0], empty_rect, grid.centers, sensor)
-    assert coverage(pos, empty_rect, grid, sensor) == pytest.approx(grid.integrate(row))
+    assert coverage(pos, grid, sensor) == pytest.approx(grid.integrate(row))
 
 
 def test_quadrature_refinement_oracle(one_block):
@@ -100,8 +100,8 @@ def test_quadrature_refinement_oracle(one_block):
     coarse = QuadratureGrid(one_block, 1.0, UniformDensity())
     fine = QuadratureGrid(one_block, 0.25, UniformDensity())
     pos = np.array([[4.0, 2.0], [16.0, 8.0]])
-    h_coarse = coverage(pos, one_block, coarse, sensor)
-    h_fine = coverage(pos, one_block, fine, sensor)
+    h_coarse = coverage(pos, coarse, sensor)
+    h_fine = coverage(pos, fine, sensor)
     assert h_coarse == pytest.approx(h_fine, rel=0.02)
 
 
@@ -137,7 +137,7 @@ def test_detection_cache_matches_direct(block_problem):
 
 def test_empty_positions_cover_nothing(empty_rect):
     grid, sensor, _ = make_problem(empty_rect)
-    assert coverage([], empty_rect, grid, sensor) == 0.0
+    assert coverage([], grid, sensor) == 0.0
 
 
 def reference_row(pos, space, pts, sensor):
