@@ -22,6 +22,7 @@ from .errors import (
     EmptyCandidateSetError,
     InstanceTooLargeError,
     ScenarioError,
+    check,
 )
 from .gradient import refine
 from .greedy import greedy_place
@@ -162,8 +163,7 @@ def _read_positions(path, space) -> np.ndarray:
             agent, x, y = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ScenarioError(f"{path}:{ln}: {exc}") from exc
-        if not (np.isfinite(x) and np.isfinite(y)):
-            raise ScenarioError(f"{path}:{ln}: coordinates must be finite, got {line!r}")
+        check("number", (x, y), f"{path}:{ln}: coordinates", ScenarioError)
         if agent in rows:
             raise ScenarioError(
                 f"{path}:{ln}: agent {agent} already given on line {rows[agent][2]}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCandidateError, InvalidParameterError, positive_int
+from .errors import DegenerateCandidateError, InvalidParameterError, check, positive_int
 from .field import QuadratureGrid
 
 
@@ -136,9 +136,7 @@ def _check_probs(probs, grid: QuadratureGrid) -> np.ndarray:
 
 
 def _check_scalar(value: float, name: str) -> float:
-    if not np.isfinite(value) or value < -1e-12 or value > 1.0 + 1e-12:
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value}")
-    return min(1.0, max(0.0, float(value)))
+    return min(1.0, max(0.0, float(check("curvature", value, name))))
 
 
 def bound_from_total(c: float, team_size: int) -> float:

@@ -12,17 +12,15 @@ import math
 
 import numpy as np
 
-from .errors import InfiniteMassError, InvalidParameterError
-from .geometry import EPS, MAX_COORD, MissionSpace, as_points_array
+from .errors import InfiniteMassError, InvalidParameterError, check
+from .geometry import EPS, MissionSpace, as_points_array
 
 
 class UniformDensity:
     """Constant event density ``R(x) = value``."""
 
     def __init__(self, value: float = 1.0):
-        if not np.isfinite(value) or value < 0:
-            raise InvalidParameterError(f"density value must be finite and >= 0, got {value}")
-        self.value = float(value)
+        self.value = float(check("density", value, "density value"))
 
     def __call__(self, points) -> np.ndarray:
         pts = as_points_array(points)
@@ -42,22 +40,15 @@ class GaussianMixtureDensity:
         self.centers = as_points_array(centers)
         self.weights = np.asarray(weights, dtype=float)
         self.sigmas = np.asarray(sigmas, dtype=float)
-        self.baseline = float(baseline)
         k = len(self.centers)
         if self.weights.shape != (k,) or self.sigmas.shape != (k,):
             raise InvalidParameterError(
                 "centers, weights and sigmas must have matching lengths"
             )
-        if baseline < 0 or not np.isfinite(baseline):
-            raise InvalidParameterError(f"baseline must be finite and >= 0, got {baseline}")
-        if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
-            raise InvalidParameterError("mixture weights must be finite and >= 0")
-        if np.any(self.sigmas <= 0) or not np.all(np.isfinite(self.sigmas)):
-            raise InvalidParameterError("mixture sigmas must be finite and > 0")
-        if not np.all(np.abs(self.centers) <= MAX_COORD):
-            raise InvalidParameterError(
-                f"mixture center coordinates must be finite and at most {MAX_COORD:g} in magnitude"
-            )
+        self.baseline = float(check("density", baseline, "baseline"))
+        check("density", self.weights, "mixture weights")
+        check("length", self.sigmas, "mixture sigmas")
+        check("coordinate", self.centers, "mixture center coordinates")
 
     def __call__(self, points) -> np.ndarray:
         pts = as_points_array(points)
@@ -82,16 +73,13 @@ class SampledDensity:
 
     def __init__(self, origin, spacing: float, values):
         self.origin = np.asarray(origin, dtype=float)
-        self.spacing = float(spacing)
+        self.spacing = check("length", float(spacing), "spacing")
         self.values = np.asarray(values, dtype=float)
         if self.origin.shape != (2,) or not np.all(np.isfinite(self.origin)):
             raise InvalidParameterError("origin must be a finite (x, y) pair")
-        if not np.isfinite(self.spacing) or self.spacing <= 0:
-            raise InvalidParameterError(f"spacing must be finite and > 0, got {spacing}")
         if self.values.ndim != 2 or self.values.size == 0:
             raise InvalidParameterError("values must be a non-empty 2-d table")
-        if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
-            raise InvalidParameterError("sampled density values must be finite and >= 0")
+        check("density", self.values, "sampled density values")
 
     def __call__(self, points) -> np.ndarray:
         pts = as_points_array(points)
@@ -106,22 +94,6 @@ class SampledDensity:
         return f"SampledDensity({self.values.shape[1]}x{self.values.shape[0]} table)"
 
 
-def _check_indexable(count: float, what: str) -> None:
-    """Reject ``count`` points on one axis when numpy cannot index that many."""
-    if not count < np.iinfo(np.intp).max:
-        raise InvalidParameterError(
-            f"{what} puts {count:g} points on an axis, more than numpy can index"
-        )
-
-
-def _check_holdable(count: int, what: str) -> None:
-    """Reject ``count`` points in all when numpy cannot index the bytes of their (x, y) floats."""
-    if not 16 * count < np.iinfo(np.intp).max:
-        raise InvalidParameterError(
-            f"{what} puts {count:g} points in all, more than numpy can index"
-        )
-
-
 class QuadratureGrid:
     """Midpoint-rule grid over the mission-space bounding box.
 
@@ -134,18 +106,15 @@ class QuadratureGrid:
     """
 
     def __init__(self, space: MissionSpace, cell_size: float, density):
-        if not np.isfinite(cell_size) or cell_size <= 0:
-            raise InvalidParameterError(f"cell size must be finite and > 0, got {cell_size}")
-        if not math.isfinite(cell_size * cell_size):
-            raise InvalidParameterError(f"cell size {cell_size} gives an infinite cell area")
+        self.cell_size = float(check("length", cell_size, "cell size"))
+        check("cell area", cell_size * cell_size, f"cell size {cell_size}")
         self.space = space
-        self.cell_size = float(cell_size)
         xmin, ymin, xmax, ymax = space.bbox
         rx, ry = (xmax - xmin - EPS) / cell_size, (ymax - ymin - EPS) / cell_size
-        _check_indexable(max(rx, ry), f"cell size {cell_size}")
+        check("axis points", max(rx, ry), f"cell size {cell_size}")
         self.nx = max(1, math.ceil(rx))
         self.ny = max(1, math.ceil(ry))
-        _check_holdable(self.nx * self.ny, f"cell size {cell_size}")
+        check("points", self.nx * self.ny, f"cell size {cell_size}")
         xs = xmin + (np.arange(self.nx) + 0.5) * cell_size
         ys = ymin + (np.arange(self.ny) + 0.5) * cell_size
         gx, gy = np.meshgrid(xs, ys)  # (ny, nx), y outer
@@ -158,8 +127,7 @@ class QuadratureGrid:
                 raise InvalidParameterError("density must return one value per query point")
             self.weights = np.where(self.feasible, dens * cell_size**2, 0.0)
             mass = np.sum(self.weights)
-        if not np.isfinite(mass):
-            raise InfiniteMassError(f"event mass on cells of size {cell_size} is not finite")
+        check("event mass", mass, f"event mass on cells of size {cell_size}", InfiniteMassError)
 
     @property
     def cell_count(self) -> int:
@@ -195,14 +163,13 @@ def candidate_lattice(space: MissionSpace, spacing: float) -> np.ndarray:
     Lattice rows run y-outer, x-inner, and points landing exactly on the far
     bounding-box edges are kept.  Only feasible points are returned.
     """
-    if not np.isfinite(spacing) or spacing <= 0:
-        raise InvalidParameterError(f"lattice spacing must be finite and > 0, got {spacing}")
+    check("length", spacing, "lattice spacing")
     xmin, ymin, xmax, ymax = space.bbox
     rx, ry = (xmax - xmin + EPS) / spacing, (ymax - ymin + EPS) / spacing
-    _check_indexable(max(rx, ry) + 1, f"lattice spacing {spacing}")
+    check("axis points", max(rx, ry) + 1, f"lattice spacing {spacing}")
     nx = int(math.floor(rx)) + 1
     ny = int(math.floor(ry)) + 1
-    _check_holdable(nx * ny, f"lattice spacing {spacing}")
+    check("points", nx * ny, f"lattice spacing {spacing}")
     xs = xmin + np.arange(nx) * spacing
     ys = ymin + np.arange(ny) * spacing
     gx, gy = np.meshgrid(xs, ys)

@@ -54,14 +54,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, check
 
 # Geometric tolerance, in length units.
 EPS = 1e-9
-
-# Largest magnitude of a ring vertex's coordinates: the squares and cross
-# products of coordinate differences then stay far below the float maximum.
-MAX_COORD = 1e150
 
 # Bytes of sight-line rows kept per target set, packed eight targets to a
 # byte, the oldest row dropped first: 349 rows at 3000 targets, none above
@@ -170,10 +166,7 @@ class Polygon:
 
     def __init__(self, vertices):
         verts = as_points_array(vertices)
-        if not np.all(np.abs(verts) <= MAX_COORD):
-            raise GeometryError(
-                f"polygon vertex coordinates must be finite and at most {MAX_COORD:g} in magnitude"
-            )
+        check("coordinate", verts, "polygon vertex coordinates", GeometryError)
         if len(verts) >= 2 and np.linalg.norm(verts[0] - verts[-1]) <= EPS:
             verts = verts[:-1]  # tolerate an explicitly closed ring
         if len(verts) < 3:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, positive_int
+from .errors import InvalidParameterError, check, positive_int
 from .field import QuadratureGrid
 from .geometry import (
     MissionSpace,
@@ -145,6 +145,7 @@ def objective_gradient(
     positions, agent_index: int, grid: QuadratureGrid, sensor: SensorModel
 ) -> np.ndarray:
     """The area-term gradient of the objective in one agent's position, as refine uses it."""
+    check("decay times mass", float(sensor.decay) * grid.total_mass(), "decay times event mass")
     pos = as_points_array(positions)
     if not 0 <= agent_index < len(pos):
         raise InvalidParameterError(f"agent index {agent_index} out of range for {len(pos)} agents")
@@ -172,7 +173,8 @@ def refine(
     any more ("no_improvement"), or after ``max_iterations`` iterations
     ("max_iterations").  The objective trace never decreases.
     """
-    max_iterations = positive_int(max_iterations, "max_iterations")
+    max_iterations = positive_int(max_iterations, "count", "max_iterations")
+    check("decay times mass", float(sensor.decay) * grid.total_mass(), "decay times event mass")
     pos = as_points_array(initial).copy()
     n = len(pos)
     if n == 0:

@@ -158,7 +158,7 @@ def check_submodular(
     Each trial draws S subset of T and an element outside T, then requires the
     element's gain on S to be at least its gain on T, and H(S) <= H(T).
     """
-    trials = positive_int(trials, "trials")
+    trials = positive_int(trials, "count", "trials")
     ev = _SubsetEvaluator(candidates, grid, sensor)
     if ev.n < 2:
         raise InvalidParameterError("need at least 2 candidates for nested draws")
@@ -200,7 +200,7 @@ def check_definition_equivalence(
     (S n T) subset of (S u T) built from the same draw.  Both must come out
     violation-free on a correct implementation.
     """
-    trials = positive_int(trials, "trials")
+    trials = positive_int(trials, "count", "trials")
     ev = _SubsetEvaluator(candidates, grid, sensor)
     rng = np.random.default_rng(seed)
     set_bad = 0

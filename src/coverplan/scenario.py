@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverplanError, InfiniteMassError, InvalidParameterError, ScenarioError
+from .errors import ENVELOPE, CoverplanError, InfiniteMassError, InvalidParameterError
+from .errors import ScenarioError, check
 from .field import (
     GaussianMixtureDensity,
     QuadratureGrid,
@@ -28,9 +29,6 @@ from .geometry import MissionSpace, Polygon
 from .sensing import SensorModel
 
 _SENSOR_FIELDS = ("decay", "radius")
-
-# The largest team a scenario may ask for: the curvature bounds take it as a float.
-MAX_TEAM_SIZE = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -139,30 +137,14 @@ def _want_object(value, path: str, allowed, required=()) -> dict:
     return value
 
 
-def _want_number(value, path: str, minimum=None, strict_minimum=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"expected a number, got {value!r}", field=path)
-    try:
-        v = float(value)
-    except OverflowError:  # an integer past the float range
-        v = np.inf
-    if not np.isfinite(v):
-        raise ScenarioError(f"must be finite, got {value!r}", field=path)
-    if minimum is not None and v < minimum:
-        raise ScenarioError(f"must be >= {minimum}, got {value!r}", field=path)
-    if strict_minimum is not None and v <= strict_minimum:
-        raise ScenarioError(f"must be > {strict_minimum}, got {value!r}", field=path)
-    return v
-
-
-def _want_int(value, path: str, minimum=None, maximum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"expected an integer, got {value!r}", field=path)
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"must be >= {minimum}, got {value!r}", field=path)
-    if maximum is not None and value > maximum:
-        raise ScenarioError(f"must be <= {maximum}, got {value!r}", field=path)
-    return value
+def _want_number(value, path: str, row: str = "number"):
+    """``value`` when it is a number within the envelope's ``row``: an int if the row's are."""
+    whole = isinstance(ENVELOPE[row].low, int)
+    if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
+        kind = "an integer" if whole else "a number"
+        raise ScenarioError(f"expected {kind}, got {value!r}", field=path)
+    value = _tagged(path, check, row, value)
+    return value if whole else float(value)
 
 
 def _want_pair(value, path: str) -> tuple:
@@ -183,13 +165,13 @@ def _want_ring(value, path: str) -> tuple:
 
 def _uniform(spec: dict, path: str):
     _want_object(spec, path, {"type", "value"})
-    value = _want_number(spec.get("value", 1.0), f"{path}.value", minimum=0.0)
+    value = _want_number(spec.get("value", 1.0), f"{path}.value", "density")
     return partial(UniformDensity, value)
 
 
 def _gaussian_mixture(spec: dict, path: str):
     _want_object(spec, path, {"type", "baseline", "components"})
-    baseline = _want_number(spec.get("baseline", 0.0), f"{path}.baseline", minimum=0.0)
+    baseline = _want_number(spec.get("baseline", 0.0), f"{path}.baseline", "density")
     comps = spec.get("components")
     if not isinstance(comps, list) or not comps:
         raise ScenarioError("expected a non-empty list", field=f"{path}.components")
@@ -199,8 +181,8 @@ def _gaussian_mixture(spec: dict, path: str):
         cpath = f"{path}.components[{i}]"
         _want_object(comp, cpath, keys, keys)
         centers.append(_want_pair(comp["center"], f"{cpath}.center"))
-        weights.append(_want_number(comp["weight"], f"{cpath}.weight", minimum=0.0))
-        sigmas.append(_want_number(comp["sigma"], f"{cpath}.sigma", strict_minimum=0.0))
+        weights.append(_want_number(comp["weight"], f"{cpath}.weight", "density"))
+        sigmas.append(_want_number(comp["sigma"], f"{cpath}.sigma", "length"))
     return partial(_tagged, path, GaussianMixtureDensity, centers, weights, sigmas, baseline)
 
 
@@ -208,7 +190,7 @@ def _sampled(spec: dict, path: str):
     keys = ("origin", "spacing", "values")
     _want_object(spec, path, {"type", *keys}, keys)
     origin = _want_pair(spec["origin"], f"{path}.origin")
-    spacing = _want_number(spec["spacing"], f"{path}.spacing", strict_minimum=0.0)
+    spacing = _want_number(spec["spacing"], f"{path}.spacing", "length")
     values = spec["values"]
     if not isinstance(values, list) or not values or not isinstance(values[0], list):
         raise ScenarioError("expected a 2-d list of numbers", field=f"{path}.values")
@@ -217,7 +199,7 @@ def _sampled(spec: dict, path: str):
         if not isinstance(row, list) or len(row) != len(values[0]):
             raise ScenarioError("rows must have equal length", field=f"{path}.values[{r}]")
         table.append(
-            [_want_number(v, f"{path}.values[{r}][{c}]", minimum=0.0) for c, v in enumerate(row)]
+            [_want_number(v, f"{path}.values[{r}][{c}]", "density") for c, v in enumerate(row)]
         )
     return partial(_tagged, f"{path}.values", SampledDensity, origin, spacing, table)
 
@@ -263,21 +245,18 @@ def scenario_from_dict(data: dict, **overrides) -> Scenario:
     obstacles = tuple(_want_ring(o, f"obstacles[{k}]") for k, o in enumerate(obstacles))
     density = data.get("density", {"type": "uniform", "value": 1.0})
     make_density = _density(density, "density")
-    cell = _want_number(data.get("grid_cell_size", 1.0), "grid_cell_size", strict_minimum=0.0)
-    spacing = _want_number(
-        data.get("candidate_spacing", 5.0), "candidate_spacing", strict_minimum=0.0
-    )
-    team = _want_int(data["team_size"], "team_size", minimum=1, maximum=MAX_TEAM_SIZE)
+    cell = _want_number(data.get("grid_cell_size", 1.0), "grid_cell_size", "length")
+    spacing = _want_number(data.get("candidate_spacing", 5.0), "candidate_spacing", "length")
+    team = _want_number(data["team_size"], "team_size", "team size")
     sensor = _want_object(data["sensor"], "sensor", _SENSOR_FIELDS, _SENSOR_FIELDS)
     sensor = {
-        "decay": _want_number(sensor["decay"], "sensor.decay", minimum=0.0),
-        "radius": _want_number(sensor["radius"], "sensor.radius", strict_minimum=0.0),
+        "decay": _want_number(sensor["decay"], "sensor.decay", "decay"),
+        "radius": _want_number(sensor["radius"], "sensor.radius", "length"),
     }
-    _tagged("sensor.decay", SensorModel, sensor["decay"], sensor["radius"])  # bounds the decay
     refine = _want_object(data.get("refine", {}), "refine", {"max_iterations"})
     if "max_iterations" in refine:
-        _want_int(refine["max_iterations"], "refine.max_iterations", minimum=1)
-    seed = _want_int(data.get("seed", 0), "seed", minimum=0)
+        _want_number(refine["max_iterations"], "refine.max_iterations", "count")
+    seed = _want_number(data.get("seed", 0), "seed", "seed")
 
     scenario = Scenario(
         name, boundary, obstacles, dict(density), cell, spacing, team, sensor, dict(refine), seed

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import check
 from .field import QuadratureGrid
-from .geometry import EPS, MAX_COORD, MissionSpace, as_points_array, as_xy, line_of_sight_many
+from .geometry import EPS, MissionSpace, as_points_array, as_xy, line_of_sight_many
 
 # Floats in 128 KiB, glibc's default mmap threshold, which a detection
 # block's float temporary stays under.
@@ -42,14 +42,8 @@ class SensorModel:
     radius: float
 
     def __post_init__(self):
-        # coordinates are bounded at MAX_COORD and a cell's area is finite, so a distance
-        # is under 1e155 and the exponent decay * distance stays finite
-        if not 0 <= self.decay <= MAX_COORD:
-            raise InvalidParameterError(
-                f"decay must be >= 0 and at most {MAX_COORD:g}, got {self.decay}"
-            )
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise InvalidParameterError(f"radius must be finite and > 0, got {self.radius}")
+        check("decay", self.decay, "decay")
+        check("length", self.radius, "radius")
 
     def in_reach(self, dist: np.ndarray, los: np.ndarray) -> np.ndarray:
         """Where an event can be detected at all: in sight and within range."""

@@ -4,7 +4,8 @@ Runs ``coverplan.cli.main`` in one process: on each bundled scenario
 ``greedy`` (lazy and eager), ``bounds`` (feasible and omega), ``sweep`` on
 lambda and on delta, ``gga``, and ``evaluate`` and ``heatmap`` on the gga
 positions; ``oracle`` and ``check`` on a small scenario; ``--help`` for the
-parser and each subcommand; and a few error exits.  Each line holds the
+parser and each subcommand; and a few error exits, two of them at the
+numeric envelope's bounds.  Each line holds the
 command's exit code and the sha256 of its stdout, its stderr and each
 artifact it wrote.  The artifacts' version header line is left out of the
 hash, and the scratch directory's path reads ``{tmp}`` in stdout and stderr,
@@ -43,6 +44,9 @@ SMALL = {
     "candidate_spacing": 5.0,
     "refine": {"max_iterations": 8},
 }
+# SMALL with a sampled density of finite mass whose product with the decay is past 1e150
+SPIKE = {**SMALL, "density": {"type": "sampled", "origin": [0, 0], "spacing": 10.0,
+                              "values": [[1.0, 1e300], [0, 3.0]]}}
 HEADER = f"# coverplan {__version__}"
 
 
@@ -83,6 +87,8 @@ def commands(tmp: Path):
     yield "error.sweep-range", ["sweep", "--scenario", small, "--sweep", "lambda:0:1:3"]
     yield "error.positions", ["evaluate", "--scenario", small, "--positions-file", small]
     yield "error.too-large", ["oracle", "--scenario", "empty_60x50"]
+    yield "error.decay-times-mass", ["gga", "--scenario", str(tmp / "spike.json")]
+    yield "error.team-size", ["bounds", "--scenario", small, "--n", str(2**31)]
 
 
 def _digest(text: str) -> str:
@@ -143,6 +149,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="cli_matrix_") as scratch:
         tmp = Path(scratch)
         (tmp / "small.json").write_text(json.dumps(SMALL))
+        (tmp / "spike.json").write_text(json.dumps(SPIKE))
         for name, command in commands(tmp):
             table[name] = run(name, command, tmp)
             if not args.compare:

@@ -1,6 +1,7 @@
 """The public surface: what ``coverplan`` exports, and names that are gone."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import coverplan
 from coverplan import GreedyResult, Polygon, QuadratureGrid, RefineResult, UniformDensity, geometry
+from coverplan.errors import ENVELOPE
 
 REMOVED = ("Point", "is_visible", "visible_many", "point_in_polygon", "segments_intersect")
 
@@ -46,3 +48,21 @@ def test_the_shadow_kernel_is_imported_on_first_use_only():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "True"]
+
+
+def _bound_text(bound) -> str:
+    """A row's bound in the words its errors use: each side a value must keep to."""
+    sides = ["finite"] if isinstance(bound.low, float) else []
+    if bound.low > -math.inf:
+        sides.append(f"{'>' if bound.open_low else '>='} {bound.low!r}")
+    if bound.high < math.inf:
+        sides.append(f"<= {bound.high!r}")
+    return " and ".join(sides)
+
+
+def test_the_readme_states_the_numeric_envelope_row_for_row():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Numeric envelope", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ")]
+    stated = {cells[0].strip(): [c.strip() for c in cells[1:3]] for cells in rows[1:]}
+    assert stated == {name: [_bound_text(b), b.protects] for name, b in ENVELOPE.items()}

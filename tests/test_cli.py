@@ -358,8 +358,8 @@ FAR = {**SMALL, "obstacles": [[[1e300, 3], [8, 3], [8, 7], [5, 7]]]}
                      "candidate_spacing: lattice spacing 2.0 puts 1.06338e+37 points in all, "
                      "more than numpy can index", id="lattice-too-big"),
         pytest.param(["greedy", "--scenario", "{tmp}/far.json"], {"far.json": json.dumps(FAR)}, 2,
-                     "obstacles[0]: polygon vertex coordinates must be finite and at most "
-                     "1e+150 in magnitude", id="obstacle-too-far"),
+                     "obstacles[0]: polygon vertex coordinates must be <= 1e+150, got 1e+300",
+                     id="obstacle-too-far"),
         pytest.param(["greedy", "--out", "{tmp}/taken"], {"taken": "a file"}, 1,
                      "[Errno 17] File exists: '{tmp}/taken'", id="out-is-a-file"),
     ],
@@ -401,14 +401,28 @@ def test_event_mass_that_is_not_finite_exits_2(tmp_path, capsys, command, densit
                                        "is not finite\n")
 
 
+def test_decay_times_mass_past_its_bound_exits_2_under_gga(tmp_path, capsys):
+    # a finite mass of 7.5e301 at decay 0.15: refine's gradient norm once overflowed, and
+    # gga warned and stopped with no_improvement, exit 0
+    path = tmp_path / "spike.json"
+    spike = {"type": "sampled", "origin": [0, 0], "spacing": 10.0,
+             "values": [[1.0, 1e300], [0, 3.0]]}
+    path.write_text(json.dumps({**SMALL, "density": spike}))
+    assert main(["greedy", "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["gga", "--scenario", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: decay times event mass must be <= 1e+150, got 1.1250000000000001e+301\n"
+    )
+
+
 def test_a_swept_decay_past_its_bound_exits_2_before_any_output(capsys, small_scenario):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         code = main(["sweep", "--scenario", small_scenario, "--sweep", "lambda:0.1:1e308:3"])
     assert code == 2
     assert [str(w.message) for w in seen] == []
-    assert capsys.readouterr() == ("", "error: decay must be >= 0 and at most 1e+150, "
-                                       "got 5e+307\n")
+    assert capsys.readouterr() == ("", "error: decay must be <= 1e+150, got 5e+307\n")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
@@ -531,7 +545,7 @@ def test_grid_override_keeps_the_space(capsys, builds):
                                "more than numpy can index"),
         ("--candidates-spacing", "1e-300", "candidate_spacing: lattice spacing 1e-300 puts "
                                            "6e+301 points on an axis, more than numpy can index"),
-        ("--lambda", "1e308", "sensor.decay: decay must be >= 0 and at most 1e+150, got 1e+308"),
+        ("--lambda", "1e308", "sensor.decay: must be <= 1e+150, got 1e+308"),
     ],
 )
 def test_invalid_override_exits_2(capsys, flag, value, message):

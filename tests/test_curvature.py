@@ -111,6 +111,16 @@ def test_bounds_reject_a_bool_team_size():
             bound(0.5, True)
 
 
+@pytest.mark.parametrize("bound", [bound_from_total, bound_from_elemental])
+def test_bounds_reject_a_team_size_past_its_row(bound):
+    # the bounds take the team size as a float; 10**400 once raised an OverflowError
+    assert bound(0.5, 2**31 - 1) > 0
+    for team in (2**31, 10**400):
+        with pytest.raises(InvalidParameterError) as info:
+            bound(0.5, team)
+        assert str(info.value) == f"team size must be <= 2147483647, got {team}"
+
+
 def test_disjoint_candidates_have_zero_total_curvature(empty_rect):
     # coverage footprints that never overlap leave each candidate undiscounted
     grid = QuadratureGrid(empty_rect, 1.0, UniformDensity())

@@ -52,9 +52,8 @@ def test_a_sigma_whose_square_underflows_gives_a_point_bump():
 def test_mixture_centers_are_bounded_as_ring_vertices_are(coordinate):
     with pytest.raises(InvalidParameterError) as info:
         GaussianMixtureDensity(centers=[(0, 0), (4, coordinate)], weights=[1, 1], sigmas=[1, 1])
-    assert str(info.value) == (
-        "mixture center coordinates must be finite and at most 1e+150 in magnitude"
-    )
+    side = {1.0000000000000002e150: "<= 1e+150", -1e300: ">= -1e+150"}.get(coordinate, "finite")
+    assert str(info.value) == f"mixture center coordinates must be {side}, got {coordinate}"
     d = GaussianMixtureDensity(centers=[(-1e150, 1e150)], weights=[1.0], sigmas=[1.0])
     assert np.array_equal(d([(0, 0)]), [0.0])
 

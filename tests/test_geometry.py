@@ -49,10 +49,11 @@ def error_text(build, *args) -> str:
 def test_polygon_rejects_bad_rings():
     assert error_text(Polygon, [(0, 0), (1, 0)]) == "polygon needs at least 3 vertices, got 2"
     # coordinates past 1e150 would overflow the squares of their differences
-    for far in (1.0000000000000002e150, -1e300, np.inf, np.nan):
+    for far, side in [(1.0000000000000002e150, "<= 1e+150"), (-1e300, ">= -1e+150"),
+                      (np.inf, "finite"), (np.nan, "finite")]:
         assert (
             error_text(Polygon, [(0, 0), (4, 0), (far, 3)])
-            == "polygon vertex coordinates must be finite and at most 1e+150 in magnitude"
+            == f"polygon vertex coordinates must be {side}, got {far}"
         )
     assert Polygon([(-1e150, -1e150), (1e150, -1e150), (0, 1e150)]).area == pytest.approx(2e300)
     assert (

@@ -113,10 +113,28 @@ def test_project_feasible_cases(one_block):
         assert is_feasible(q, one_block)
 
 
+def test_gradients_reject_decay_times_mass_past_its_bound(empty_rect):
+    # a gradient component is at most decay times event mass, and refine squares it for a norm
+    grid = QuadratureGrid(empty_rect, 1.0, UniformDensity(2.5e147))  # mass 5e149
+    within, past = SensorModel(decay=1.5, radius=30.0), SensorModel(decay=2.5, radius=30.0)
+    assert 1.5 * grid.total_mass() <= 1e150 < 2.5 * grid.total_mass()
+    start = np.array([[5.0, 5.0]])
+    assert np.isfinite(objective_gradient(start, 0, grid, within)).all()
+    assert refine(start, grid, within, max_iterations=1).steps
+    for call in (lambda: objective_gradient(start, 0, grid, past),
+                 lambda: refine(start, grid, past)):
+        with pytest.raises(InvalidParameterError) as info:
+            call()
+        assert str(info.value) == (
+            f"decay times event mass must be <= 1e+150, got {2.5 * grid.total_mass()}"
+        )
+
+
 @pytest.mark.parametrize("cap", [0, True, 2.5])
 def test_refine_rejects_a_max_iterations_that_is_no_positive_integer(empty_rect, cap):
     grid, sensor, _ = make_problem(empty_rect)
-    with pytest.raises(InvalidParameterError, match=f"positive integer, got {cap}$"):
+    rule = ">= 1" if cap == 0 else "a positive integer"
+    with pytest.raises(InvalidParameterError, match=f"^max_iterations must be {rule}, got {cap}$"):
         refine(np.array([[4.0, 4.0]]), grid, sensor, max_iterations=cap)
 
 

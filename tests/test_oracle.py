@@ -90,7 +90,9 @@ def test_brute_force_rejects_a_bool_team_size(empty_rect):
 @pytest.mark.parametrize("team_size", [2.0, 0, -1, np.int64(0)])
 def test_brute_force_takes_a_positive_integer_team_size(empty_rect, team_size):
     grid, sensor, cand = make_problem(empty_rect, spacing=5.0)
-    with pytest.raises(InvalidParameterError, match="team size must be a positive integer, got"):
+    # a non-integer is no integer at all; an integer below 1 misses the team-size row
+    rule = "a positive integer" if isinstance(team_size, float) else ">= 1"
+    with pytest.raises(InvalidParameterError, match=f"^team size must be {rule}, got {team_size}$"):
         brute_force(cand, team_size, grid, sensor)
     assert brute_force(cand, np.int64(1), grid, sensor).subsets_evaluated == len(cand)
 

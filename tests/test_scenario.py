@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import coverplan
+import coverplan.cli
 from coverplan import (
     InvalidParameterError,
     Scenario,
@@ -128,6 +129,7 @@ def table(**spec):
 
 
 TYPES = "must be one of ['gaussian_mixture', 'sampled', 'uniform']"
+LONG = f"integer of more than {sys.get_int_max_str_digits()} digits"  # 10**5000 is longer
 
 # every raise ScenarioError in scenario validation: (input, message, field)
 ERROR_SITES = [
@@ -197,7 +199,7 @@ ERROR_SITES = [
     pytest.param(mixture(sigma=0), "must be > 0.0, got 0", "density.components[0].sigma",
                  id="component-zero-sigma"),
     pytest.param(mixture(center=[4, -1e300]),
-                 "mixture center coordinates must be finite and at most 1e+150 in magnitude",
+                 "mixture center coordinates must be >= -1e+150, got -1e+300",
                  "density", id="component-center-too-far"),
     pytest.param(density(type="uniform", value=1e308),
                  "event mass on cells of size 1.0 is not finite", "density",
@@ -237,6 +239,9 @@ ERROR_SITES = [
                  "team_size", id="team_size-past-float"),
     pytest.param(variant(team_size=True), "expected an integer, got True", "team_size",
                  id="team_size-bool"),
+    pytest.param(variant(team_size=10**5000),
+                 f"must be <= 2147483647, got an {LONG}", "team_size",
+                 id="team_size-too-long-to-print"),
     pytest.param(variant(sensor=[0.1, 3.0]), "expected an object", "sensor",
                  id="sensor-not-object"),
     pytest.param(variant(sensor={"decay": 0.1, "radius": 3.0, "range": 9}), "unknown field",
@@ -252,20 +257,23 @@ ERROR_SITES = [
     pytest.param(variant(sensor={"decay": 0.1, "radius": 0}), "must be > 0.0, got 0",
                  "sensor.radius", id="sensor-zero-radius"),
     pytest.param(variant(sensor={"decay": 1e308, "radius": 3.0}),
-                 "decay must be >= 0 and at most 1e+150, got 1e+308", "sensor.decay",
+                 "must be <= 1e+150, got 1e+308", "sensor.decay",
                  id="sensor-decay-too-large"),
     pytest.param(variant(refine=[]), "expected an object", "refine", id="refine-not-object"),
     pytest.param(variant(refine={"max_iterations": 0}), "must be >= 1, got 0",
                  "refine.max_iterations", id="refine-zero-iterations"),
     pytest.param(variant(seed=-1), "must be >= 0, got -1", "seed", id="seed-negative"),
+    pytest.param(variant(seed=-10**5000),
+                 f"must be >= 0, got a negative {LONG}", "seed",
+                 id="seed-too-long-to-print"),
     pytest.param(variant(boundary=[[0, 0], [4, 0], [4, 4], [0, 4]],
                          obstacles=[[[0.05, 0.05], [3.95, 0.05], [3.95, 3.95], [0.05, 3.95]]]),
                  "no feasible grid cell; space is fully blocked", None, id="fully-blocked"),
     pytest.param(variant(boundary=[[0, 0], [1e300, 0], [20, 10], [0, 10]]),
-                 "polygon vertex coordinates must be finite and at most 1e+150 in magnitude",
+                 "polygon vertex coordinates must be <= 1e+150, got 1e+300",
                  "boundary", id="boundary-too-far"),
     pytest.param(variant(obstacles=[[[1e300, 3], [8, 3], [8, 7], [5, 7]]]),
-                 "polygon vertex coordinates must be finite and at most 1e+150 in magnitude",
+                 "polygon vertex coordinates must be <= 1e+150, got 1e+300",
                  "obstacles[0]", id="obstacle-too-far"),
 ]
 
@@ -362,6 +370,57 @@ def test_a_mutated_scenario_is_accepted_or_a_scenario_error():
                 pass
     assert 0 < accepted < 2000
     assert [str(w.message) for w in seen] == []
+
+
+# the envelope's corners: past a bound, subnormal, and past the float range
+CORNERS = [1e300, 1e-320, 10**400]
+CORNERED = ["decay", "radius", "density", "team_size", "grid_cell_size"]
+
+
+def _cornered(data, rng):
+    """``data`` with an envelope corner set in one of the fields of ``CORNERED``."""
+    corner, where = rng.choice(CORNERS), rng.choice(CORNERED)
+    if where == "density":
+        data["density"] = rng.choice([
+            {"type": "uniform", "value": corner},
+            {"type": "sampled", "origin": [0, 0], "spacing": 10.0,
+             "values": [[1.0, corner], [0, 3.0]]},
+            {"type": "gaussian_mixture",
+             "components": [{"center": [4, 4], "weight": corner, "sigma": 2.0}]},
+        ])
+    elif where not in ("decay", "radius"):
+        data[where] = corner
+    elif isinstance(data.get("sensor"), dict):
+        data["sensor"][where] = corner
+    return data
+
+
+def test_a_mutated_scenario_runs_every_command_or_exits_2(tmp_path, capsys):
+    # A 1e300 event mass once overflowed refine's gradient norm: gga warned and
+    # went on.  pyproject turns a RuntimeWarning into an error, which exits 1.
+    rng = random.Random(0)
+    path, out = tmp_path / "case.json", tmp_path / "out"
+    commands = [["greedy", "--out", str(out)], ["bounds"],
+                ["sweep", "--sweep", "lambda:0.05:0.5:3"], ["gga"],
+                ["evaluate", "--positions-file", str(out / "greedy_positions.csv")]]
+    failures, codes = [], []
+    for k, data in enumerate(mutated(rng, 300)):
+        if k % 2:  # every other case keeps a sample scenario's other fields valid
+            data = copy.deepcopy(rng.choice([BASE, RICH, TABLE]))
+        data = _cornered(data, rng)
+        data["refine"] = {"max_iterations": 2}  # bounds the stage's time
+        path.write_text(json.dumps(data))
+        (out / "greedy_positions.csv").unlink(missing_ok=True)
+        for argv in commands:
+            if argv[0] == "evaluate" and not (out / "greedy_positions.csv").exists():
+                continue
+            code = coverplan.cli.main([*argv, "--scenario", str(path)])
+            codes.append(code)
+            err = capsys.readouterr().err
+            if code not in (0, 2):
+                failures.append((k, argv[0], code, err, data))
+    assert failures == []
+    assert 0 < codes.count(0) < len(codes)
 
 
 @pytest.mark.parametrize(
