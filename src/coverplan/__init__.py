@@ -45,9 +45,8 @@ from .gradient import (
 )
 from .greedy import GreedyResult, greedy_place
 from .oracle import (
-    EquivalenceReport,
     OracleResult,
-    SubmodularityReport,
+    PropertyReport,
     brute_force,
     check_definition_equivalence,
     check_submodular,
@@ -79,7 +78,6 @@ __all__ = [
     "DegenerateCandidateError",
     "DetectionCache",
     "EmptyCandidateSetError",
-    "EquivalenceReport",
     "GaussianMixtureDensity",
     "GeometryError",
     "GreedyResult",
@@ -88,13 +86,13 @@ __all__ = [
     "MissionSpace",
     "OracleResult",
     "Polygon",
+    "PropertyReport",
     "QuadratureGrid",
     "RefineResult",
     "SampledDensity",
     "Scenario",
     "ScenarioError",
     "SensorModel",
-    "SubmodularityReport",
     "UniformDensity",
     "bound_from_elemental",
     "bound_from_total",

@@ -25,7 +25,7 @@ from .errors import (
     check,
 )
 from .gradient import refine
-from .greedy import greedy_place
+from .greedy import GAIN_TOLERANCE, greedy_place
 from .oracle import brute_force, check_definition_equivalence, check_submodular
 from .scenario import bundled_scenario_path, parse_scenario
 from .sensing import DetectionCache, coverage, detection_matrix, joint_detection
@@ -191,11 +191,21 @@ def _cmd_evaluate(run: _Run, args) -> int:
     return 0
 
 
-def _cmd_greedy(run: _Run, args) -> int:
+def _greedy(run: _Run, method: str = "lazy"):
+    """Greedy's placement, which must place an agent: no positions file can hold none."""
     cand = run.candidates()
     result = greedy_place(
-        run.grid.space, run.grid, run.sensor, cand, run.scenario.team_size, method=args.method
+        run.grid.space, run.grid, run.sensor, cand, run.scenario.team_size, method=method
     )
+    if not result.indices:
+        raise DegenerateCandidateError(
+            f"greedy placed no agent: no candidate's coverage gain exceeds {GAIN_TOLERANCE:g}"
+        )
+    return result
+
+
+def _cmd_greedy(run: _Run, args) -> int:
+    result = _greedy(run, args.method)
     for i, (x, y) in enumerate(result.positions):
         print(f"agent {i}: ({_fmt(float(x))}, {_fmt(float(y))})")
     print(f"coverage: {_fmt(result.value)} ({result.evaluations} gain evaluations, {args.method})")
@@ -207,10 +217,7 @@ def _cmd_greedy(run: _Run, args) -> int:
 
 
 def _run_gga(run: _Run):
-    cand = run.candidates()
-    seed_result = greedy_place(run.grid.space, run.grid, run.sensor, cand, run.scenario.team_size)
-    if len(seed_result.indices) == 0:
-        raise DegenerateCandidateError("greedy placed no agent: no candidate covers event mass")
+    seed_result = _greedy(run)
     refined = refine(seed_result.positions, run.grid, run.sensor, **run.scenario.refine)
     return seed_result, refined
 
@@ -314,22 +321,19 @@ def _cmd_oracle(run: _Run, args) -> int:
 def _cmd_check(run: _Run, args) -> int:
     cand = run.candidates()
     seed = run.scenario.seed
-    sub = check_submodular(cand, run.grid, run.sensor, trials=args.trials, seed=seed)
-    eq = check_definition_equivalence(
-        cand, run.grid, run.sensor, trials=max(1, args.trials // 2), seed=seed
+    reports = (
+        check_submodular(cand, run.grid, run.sensor, trials=args.trials, seed=seed),
+        check_definition_equivalence(
+            cand, run.grid, run.sensor, trials=max(1, args.trials // 2), seed=seed
+        ),
     )
-    print(sub.as_text())
-    print(eq.as_text())
+    for report in reports:
+        print(report.as_text())
     if run.out:
-        _write_csv(
-            run.out / "checks.csv",
-            "check,trials,seed,violations,max_violation",
-            [
-                ("submodularity", sub.trials, sub.seed, sub.violations, sub.max_violation),
-                ("definition_equivalence", eq.trials, eq.seed, eq.violations, eq.max_violation),
-            ],
-        )
-    return 1 if sub.violations + eq.violations else 0
+        rows = [(r.check.replace(" ", "_"), r.trials, r.seed, r.violations, r.max_violation)
+                for r in reports]
+        _write_csv(run.out / "checks.csv", "check,trials,seed,violations,max_violation", rows)
+    return 1 if any(r.violations for r in reports) else 0
 
 
 def _cmd_heatmap(run: _Run, args) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCandidateError, InvalidParameterError, check, positive_int
+from .errors import DegenerateCandidateError, InvalidParameterError, check, positive_int, shown
 from .field import QuadratureGrid
 
 
@@ -91,7 +91,8 @@ def _domain_mask(grid: QuadratureGrid, domain: str) -> np.ndarray:
     elif domain == "omega":
         mask = grid.in_boundary
     else:
-        raise InvalidParameterError(f"domain must be 'feasible' or 'omega', got {domain!r}")
+        got = shown(domain, repr)
+        raise InvalidParameterError(f"domain must be 'feasible' or 'omega', got {got}")
     if not np.any(mask):
         raise InvalidParameterError(f"no grid cells fall in the {domain!r} domain")
     return mask
@@ -249,7 +250,9 @@ def sweep_bounds(
     leave-one-out products each fill one buffer kept across the sweep.
     """
     if parameter not in ("decay", "radius"):
-        raise InvalidParameterError(f"sweep parameter must be 'decay' or 'radius', got {parameter!r}")
+        raise InvalidParameterError(
+            f"sweep parameter must be 'decay' or 'radius', got {shown(parameter, repr)}"
+        )
     probs, scratch = np.empty_like(cache.dist), np.empty_like(cache.dist)
     out = []
     for v in values:

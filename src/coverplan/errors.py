@@ -53,6 +53,20 @@ ENVELOPE = {
 }
 
 
+def shown(value, text=str) -> str:
+    """``text(value)`` for a message, bounded where an int is too long to print.
+
+    Such an int reads by its sign and length, and a value holding one by its type.
+    """
+    try:
+        return text(value)
+    except ValueError:  # an int past Python's limit on the digits it prints
+        held = f"integer of more than {sys.get_int_max_str_digits()} digits"
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} {held}"
+        return f"a {type(value).__name__} holding an {held}"
+
+
 def check(row: str, value, name: str = "", error: type = InvalidParameterError):
     """``value`` when it, or each entry of a non-empty array of floats, lies within ``row``.
 
@@ -70,12 +84,7 @@ def check(row: str, value, name: str = "", error: type = InvalidParameterError):
             side = f"<= {bound.high!r}"
         else:
             continue
-        try:
-            shown = str(end)
-        except ValueError:  # an int past Python's limit on the digits it prints
-            sign = "a negative" if end < 0 else "an"
-            shown = f"{sign} integer of more than {sys.get_int_max_str_digits()} digits"
-        message = bound.says.format(side=side, value=end, shown=shown)
+        message = bound.says.format(side=side, value=end, shown=shown(end))
         raise error(f"{name} {message}" if name else message)
     return value
 
@@ -83,7 +92,7 @@ def check(row: str, value, name: str = "", error: type = InvalidParameterError):
 def positive_int(value, row: str, name: str | None = None) -> int:
     """``value`` as an int within the envelope's ``row``, named ``name`` or the row's name."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name or row} must be a positive integer, got {value}")
+        raise InvalidParameterError(f"{name or row} must be a positive integer, got {shown(value)}")
     return int(check(row, value, name or row))
 
 
@@ -96,7 +105,7 @@ class EmptyCandidateSetError(CoverplanError):
 
 
 class DegenerateCandidateError(CoverplanError):
-    """No candidate position covers event mass, so curvature ratios are undefined."""
+    """No candidate covers event mass: curvature ratios are undefined, or greedy places no agent."""
 
 
 class InstanceTooLargeError(CoverplanError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCandidateSetError, InvalidParameterError, positive_int
+from .errors import EmptyCandidateSetError, InvalidParameterError, positive_int, shown
 from .field import QuadratureGrid
 from .geometry import MissionSpace, as_points_array
 from .sensing import SensorModel, detection_matrix, marginal_gain
@@ -69,7 +69,7 @@ def greedy_place(
         raise EmptyCandidateSetError("candidate set is empty")
     team_size = positive_int(team_size, "team size")
     if method not in ("eager", "lazy"):
-        raise InvalidParameterError(f"method must be 'eager' or 'lazy', got {method!r}")
+        raise InvalidParameterError(f"method must be 'eager' or 'lazy', got {shown(method, repr)}")
     if space is not grid.space:
         raise InvalidParameterError("space must be the space the grid was built on")
 

@@ -78,47 +78,23 @@ def brute_force(
 
 
 @dataclass(frozen=True)
-class SubmodularityReport:
-    """Outcome of randomized diminishing-returns and monotonicity checks."""
+class PropertyReport:
+    """Outcome of one randomized property check: each property's violations, in report order."""
 
+    check: str
     trials: int
     seed: int
-    gain_violations: int
-    monotonicity_violations: int
+    counts: tuple[tuple[str, int], ...]  # (property, violations)
     max_violation: float
 
     @property
     def violations(self) -> int:
-        return self.gain_violations + self.monotonicity_violations
+        return sum(n for _, n in self.counts)
 
     def as_text(self) -> str:
+        listed = ", ".join(f"{n} {name} violations" for name, n in self.counts)
         return (
-            f"submodularity check: {self.trials} trials, seed {self.seed}: "
-            f"{self.gain_violations} gain violations, "
-            f"{self.monotonicity_violations} monotonicity violations "
-            f"(max magnitude {self.max_violation:.3e})"
-        )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Joint outcome of the two submodularity definitions on shared draws."""
-
-    trials: int
-    seed: int
-    union_intersection_violations: int
-    nested_gain_violations: int
-    max_violation: float
-
-    @property
-    def violations(self) -> int:
-        return self.union_intersection_violations + self.nested_gain_violations
-
-    def as_text(self) -> str:
-        return (
-            f"definition equivalence check: {self.trials} trials, seed {self.seed}: "
-            f"{self.union_intersection_violations} set-form violations, "
-            f"{self.nested_gain_violations} gain-form violations "
+            f"{self.check} check: {self.trials} trials, seed {self.seed}: {listed} "
             f"(max magnitude {self.max_violation:.3e})"
         )
 
@@ -144,15 +120,27 @@ class _SubsetEvaluator:
         return self.total - float(miss @ self.w)
 
 
-def _exceeds(lhs: float, rhs: float) -> float:
-    """Positive excess of lhs over rhs beyond the relative ``CHECK_TOLERANCE``, else 0."""
-    slack = CHECK_TOLERANCE * max(1.0, abs(rhs))
-    return max(0.0, lhs - rhs - slack)
+class _Tally:
+    """Violations of each property, in report order, and the largest excess among them."""
+
+    def __init__(self, *properties: str):
+        self.counts = dict.fromkeys(properties, 0)
+        self.worst = 0.0
+
+    def require(self, prop: str, lhs: float, rhs: float):
+        """Count a violation of ``prop`` when lhs exceeds rhs beyond the relative tolerance."""
+        excess = lhs - rhs - CHECK_TOLERANCE * max(1.0, abs(rhs))
+        if excess > 0:
+            self.counts[prop] += 1
+            self.worst = max(self.worst, excess)
+
+    def report(self, check: str, trials: int, seed: int) -> PropertyReport:
+        return PropertyReport(check, trials, seed, tuple(self.counts.items()), self.worst)
 
 
 def check_submodular(
     candidates, grid: QuadratureGrid, sensor: SensorModel, trials: int = 1000, seed: int = 0
-) -> SubmodularityReport:
+) -> PropertyReport:
     """Randomized check of diminishing returns and monotonicity.
 
     Each trial draws S subset of T and an element outside T, then requires the
@@ -163,9 +151,7 @@ def check_submodular(
     if ev.n < 2:
         raise InvalidParameterError("need at least 2 candidates for nested draws")
     rng = np.random.default_rng(seed)
-    gain_bad = 0
-    mono_bad = 0
-    worst = 0.0
+    tally = _Tally("gain", "monotonicity")
     for _ in range(trials):
         t_size = int(rng.integers(0, ev.n))  # leaves room for the extra element
         t_set = sorted(rng.choice(ev.n, size=t_size, replace=False).tolist())
@@ -179,20 +165,14 @@ def check_submodular(
         gain_s = ev.value(s_set + [extra]) - h_s
         gain_t = ev.value(t_set + [extra]) - h_t
 
-        excess = _exceeds(gain_t, gain_s)
-        if excess > 0:
-            gain_bad += 1
-            worst = max(worst, excess)
-        excess = _exceeds(h_s, h_t)
-        if excess > 0:
-            mono_bad += 1
-            worst = max(worst, excess)
-    return SubmodularityReport(trials, seed, gain_bad, mono_bad, worst)
+        tally.require("gain", gain_t, gain_s)
+        tally.require("monotonicity", h_s, h_t)
+    return tally.report("submodularity", trials, seed)
 
 
 def check_definition_equivalence(
     candidates, grid: QuadratureGrid, sensor: SensorModel, trials: int = 500, seed: int = 0
-) -> EquivalenceReport:
+) -> PropertyReport:
     """Check both submodularity formulations on shared random draws.
 
     The set form requires H(S u T) + H(S n T) <= H(S) + H(T) for arbitrary
@@ -203,9 +183,7 @@ def check_definition_equivalence(
     trials = positive_int(trials, "count", "trials")
     ev = _SubsetEvaluator(candidates, grid, sensor)
     rng = np.random.default_rng(seed)
-    set_bad = 0
-    gain_bad = 0
-    worst = 0.0
+    tally = _Tally("set-form", "gain-form")
     for _ in range(trials):
         s_mask = rng.random(ev.n) < rng.random()
         t_mask = rng.random(ev.n) < rng.random()
@@ -216,18 +194,12 @@ def check_definition_equivalence(
 
         lhs = ev.value(union) + ev.value(inter)
         rhs = ev.value(s_set) + ev.value(t_set)
-        excess = _exceeds(lhs, rhs)
-        if excess > 0:
-            set_bad += 1
-            worst = max(worst, excess)
+        tally.require("set-form", lhs, rhs)
 
         outside = [j for j in range(ev.n) if j not in union]
         if outside:
             extra = int(rng.choice(outside))
             gain_small = ev.value(inter + [extra]) - ev.value(inter)
             gain_large = ev.value(union + [extra]) - ev.value(union)
-            excess = _exceeds(gain_large, gain_small)
-            if excess > 0:
-                gain_bad += 1
-                worst = max(worst, excess)
-    return EquivalenceReport(trials, seed, set_bad, gain_bad, worst)
+            tally.require("gain-form", gain_large, gain_small)
+    return tally.report("definition equivalence", trials, seed)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ENVELOPE, CoverplanError, InfiniteMassError, InvalidParameterError
-from .errors import ScenarioError, check
+from .errors import ScenarioError, check, shown
 from .field import (
     GaussianMixtureDensity,
     QuadratureGrid,
@@ -142,7 +142,7 @@ def _want_number(value, path: str, row: str = "number"):
     whole = isinstance(ENVELOPE[row].low, int)
     if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
         kind = "an integer" if whole else "a number"
-        raise ScenarioError(f"expected {kind}, got {value!r}", field=path)
+        raise ScenarioError(f"expected {kind}, got {shown(value, repr)}", field=path)
     value = _tagged(path, check, row, value)
     return value if whole else float(value)
 
@@ -211,7 +211,7 @@ def _density(spec, path: str):
     _want_object(spec, path, spec, ("type",))  # its kind decides the other fields
     kind = spec["type"]
     if not isinstance(kind, str) or kind not in _DENSITIES:
-        message = f"must be one of {sorted(_DENSITIES)}, got {kind!r}"
+        message = f"must be one of {sorted(_DENSITIES)}, got {shown(kind, repr)}"
         raise ScenarioError(message, field=f"{path}.type")
     return _DENSITIES[kind](spec, path)
 

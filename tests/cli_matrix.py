@@ -3,9 +3,10 @@
 Runs ``coverplan.cli.main`` in one process: on each bundled scenario
 ``greedy`` (lazy and eager), ``bounds`` (feasible and omega), ``sweep`` on
 lambda and on delta, ``gga``, and ``evaluate`` and ``heatmap`` on the gga
-positions; ``oracle`` and ``check`` on a small scenario; ``--help`` for the
-parser and each subcommand; and a few error exits, two of them at the
-numeric envelope's bounds.  Each line holds the
+positions; ``oracle`` and ``check`` (also at one trial) on a small scenario;
+``greedy`` and ``evaluate`` on its positions where greedy places nobody;
+``--help`` for the parser and each subcommand; and a few error exits, two of
+them at the numeric envelope's bounds.  Each line holds the
 command's exit code and the sha256 of its stdout, its stderr and each
 artifact it wrote.  The artifacts' version header line is left out of the
 hash, and the scratch directory's path reads ``{tmp}`` in stdout and stderr,
@@ -47,6 +48,8 @@ SMALL = {
 # SMALL with a sampled density of finite mass whose product with the decay is past 1e150
 SPIKE = {**SMALL, "density": {"type": "sampled", "origin": [0, 0], "spacing": 10.0,
                               "values": [[1.0, 1e300], [0, 3.0]]}}
+# SMALL with so little event mass that every greedy gain is under greedy's tolerance
+ZERO_PICK = {**SMALL, "density": {"type": "uniform", "value": 1e-320}}
 HEADER = f"# coverplan {__version__}"
 
 
@@ -70,10 +73,15 @@ def commands(tmp: Path):
     small = str(tmp / "small.json")
     yield "small.oracle", ["oracle", "--scenario", small, "--out", "{out}"]
     yield "small.check", ["check", "--scenario", small, "--trials", "60", "--out", "{out}"]
+    yield "small.check-one-trial", ["check", "--scenario", small, "--trials", "1", "--out", "{out}"]
     yield "small.overrides", ["greedy", "--scenario", small, "--n", "2", "--lambda", "0.3",
                               "--delta", "12", "--grid-h", "0.5", "--candidates-spacing", "4",
                               "--seed", "5", "--out", "{out}"]
     yield "small.heatmap", ["heatmap", "--scenario", small, "--out", "{out}"]
+    zero = str(tmp / "zero-pick.json")
+    yield "zero-pick.greedy", ["greedy", "--scenario", zero, "--out", "{out}"]
+    yield "zero-pick.evaluate", ["evaluate", "--scenario", zero, "--positions-file",
+                                 str(tmp / "zero-pick.greedy" / "greedy_positions.csv")]
     yield "version", ["--version"]
     yield "help", ["--help"]
     for sub in SUBCOMMANDS:
@@ -150,6 +158,7 @@ def main(argv=None) -> int:
         tmp = Path(scratch)
         (tmp / "small.json").write_text(json.dumps(SMALL))
         (tmp / "spike.json").write_text(json.dumps(SPIKE))
+        (tmp / "zero-pick.json").write_text(json.dumps(ZERO_PICK))
         for name, command in commands(tmp):
             table[name] = run(name, command, tmp)
             if not args.compare:

@@ -7,7 +7,7 @@ import pytest
 from coverplan.cli import main
 from coverplan.field import QuadratureGrid
 from coverplan.geometry import MissionSpace
-from coverplan.oracle import EquivalenceReport, SubmodularityReport
+from coverplan.oracle import PropertyReport
 
 SMALL = {
     "name": "cli-small",
@@ -157,9 +157,11 @@ def test_check_counts_every_violation(tmp_path, small_scenario, monkeypatch, cap
                                       gains, monotonicity, set_form, gain_form, code):
     # each check's violations add up in checks.csv, and any of them fails the command
     monkeypatch.setattr("coverplan.cli.check_submodular", lambda *a, trials, seed:
-                        SubmodularityReport(trials, seed, gains, monotonicity, 0.25))
+                        PropertyReport("submodularity", trials, seed,
+                                       (("gain", gains), ("monotonicity", monotonicity)), 0.25))
     monkeypatch.setattr("coverplan.cli.check_definition_equivalence", lambda *a, trials, seed:
-                        EquivalenceReport(trials, seed, set_form, gain_form, 0.5))
+                        PropertyReport("definition equivalence", trials, seed,
+                                       (("set-form", set_form), ("gain-form", gain_form)), 0.5))
     out = tmp_path / "art"
     argv = ["check", "--scenario", small_scenario, "--out", str(out), "--trials", "8"]
     assert main(argv) == code
@@ -284,15 +286,20 @@ def test_removed_refine_key_exits_2(tmp_path, capsys):
         assert f"refine.{key}: unknown field" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["gga", "heatmap"])
+@pytest.mark.parametrize("command", ["greedy", "gga", "heatmap"])
 def test_greedy_placing_no_agent_exits_2_naming_the_cause(tmp_path, capsys, command):
-    path = tmp_path / "massless.json"
-    path.write_text(json.dumps({**SMALL, "density": {"type": "uniform", "value": 0.0}}))
-    assert main(["greedy", "--scenario", str(path)]) == 0
-    assert "stopped after 0 picks: no remaining gain" in capsys.readouterr().out
-    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "error: greedy placed no agent: no candidate covers event mass" in err
+    # no mass at all, and mass so small that every gain is under greedy's tolerance
+    for value in (0.0, 1e-320):
+        path = tmp_path / "massless.json"
+        path.write_text(json.dumps({**SMALL, "density": {"type": "uniform", "value": value}}))
+        out = tmp_path / str(value)
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: greedy placed no agent: no candidate's coverage gain exceeds 1e-12\n"
+        )
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["a", None, float("nan")])

@@ -242,6 +242,8 @@ def test_domain_choice_changes_elemental_curvature(one_block):
     assert a_omega == 1.0
     with pytest.raises(InvalidParameterError):
         elemental_curvature(probs, grid, domain="everywhere")
+    with pytest.raises(InvalidParameterError, match="got a list holding an integer of more than"):
+        elemental_curvature(probs, grid, domain=[10**5000])
 
 
 def test_sweep_bounds_tracks_single_reports(block_problem):
@@ -257,6 +259,8 @@ def test_sweep_bounds_tracks_single_reports(block_problem):
         assert report.elemental_curvature == elemental_curvature(probs, grid)
     with pytest.raises(InvalidParameterError):
         sweep_bounds(cache, grid, 5, sensor, "wavelength", decays)
+    with pytest.raises(InvalidParameterError, match="got a list holding an integer of more than"):
+        sweep_bounds(cache, grid, 5, sensor, [10**5000], decays)
 
 
 def test_radius_sweep_tracks_single_reports(block_problem):

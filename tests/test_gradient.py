@@ -728,3 +728,44 @@ def test_joint_step_decides_and_builds_in_one_call_each(empty_rect, monkeypatch,
     assert joint_step_calls["matrix"] == [n, changed]
     assert joint_step_calls["row"] == 0
     assert result.rows == n + changed
+
+
+def _sweep_state(empty_rect, start):
+    grid, sensor, _ = make_problem(empty_rect)
+    pos = np.array(start, dtype=float)
+    rows = detection_matrix(pos, grid.space, grid.centers, sensor)
+    tally = {"rows": len(pos), "halvings": 0, "rescues": 0, "forfeits": 0}
+    return grid, sensor, pos, rows, coverage_from_rows(grid, rows), tally
+
+
+def test_the_rescue_skips_a_still_agent_and_forfeits_a_step_onto_another(empty_rect):
+    # agent 0 has no direction; agent 1's first step lands on it, each halving gains nothing
+    grid, sensor, pos, rows, value, tally = _sweep_state(empty_rect, [[5, 5], [5.5, 5]])
+    dirs = np.array([[0.0, 0.0], [-1.0, 0.0]])
+    moved, new_pos, _, new_value = gradient._agent_sweep(
+        pos, rows, value, grid, sensor, tally, dirs
+    )
+    assert not moved and new_value == value
+    assert new_pos.tobytes() == pos.tobytes()
+    assert tally == {"rows": 10, "halvings": 8, "rescues": 1, "forfeits": 1}
+
+
+def test_the_joint_proposal_forfeits_a_step_onto_another_agent(empty_rect):
+    pos = np.array([[5.0, 5.0], [5.5, 5.0]])
+    tally = {"forfeits": 0}
+    cand = gradient._joint_proposal(pos, [0], np.array([[1.0, 0.0], [0.0, 0.0]]), 0.5,
+                                    empty_rect, tally)
+    assert cand.tobytes() == pos.tobytes()
+    assert tally == {"forfeits": 1}
+
+
+def test_the_joint_step_stops_when_every_mover_is_projected_back_in_place(empty_rect):
+    # the gradient points out of the box through the edge the agent sits on
+    grid, sensor, pos, rows, value, tally = _sweep_state(empty_rect, [[10, 0]])
+    grads = np.array([[0.0, -3.0]])
+    moved, new_pos, new_rows, new_value = gradient._synchronous_sweep(
+        pos, rows, value, grid, sensor, tally, grads, np.linalg.norm(grads, axis=1)
+    )
+    assert not moved and new_value == value
+    assert new_pos is pos and new_rows is rows
+    assert tally == {"rows": 1, "halvings": 0, "rescues": 0, "forfeits": 0}

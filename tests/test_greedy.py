@@ -108,6 +108,8 @@ def test_team_size_validation(block_problem):
         greedy_place(space, grid, sensor, cand, 0)
     with pytest.raises(InvalidParameterError):
         greedy_place(space, grid, sensor, cand, 2, method="clever")
+    with pytest.raises(InvalidParameterError, match="got a list holding an integer of more than"):
+        greedy_place(space, grid, sensor, cand, 2, method=[10**5000])
     with pytest.raises(EmptyCandidateSetError):
         greedy_place(space, grid, sensor, np.empty((0, 2)), 1)
 

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from coverplan import (
     InstanceTooLargeError,
     InvalidParameterError,
+    PropertyReport,
     SensorModel,
     brute_force,
     check_definition_equivalence,
@@ -107,15 +110,32 @@ def test_checks_take_a_positive_integer_trial_count(block_problem, check, trials
     assert check(cand, grid, sensor, trials=np.int64(2)).trials == 2
 
 
+def test_a_trial_count_too_long_to_print_reads_by_its_type(block_problem):
+    _, grid, sensor, cand = block_problem
+    long = f"a list holding an integer of more than {sys.get_int_max_str_digits()} digits"
+    message = f"^trials must be a positive integer, got {long}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        check_submodular(cand, grid, sensor, trials=[10**5000])
+
+
 def test_coverage_passes_submodularity_check(block_problem):
     _, grid, sensor, cand = block_problem
     report = check_submodular(cand, grid, sensor, trials=400, seed=7)
     assert report.trials == 400
     assert report.seed == 7
     assert report.violations == 0
-    assert report.gain_violations == 0
-    assert report.monotonicity_violations == 0
+    assert report.counts == (("gain", 0), ("monotonicity", 0))
     assert "0 gain violations" in report.as_text()
+
+
+def test_a_property_report_reads_each_count_in_order():
+    counts = (("set-form", 1), ("gain-form", 3))
+    report = PropertyReport("definition equivalence", 8, 2, counts, 0.5)
+    assert report.violations == 4
+    assert report.as_text() == (
+        "definition equivalence check: 8 trials, seed 2: "
+        "1 set-form violations, 3 gain-form violations (max magnitude 5.000e-01)"
+    )
 
 
 def test_coverage_passes_equivalence_check(block_problem):
@@ -123,8 +143,7 @@ def test_coverage_passes_equivalence_check(block_problem):
     report = check_definition_equivalence(cand, grid, sensor, trials=300, seed=11)
     assert report.trials == 300
     assert report.violations == 0
-    assert report.union_intersection_violations == 0
-    assert report.nested_gain_violations == 0
+    assert report.counts == (("set-form", 0), ("gain-form", 0))
 
 
 def test_checks_are_reproducible(block_problem):
@@ -151,10 +170,12 @@ def test_the_checks_count_the_violations_of_a_supermodular_objective(block_probl
     monkeypatch.setattr(oracle._SubsetEvaluator, "value", lambda self, subset: len(subset) ** 2.0)
     sub = check_submodular(cand, grid, sensor, trials=200, seed=1)
     eq = check_definition_equivalence(cand, grid, sensor, trials=200, seed=1)
-    assert sub.gain_violations > 0 and sub.monotonicity_violations == 0
-    assert eq.union_intersection_violations > 0 and eq.nested_gain_violations > 0
-    assert sub.violations == sub.gain_violations + sub.monotonicity_violations
-    assert eq.violations == eq.union_intersection_violations + eq.nested_gain_violations
+    (_, gains), (_, monotonicity) = sub.counts
+    (_, set_form), (_, gain_form) = eq.counts
+    assert gains > 0 and monotonicity == 0
+    assert set_form > 0 and gain_form > 0
+    assert sub.violations == gains + monotonicity
+    assert eq.violations == set_form + gain_form
     assert sub.max_violation > 0 and eq.max_violation > 0
 
 
@@ -165,6 +186,7 @@ def test_the_submodularity_check_counts_the_violations_of_a_falling_objective(
     _, grid, sensor, cand = block_problem
     monkeypatch.setattr(oracle._SubsetEvaluator, "value", lambda self, subset: -float(len(subset)))
     report = check_submodular(cand, grid, sensor, trials=200, seed=1)
-    assert report.monotonicity_violations > 0 and report.gain_violations == 0
-    assert report.violations == report.monotonicity_violations
+    (_, gains), (_, monotonicity) = report.counts
+    assert monotonicity > 0 and gains == 0
+    assert report.violations == monotonicity
     assert report.max_violation > 0

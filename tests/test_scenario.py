@@ -266,6 +266,23 @@ ERROR_SITES = [
     pytest.param(variant(seed=-10**5000),
                  f"must be >= 0, got a negative {LONG}", "seed",
                  id="seed-too-long-to-print"),
+    # a wrong-typed value holding an int too long to print reads by its type
+    pytest.param(variant(team_size=[10**5000]),
+                 f"expected an integer, got a list holding an {LONG}", "team_size",
+                 id="team_size-list-too-long-to-print"),
+    pytest.param(variant(seed=[10**5000]), f"expected an integer, got a list holding an {LONG}",
+                 "seed", id="seed-list-too-long-to-print"),
+    pytest.param(variant(grid_cell_size=[-10**5000]),
+                 f"expected a number, got a list holding an {LONG}", "grid_cell_size",
+                 id="grid_cell_size-list-too-long-to-print"),
+    pytest.param(density(type=[10**5000]), f"{TYPES}, got a list holding an {LONG}",
+                 "density.type", id="density-type-too-long-to-print"),
+    pytest.param(variant(sensor={"decay": [10**5000], "radius": 3.0}),
+                 f"expected a number, got a list holding an {LONG}", "sensor.decay",
+                 id="sensor-decay-list-too-long-to-print"),
+    pytest.param(variant(boundary=[[0, 0], [20, [10**5000]], [20, 10], [0, 10]]),
+                 f"expected a number, got a list holding an {LONG}", "boundary[1][1]",
+                 id="boundary-vertex-too-long-to-print"),
     pytest.param(variant(boundary=[[0, 0], [4, 0], [4, 4], [0, 4]],
                          obstacles=[[[0.05, 0.05], [3.95, 0.05], [3.95, 3.95], [0.05, 3.95]]]),
                  "no feasible grid cell; space is fully blocked", None, id="fully-blocked"),
