@@ -25,7 +25,7 @@ from .errors import (
     check,
 )
 from .gradient import refine
-from .greedy import GAIN_TOLERANCE, greedy_place
+from .greedy import greedy_place
 from .oracle import brute_force, check_definition_equivalence, check_submodular
 from .scenario import bundled_scenario_path, parse_scenario
 from .sensing import DetectionCache, coverage, detection_matrix, joint_detection
@@ -67,12 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("eager", "lazy"), default="lazy")
 
     command("gga", _cmd_gga, "greedy placement plus gradient refinement")
-    bounds = command("bounds", _cmd_bounds, "curvatures and certified greedy guarantees")
+    command("bounds", _cmd_bounds, "curvatures and certified greedy guarantees")
     sweep = command("sweep", _cmd_sweep, "bounds along a sensing-parameter sweep")
-    for p in (bounds, sweep):
-        p.add_argument("--alpha-domain", choices=("feasible", "omega"), default="feasible",
-                       dest="alpha_domain",
-                       help="cell domain for the elemental curvature minimum")
     sweep.add_argument("--sweep", required=True, metavar="PARAM:START:STOP:STEPS",
                        help="PARAM is 'lambda' or 'delta'")
 
@@ -198,9 +194,7 @@ def _greedy(run: _Run, method: str = "lazy"):
         run.grid.space, run.grid, run.sensor, cand, run.scenario.team_size, method=method
     )
     if not result.indices:
-        raise DegenerateCandidateError(
-            f"greedy placed no agent: no candidate's coverage gain exceeds {GAIN_TOLERANCE:g}"
-        )
+        raise DegenerateCandidateError("greedy placed no agent: no candidate covers event mass")
     return result
 
 
@@ -247,7 +241,7 @@ def _guarantees(report) -> tuple:
 def _cmd_bounds(run: _Run, args) -> int:
     cand = run.candidates()
     probs = detection_matrix(cand, run.grid.space, run.grid.centers, run.sensor)
-    report = bound_report(probs, run.grid, run.scenario.team_size, args.alpha_domain)
+    report = bound_report(probs, run.grid, run.scenario.team_size)
     if report.dropped:
         spots = cand[list(report.dropped)]
         where = ", ".join(f"({_fmt(float(x))}, {_fmt(float(y))})" for x, y in spots)
@@ -295,9 +289,7 @@ def _cmd_sweep(run: _Run, args) -> int:
     label, param, values = _parse_sweep(args.sweep)
     cand = run.candidates()
     cache = DetectionCache(cand, run.grid.space, run.grid.centers)
-    table = sweep_bounds(
-        cache, run.grid, run.scenario.team_size, run.sensor, param, values, args.alpha_domain
-    )
+    table = sweep_bounds(cache, run.grid, run.scenario.team_size, run.sensor, param, values)
     certified = [r.certified for _, r in table]
     print(f"swept {label} over {len(table)} values in [{_fmt(values[0])}, {_fmt(values[-1])}]")
     print(f"certified guarantee range: [{_fmt(min(certified))}, {_fmt(max(certified))}]")

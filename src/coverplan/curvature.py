@@ -85,25 +85,10 @@ def total_curvature(probs: np.ndarray, grid: QuadratureGrid) -> float:
     return _total_curvature_argmax(*_ground_set(probs, grid), grid)[0]
 
 
-def _domain_mask(grid: QuadratureGrid, domain: str) -> np.ndarray:
-    if domain == "feasible":
-        mask = grid.feasible
-    elif domain == "omega":
-        mask = grid.in_boundary
-    else:
-        got = shown(domain, repr)
-        raise InvalidParameterError(f"domain must be 'feasible' or 'omega', got {got}")
-    if not np.any(mask):
-        raise InvalidParameterError(f"no grid cells fall in the {domain!r} domain")
-    return mask
-
-
-def _elemental_curvature_argmin(
-    probs, keep, grid: QuadratureGrid, domain: str
-) -> tuple[float, tuple[int, int]]:
-    # the first kept row reaching the smallest masked entry, then its first
+def _elemental_curvature_argmin(probs, keep, grid: QuadratureGrid) -> tuple[float, tuple[int, int]]:
+    # the first kept row reaching the smallest feasible entry, then its first
     # column there: the row-major argmin, without copying the kept block
-    mask = _domain_mask(grid, domain)
+    mask = grid.feasible
     low = np.minimum.reduce(probs, axis=1, where=mask, initial=np.inf)[keep]
     m = int(np.argmin(low))
     j = int(keep[m])
@@ -112,17 +97,15 @@ def _elemental_curvature_argmin(
     return min(1.0, max(0.0, alpha)), (j, k)
 
 
-def elemental_curvature(probs: np.ndarray, grid: QuadratureGrid, domain: str = "feasible") -> float:
-    """One minus the smallest detection probability over candidates and cells.
+def elemental_curvature(probs: np.ndarray, grid: QuadratureGrid) -> float:
+    """One minus the smallest detection probability over candidates and feasible cells.
 
-    ``domain`` picks which cells participate: "feasible" uses cells of the
-    feasible region, "omega" every cell inside the outer boundary (obstacle
-    interiors included, where detection is always zero).  Any cell invisible
-    to some candidate drives the result to 1.  Candidates that cover no event
-    mass are left out, as for :func:`total_curvature`.
+    Any feasible cell invisible to some candidate drives the result to 1.
+    Candidates that cover no event mass are left out, as for
+    :func:`total_curvature`.
     """
     probs, _, keep = _ground_set(probs, grid)
-    return _elemental_curvature_argmin(probs, keep, grid, domain)[0]
+    return _elemental_curvature_argmin(probs, keep, grid)[0]
 
 
 def _check_probs(probs, grid: QuadratureGrid) -> np.ndarray:
@@ -191,7 +174,6 @@ class BoundReport:
     from_elemental: float
     certified: float
     team_size: int
-    domain: str
     worst_candidate: int
     worst_pair: tuple[int, int]
     dropped: tuple[int, ...] = ()
@@ -204,7 +186,6 @@ class BoundReport:
             "from_elemental": self.from_elemental,
             "certified": self.certified,
             "team_size": self.team_size,
-            "domain": self.domain,
             "worst_candidate": self.worst_candidate,
             "worst_pair": list(self.worst_pair),
             "dropped": list(self.dropped),
@@ -215,7 +196,7 @@ def bound_report(
     probs: np.ndarray,
     grid: QuadratureGrid,
     team_size: int,
-    domain: str = "feasible",
+    *,
     scratch: np.ndarray | None = None,
 ) -> BoundReport:
     """Compute both curvatures and the certified ratio max(T, E) in one pass.
@@ -226,11 +207,11 @@ def bound_report(
     n = positive_int(team_size, "team size")
     probs, alone, keep = _ground_set(probs, grid)
     c, worst_candidate = _total_curvature_argmax(probs, alone, keep, grid, scratch)
-    alpha, worst_pair = _elemental_curvature_argmin(probs, keep, grid, domain)
+    alpha, worst_pair = _elemental_curvature_argmin(probs, keep, grid)
     t = bound_from_total(c, n)
     e = bound_from_elemental(alpha, n)
     dropped = tuple(int(j) for j in np.nonzero(alone <= 0.0)[0])
-    return BoundReport(c, alpha, t, e, max(t, e), n, domain, worst_candidate, worst_pair, dropped)
+    return BoundReport(c, alpha, t, e, max(t, e), n, worst_candidate, worst_pair, dropped)
 
 
 def sweep_bounds(
@@ -240,7 +221,6 @@ def sweep_bounds(
     base_sensor,
     parameter: str,
     values,
-    domain: str = "feasible",
 ) -> list[tuple[float, BoundReport]]:
     """Bound reports along a sweep of the sensing decay or the sensing radius.
 
@@ -258,5 +238,5 @@ def sweep_bounds(
     for v in values:
         v = float(v)
         cache.probs(replace(base_sensor, **{parameter: v}), out=probs)
-        out.append((v, bound_report(probs, grid, team_size, domain, scratch)))
+        out.append((v, bound_report(probs, grid, team_size, scratch=scratch)))
     return out

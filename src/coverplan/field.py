@@ -119,7 +119,6 @@ class QuadratureGrid:
         ys = ymin + (np.arange(self.ny) + 0.5) * cell_size
         gx, gy = np.meshgrid(xs, ys)  # (ny, nx), y outer
         self.centers = np.column_stack([gx.ravel(), gy.ravel()])
-        self.in_boundary = space.boundary.contains_many(self.centers)
         self.feasible = space.feasible_many(self.centers)
         with np.errstate(over="ignore"):  # an infinite mass is rejected below
             dens = np.asarray(density(self.centers), dtype=float)

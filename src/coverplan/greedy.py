@@ -25,9 +25,6 @@ from .field import QuadratureGrid
 from .geometry import MissionSpace, as_points_array
 from .sensing import SensorModel, detection_matrix, marginal_gain
 
-# A gain at or below this is treated as zero and stops the placement loop.
-GAIN_TOLERANCE = 1e-12
-
 
 @dataclass
 class GreedyResult:
@@ -59,9 +56,10 @@ def greedy_place(
 ) -> GreedyResult:
     """Place ``team_size`` agents on candidate points by greedy selection.
 
-    Stops early when the best remaining gain is at most ``GAIN_TOLERANCE``;
-    the result then holds fewer positions than requested.  A team larger
-    than the candidate set takes every candidate and is flagged as slack.
+    Stops early when the best remaining gain is 0: a gain is a dot product of
+    non-negative arrays, so any positive gain covers event mass.  The result
+    then holds fewer positions than requested.  A team larger than the
+    candidate set takes every candidate and is flagged as slack.
     ``space`` must be ``grid.space`` (``perfbench`` reads the later arguments by position).
     """
     cand = as_points_array(candidates)
@@ -92,7 +90,7 @@ def greedy_place(
     # more agents than candidates: place everyone, the constraint is slack
     for step in range(min(team_size, len(cand))):
         j, g = pick(step)
-        if g <= GAIN_TOLERANCE:
+        if g <= 0.0:
             stopped = True
             break
         chosen.append(j)

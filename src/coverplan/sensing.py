@@ -136,9 +136,7 @@ def joint_detection(rows: np.ndarray) -> np.ndarray:
 
 
 def coverage_from_rows(grid: QuadratureGrid, rows: np.ndarray) -> float:
-    """Objective value from precomputed detection rows."""
-    if rows.size == 0:
-        return 0.0
+    """Objective value from precomputed detection rows; (0, T) rows give 0."""
     return grid.integrate(joint_detection(rows))
 
 

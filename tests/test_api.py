@@ -1,14 +1,31 @@
 """The public surface: what ``coverplan`` exports, and names that are gone."""
 
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import coverplan
-from coverplan import GreedyResult, Polygon, QuadratureGrid, RefineResult, UniformDensity, geometry
+from coverplan import (
+    BoundReport,
+    GreedyResult,
+    Polygon,
+    QuadratureGrid,
+    RefineResult,
+    UniformDensity,
+    bound_report,
+    curvature,
+    elemental_curvature,
+    geometry,
+    greedy,
+    sweep_bounds,
+)
 from coverplan.errors import ENVELOPE
 
 REMOVED = ("Point", "is_visible", "visible_many", "point_in_polygon", "segments_intersect")
@@ -31,6 +48,15 @@ def test_removed_names_stay_removed(empty_rect):
     assert not hasattr(RefineResult, "initial_value")
     grid = QuadratureGrid(empty_rect, 2.0, UniformDensity())
     assert grid.space is empty_rect and not hasattr(grid, "density")
+    assert not hasattr(grid, "in_boundary")
+    assert not hasattr(curvature, "_domain_mask") and not hasattr(greedy, "GAIN_TOLERANCE")
+    assert "domain" not in {f.name for f in dataclasses.fields(BoundReport)}
+    for fn in (elemental_curvature, bound_report, sweep_bounds):
+        assert "domain" not in inspect.signature(fn).parameters, fn.__name__
+    probs = np.full((1, grid.cell_count), 0.5)
+    assert "domain" not in bound_report(probs, grid, 2).as_dict()
+    with pytest.raises(TypeError):
+        bound_report(probs, grid, 2, "omega")
 
 
 def test_the_shadow_kernel_is_imported_on_first_use_only():

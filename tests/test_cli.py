@@ -229,30 +229,15 @@ def test_artifacts_are_deterministic(tmp_path, small_scenario):
         assert a == b, name
 
 
-def test_alpha_domain_flag(tmp_path, capsys):
-    blocked = tmp_path / "blocked.json"
-    blocked.write_text(json.dumps({
-        **SMALL,
-        "obstacles": [[[9, 4], [11, 4], [11, 6], [9, 6]]],
-    }))
-    main(["bounds", "--scenario", str(blocked), "--out", str(tmp_path / "f")])
-    capsys.readouterr()
-    main(["bounds", "--scenario", str(blocked), "--out", str(tmp_path / "o"),
-          "--alpha-domain", "omega"])
-    capsys.readouterr()
-    feasible = read_artifact(tmp_path / "f" / "bounds.csv")[1].split(",")
-    omega = read_artifact(tmp_path / "o" / "bounds.csv")[1].split(",")
-    # obstacle-interior cells are invisible, so the wider domain pins alpha at 1
-    assert float(omega[1]) == 1.0
-    assert float(omega[1]) >= float(feasible[1])
-
-
-@pytest.mark.parametrize("command", ["greedy", "gga", "oracle", "check", "heatmap"])
-def test_alpha_domain_is_a_flag_of_bounds_and_sweep_only(capsys, small_scenario, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--scenario", small_scenario, "--alpha-domain", "omega"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --alpha-domain omega" in capsys.readouterr().err
+def test_alpha_domain_flag(capsys, small_scenario):
+    # the elemental minimum always runs over the feasible cells, so no command takes the flag
+    required = {"evaluate": ["--positions-file", "p.csv"], "sweep": ["--sweep", "lambda:0.1:0.2:2"]}
+    for command in ("evaluate", "greedy", "gga", "bounds", "sweep", "oracle", "check", "heatmap"):
+        argv = [command, "--scenario", small_scenario, *required.get(command, [])]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--alpha-domain", "feasible"])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments: --alpha-domain feasible" in capsys.readouterr().err
 
 
 def test_invalid_scenario_exits_2(tmp_path, capsys):
@@ -288,18 +273,14 @@ def test_removed_refine_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["greedy", "gga", "heatmap"])
 def test_greedy_placing_no_agent_exits_2_naming_the_cause(tmp_path, capsys, command):
-    # no mass at all, and mass so small that every gain is under greedy's tolerance
-    for value in (0.0, 1e-320):
-        path = tmp_path / "massless.json"
-        path.write_text(json.dumps({**SMALL, "density": {"type": "uniform", "value": value}}))
-        out = tmp_path / str(value)
-        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: greedy placed no agent: no candidate's coverage gain exceeds 1e-12\n"
-        )
-        assert list(out.iterdir()) == []
+    path = tmp_path / "massless.json"
+    path.write_text(json.dumps({**SMALL, "density": {"type": "uniform", "value": 0.0}}))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: greedy placed no agent: no candidate covers event mass\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["a", None, float("nan")])

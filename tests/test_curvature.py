@@ -20,7 +20,7 @@ from coverplan import (
     sweep_bounds,
     total_curvature,
 )
-from coverplan.curvature import _domain_mask, _elemental_curvature_argmin, _ground_set, _leave_one_out_miss
+from coverplan.curvature import _elemental_curvature_argmin, _ground_set, _leave_one_out_miss
 from coverplan.scenario import bundled_scenario_path, parse_scenario
 
 
@@ -229,23 +229,6 @@ def test_bound_report_fields(block_problem):
     assert d["certified"] == report.certified and d["worst_pair"] == [j, k]
 
 
-def test_domain_choice_changes_elemental_curvature(one_block):
-    # obstacle-interior cells are invisible to everyone, so the wider domain
-    # can only increase the curvature
-    grid = QuadratureGrid(one_block, 1.0, UniformDensity())
-    sensor = SensorModel(decay=0.01, radius=100.0)
-    cand = np.array([[1.0, 1.0], [19.0, 9.0]])
-    probs = detection_matrix(cand, one_block, grid.centers, sensor)
-    a_feasible = elemental_curvature(probs, grid, domain="feasible")
-    a_omega = elemental_curvature(probs, grid, domain="omega")
-    assert a_omega >= a_feasible
-    assert a_omega == 1.0
-    with pytest.raises(InvalidParameterError):
-        elemental_curvature(probs, grid, domain="everywhere")
-    with pytest.raises(InvalidParameterError, match="got a list holding an integer of more than"):
-        elemental_curvature(probs, grid, domain=[10**5000])
-
-
 def test_sweep_bounds_tracks_single_reports(block_problem):
     space, grid, sensor, cand = block_problem
     cache = DetectionCache(cand, space, grid.centers)
@@ -392,34 +375,35 @@ def test_sweep_holds_two_matrices_of_temporaries():
 
 
 def copied_elemental_argmin(probs, keep, mask):
-    """The elemental argmin over a copy of the kept rows and domain columns."""
+    """The elemental argmin over a copy of the kept rows and masked columns."""
     cols = np.nonzero(mask)[0]
     sub = probs[np.ix_(keep, cols)]
     j, k = np.unravel_index(int(np.argmin(sub)), sub.shape)
     return 1.0 - float(sub[j, k]), (int(keep[j]), int(cols[k]))
 
 
-@pytest.mark.parametrize("domain", ["feasible", "omega"])
+@pytest.mark.parametrize("cells", ["feasible"])
 @pytest.mark.parametrize("seed", range(8))
-def test_elemental_argmin_matches_the_copied_block(domain, seed):
+def test_elemental_argmin_matches_the_copied_block(cells, seed):
     # an L boundary holding a square: cells outside the boundary and inside
-    # the obstacle sit outside one domain or both
+    # the obstacle sit outside the grid mask named by ``cells``, the one the
+    # minimum runs over
     space = MissionSpace(
         Polygon([(0, 0), (20, 0), (20, 5), (10, 5), (10, 10), (0, 10)]),
         [Polygon([(2, 2), (5, 2), (5, 5), (2, 5)])],
     )
     grid = QuadratureGrid(space, 1.0, UniformDensity())
-    mask = _domain_mask(grid, domain)
+    mask = getattr(grid, cells)
     rng = np.random.default_rng(seed)
     # few distinct values, so the minimum ties across rows and columns
     probs = rng.choice([0.25, 0.5, 0.75, 1.0], size=(9, grid.cell_count))
-    probs[:, ~mask] = 0.125  # below every domain entry: must be ignored
+    probs[:, ~mask] = 0.125  # below every masked entry: must be ignored
     probs[rng.integers(9, size=2)] = 0.0  # rows covering no mass are dropped
     probs = probs.clip(max=np.where(grid.weights > 0, 1.0, 0.0))
     probs[rng.integers(9), rng.choice(np.flatnonzero(mask), 3)] = 0.0
     probs, _, keep = _ground_set(probs, grid)
-    got = _elemental_curvature_argmin(probs, keep, grid, domain)
+    got = _elemental_curvature_argmin(probs, keep, grid)
     want = copied_elemental_argmin(probs, keep, mask)
     assert got[0] == want[0] and got[1] == want[1]
-    report = bound_report(probs, grid, 3, domain)
+    report = bound_report(probs, grid, 3)
     assert (report.elemental_curvature, report.worst_pair) == want

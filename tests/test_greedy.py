@@ -19,7 +19,6 @@ from coverplan import (
     marginal_gain,
     parse_scenario,
 )
-from coverplan.greedy import GAIN_TOLERANCE
 
 from problems import make_problem, random_space
 
@@ -190,13 +189,13 @@ def test_eager_and_lazy_share_one_selection(rows, data):
     assert eager.evaluations == sum(n - k for k in range(rounds_run))
     assert lazy.evaluations <= eager.evaluations
     # replay: each pick is the lowest-index best gain, and the run stops
-    # exactly when the best gain left is at most the tolerance
+    # exactly when the best gain left is 0
     miss = np.ones(TINY_GRID.cell_count)
     left = list(range(n))
     for k in range(min(team, n)):
         gains = [marginal_gain(TINY_GRID.weights * miss, rows[j]) for j in left]
         best = max(gains)
-        if best <= GAIN_TOLERANCE:
+        if best == 0.0:
             assert eager.stopped_early and len(eager.indices) == k
             break
         j = left[gains.index(best)]

@@ -4,7 +4,9 @@ Scaling lengths by s = 2^k and the decay by 1/s leaves every detection
 probability unchanged to the bit, and multiplies the cell weights by s^2
 exactly.  So greedy picks, curvature bounds and refine's whole trajectory
 must match the unscaled run: positions times s, objective values times s^2,
-gradient norms times s, and the same counts.
+gradient norms times s, and the same counts.  Scaling a uniform density by
+m = 2^k multiplies the cell weights by m exactly, so greedy and the bounds
+must match too, with objective values times m.
 """
 
 import functools
@@ -24,11 +26,13 @@ from coverplan import (
 
 BUNDLED = ["empty_60x50", "maze_60x50", "random_60x50", "rooms_60x50", "wall_60x50"]
 FACTORS = [2.0**-4, 2.0**4]
+MASS_FACTORS = [2.0**-50, 2.0**10]
 
 
-def scaled(data, s):
-    """A copy of a uniform-density scenario dict with every length times s."""
-    assert data.get("density", {"type": "uniform"})["type"] == "uniform"
+def scaled(data, s, m=1.0):
+    """A copy of a uniform-density scenario dict, every length times s and the density times m."""
+    density = data.get("density", {"type": "uniform", "value": 1.0})
+    assert density["type"] == "uniform"
 
     def ring(pts):
         return [[s * x, s * y] for x, y in pts]
@@ -40,21 +44,28 @@ def scaled(data, s):
         "grid_cell_size": s * data.get("grid_cell_size", 1.0),
         "candidate_spacing": s * data.get("candidate_spacing", 5.0),
         "sensor": {"decay": data["sensor"]["decay"] / s, "radius": s * data["sensor"]["radius"]},
+        "density": {"type": "uniform", "value": m * density["value"]},
     }
 
 
 @functools.lru_cache(maxsize=None)
-def _run(name, s):
-    """Greedy, both bound reports and refine on a bundled scenario scaled by s."""
+def _place(name, s, m=1.0):
+    """Scenario, candidates, grid, greedy and bound report, a bundled scenario scaled by s and m."""
     data = json.loads(bundled_scenario_path(name).read_text())
-    sc = scenario_from_dict(scaled(data, s))
+    sc = scenario_from_dict(scaled(data, s, m))
     space, grid, sensor = sc.build_space(), sc.build_grid(), sc.build_sensor()
     cand = sc.build_candidates()
     seed = greedy_place(space, grid, sensor, cand, sc.team_size)
     probs = detection_matrix(cand, space, grid.centers, sensor)
-    reports = [bound_report(probs, grid, sc.team_size, d).as_dict() for d in ("feasible", "omega")]
-    result = refine(seed.positions, grid, sensor, **sc.refine)
-    return cand, grid, seed, reports, result
+    report = bound_report(probs, grid, sc.team_size).as_dict()
+    return sc, cand, grid, seed, report
+
+
+@functools.lru_cache(maxsize=None)
+def _refined(name, s):
+    """Refine from greedy's placement on a bundled scenario scaled by s."""
+    sc, _, grid, seed, _ = _place(name, s)
+    return refine(seed.positions, grid, sc.build_sensor(), **sc.refine)
 
 
 def _same_bits(a, b):
@@ -64,20 +75,31 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("s", FACTORS)
 @pytest.mark.parametrize("name", BUNDLED)
 def test_greedy_and_bounds_are_scale_equivariant(name, s):
-    cand, grid, seed, reports, _ = _run(name, 1.0)
-    cand_s, grid_s, seed_s, reports_s, _ = _run(name, s)
+    _, cand, grid, seed, report = _place(name, 1.0)
+    _, cand_s, grid_s, seed_s, report_s = _place(name, s)
     assert len(cand_s) == len(cand)
     assert int(np.sum(grid_s.feasible)) == int(np.sum(grid.feasible))
     assert (seed_s.indices, seed_s.evaluations) == (seed.indices, seed.evaluations)
     _same_bits(seed_s.value / s**2, seed.value)
-    assert reports_s == reports
+    assert report_s == report
+
+
+@pytest.mark.parametrize("m", MASS_FACTORS)
+@pytest.mark.parametrize("name", BUNDLED)
+def test_greedy_and_bounds_are_free_of_the_density_unit(name, m):
+    # greedy stops only at a gain of exactly 0, so no unit of event mass is too small
+    _, _, _, seed, report = _place(name, 1.0)
+    _, _, _, seed_m, report_m = _place(name, 1.0, m)
+    assert (seed_m.indices, seed_m.evaluations) == (seed.indices, seed.evaluations)
+    _same_bits(np.array(seed_m.values) / m, seed.values)
+    assert report_m == report
 
 
 @pytest.mark.parametrize("s", FACTORS)
 @pytest.mark.parametrize("name", BUNDLED)
 def test_refine_is_scale_equivariant(name, s):
-    want = _run(name, 1.0)[-1]
-    got = _run(name, s)[-1]
+    want = _refined(name, 1.0)
+    got = _refined(name, s)
     counts = ("reason", "rows", "halvings", "rescues", "forfeits")
     assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
     assert [st.iteration for st in got.steps] == [st.iteration for st in want.steps]

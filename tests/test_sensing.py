@@ -138,6 +138,8 @@ def test_detection_cache_matches_direct(block_problem):
 def test_empty_positions_cover_nothing(empty_rect):
     grid, sensor, _ = make_problem(empty_rect)
     assert coverage([], grid, sensor) == 0.0
+    # a team of no rows misses every cell, so its joint detection integrates to exactly 0
+    assert coverage_from_rows(grid, np.empty((0, grid.cell_count))) == 0.0
 
 
 def reference_row(pos, space, pts, sensor):
