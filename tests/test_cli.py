@@ -232,12 +232,21 @@ def test_artifacts_are_deterministic(tmp_path, small_scenario):
 def test_alpha_domain_flag(capsys, small_scenario):
     # the elemental minimum always runs over the feasible cells, so no command takes the flag
     required = {"evaluate": ["--positions-file", "p.csv"], "sweep": ["--sweep", "lambda:0.1:0.2:2"]}
-    for command in ("evaluate", "greedy", "gga", "bounds", "sweep", "oracle", "check", "heatmap"):
+    for command in ("evaluate", "bounds", "sweep"):
         argv = [command, "--scenario", small_scenario, *required.get(command, [])]
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--alpha-domain", "feasible"])
         assert exc.value.code == 2, command
         assert "unrecognized arguments: --alpha-domain feasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["greedy", "gga", "oracle", "check", "heatmap"])
+def test_alpha_domain_is_a_flag_of_bounds_and_sweep_only(capsys, small_scenario, command):
+    # bounds and sweep lost the flag too (see test_alpha_domain_flag); these never had it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", small_scenario, "--alpha-domain", "omega"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha-domain omega" in capsys.readouterr().err
 
 
 def test_invalid_scenario_exits_2(tmp_path, capsys):
