@@ -55,7 +55,6 @@ from .scenario import (
     Scenario,
     bundled_scenario_path,
     parse_scenario,
-    save_scenario,
     scenario_from_dict,
 )
 from .sensing import (
@@ -117,7 +116,6 @@ __all__ = [
     "parse_scenario",
     "project_feasible",
     "refine",
-    "save_scenario",
     "scenario_from_dict",
     "sweep_bounds",
     "total_curvature",

@@ -339,8 +339,8 @@ def _cmd_heatmap(run: _Run, args) -> int:
     grid = run.grid
     image = detect.reshape(grid.ny, grid.nx)[::-1]  # top row = largest y
     feas = detect[grid.feasible]
-    high = float(np.mean(feas >= 0.97)) if len(feas) else 0.0
-    mid = float(np.mean(feas >= 0.50)) if len(feas) else 0.0
+    high = float(np.mean(feas >= 0.97))
+    mid = float(np.mean(feas >= 0.50))
     print(f"coverage: {_fmt(grid.integrate(detect))}")
     print(f"feasible cells with detection >= 0.97: {high:.1%}")
     print(f"feasible cells with detection >= 0.50: {mid:.1%}")

@@ -6,8 +6,10 @@ objective's gradient (Zhong and Cassandras, IEEE TAC 2011), with every
 iterate projected back into the feasible region.  Backtracking halves the
 move until the objective increases, never below a thousandth of a cell, so
 the refined placement never scores below its seed.  The step, its floor
-and the stopping tolerance are multiples of the cell size, so a scenario
-scaled by a power of two refines the same, scaled.
+and the collision radius are multiples of the cell size, and the stopping
+tolerance is a multiple of the cell size times the mean density, so a
+scenario whose lengths or density are scaled by a power of two refines the
+same, scaled.
 
 Each iteration takes every agent's gradient at once: the others' miss of
 every agent from one running product over the detection rows, and every
@@ -17,7 +19,7 @@ It then proposes a joint step of all agents against the same configuration.
 At each step length the movers' targets are decided by one feasibility call,
 only the infeasible ones are projected, and the agents that moved get their
 new rows from one detection-matrix call.  Collisions are still tested in agent
-order: a target within ``COLLISION_RADIUS`` of another agent, as moved so
+order: a target within a millionth of a cell of another agent, as moved so
 far, is dropped.  When backtracking vetoes the joint step, the agents step
 one at a time along the same directions instead, each judged after the moves
 before it.
@@ -48,9 +50,6 @@ from .sensing import (
     marginal_gain,
     miss_product,
 )
-
-# Agents closer than this count as one; a move that lands there is dropped.
-COLLISION_RADIUS = 1e-6
 
 
 @dataclass
@@ -155,12 +154,12 @@ def objective_gradient(
     return _gradients(pos, rows, grid, sensor)[agent_index]
 
 
-def _collides(candidate: np.ndarray, pos: np.ndarray, i: int) -> bool:
-    """True when ``candidate`` lands on an agent of ``pos`` other than agent i."""
+def _collides(candidate: np.ndarray, pos: np.ndarray, i: int, cell_size: float) -> bool:
+    """True when ``candidate`` lies within a millionth of a cell of an agent of ``pos`` but i."""
     d = pos - candidate
     dist = np.sqrt(np.add.reduce(d * d, axis=1))  # np.linalg.norm's own arithmetic
     dist[i] = np.inf
-    return bool(np.min(dist) < COLLISION_RADIUS)
+    return bool(np.min(dist) < 1e-6 * cell_size)
 
 
 def refine(
@@ -169,8 +168,9 @@ def refine(
     """Run the projected ascent from an initial placement until it stalls.
 
     Stops when the largest per-agent gradient norm drops to a thousandth of
-    the cell size ("converged"), when no halved step raises the objective
-    any more ("no_improvement"), or after ``max_iterations`` iterations
+    the cell size times the mean density over the feasible cells
+    ("converged"), when no halved step raises the objective any more
+    ("no_improvement"), or after ``max_iterations`` iterations
     ("max_iterations").  The objective trace never decreases.
     """
     max_iterations = positive_int(max_iterations, "count", "max_iterations")
@@ -186,8 +186,10 @@ def refine(
             f"initial position {k} at ({pos[k, 0]:g}, {pos[k, 1]:g}) is infeasible"
         )
     for i in range(n):
-        if _collides(pos[i], pos, i):
+        if _collides(pos[i], pos, i, grid.cell_size):
             raise InvalidParameterError("initial positions must be pairwise distinct")
+    mean_density = grid.total_mass() / (grid.feasible_count * grid.cell_size**2)
+    tolerance = 1e-3 * grid.cell_size * mean_density  # a gradient norm is mass per length
 
     rows = detection_matrix(pos, grid.space, grid.centers, sensor)
     tally = {"rows": n, "halvings": 0, "rescues": 0, "forfeits": 0}
@@ -200,7 +202,7 @@ def refine(
         norms = np.linalg.norm(grads, axis=1)
         if it == 1:
             steps[0].grad_norms = norms.copy()
-        if float(np.max(norms)) <= 1e-3 * grid.cell_size:
+        if float(np.max(norms)) <= tolerance:
             reason = "converged"
             break
 
@@ -214,7 +216,7 @@ def refine(
     return RefineResult(steps, reason, **tally)
 
 
-def _joint_proposal(pos, moving, dirs, scale, space, tally):
+def _joint_proposal(pos, moving, dirs, scale, grid, tally):
     """Every mover's projected step at one scale, as one candidate placement.
 
     One feasibility call decides all targets and only the infeasible ones
@@ -222,11 +224,11 @@ def _joint_proposal(pos, moving, dirs, scale, space, tally):
     target lands on an agent already placed keeps its old position.
     """
     targets = pos[moving] + scale * dirs[moving]
-    inside = space.feasible_many(targets)
+    inside = grid.space.feasible_many(targets)
     cand = pos.copy()
     for i, q, ok in zip(moving, targets, inside):
-        q = q if ok else project_feasible(q, space)
-        if _collides(q, cand, i):
+        q = q if ok else project_feasible(q, grid.space)
+        if _collides(q, cand, i, grid.cell_size):
             tally["forfeits"] += 1
         else:
             cand[i] = q
@@ -251,7 +253,7 @@ def _synchronous_sweep(pos, rows, value, grid, sensor, tally, grads, norms):
     dirs = np.zeros_like(grads)
     dirs[moving] = grads[moving] / norms[moving, None]
     for scale in _scales(grid.cell_size, tally):
-        cand = _joint_proposal(pos, moving, dirs, scale, grid.space, tally)
+        cand = _joint_proposal(pos, moving, dirs, scale, grid, tally)
         changed = np.nonzero(np.any(cand != pos, axis=1))[0]
         if len(changed) == 0:
             return False, pos, rows, value
@@ -285,7 +287,7 @@ def _agent_sweep(pos, rows, value, grid, sensor, tally, dirs):
         base_gain = marginal_gain(weighted_miss, rows[i])
         for scale in _scales(grid.cell_size, tally):
             q = project_feasible(pos[i] + scale * dirs[i], grid.space)
-            if _collides(q, pos, i):
+            if _collides(q, pos, i, grid.cell_size):
                 tally["forfeits"] += 1
                 continue
             new_row = detection_row(q, grid.space, grid.centers, sensor)

@@ -115,8 +115,7 @@ def _eager(gain, n_cand: int):
             g = gain(j)
             if g > best_gain:
                 best_j, best_gain = j, g
-        if best_j >= 0:
-            left.remove(best_j)
+        left.remove(best_j)
         return best_j, best_gain
 
     return pick

@@ -1,16 +1,18 @@
 """Scenario files: strict JSON loading, validation, and object construction.
 
-A scenario bundles everything one optimization run needs: the mission-space
-geometry, the event density, grid and candidate resolutions, the team size,
-the sensor parameters, refinement settings, and a seed.  Parsing is strict:
-unknown fields and malformed values are rejected with the offending field
-path, and the parsed scenario is proven constructible before it is returned.
+A scenario file describes everything one optimization run needs: the
+mission-space geometry, the event density, grid and candidate resolutions,
+the team size, the sensor parameters, refinement settings, and a seed.
+Parsing is strict: unknown fields and malformed values are rejected with the
+offending field path.  A parsed scenario keeps what proved it constructible,
+the quadrature grid (which keeps the space) and the sensor, and no copy of
+the file's data.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -29,90 +31,49 @@ from .geometry import MissionSpace, Polygon
 from .sensing import SensorModel
 
 _SENSOR_FIELDS = ("decay", "radius")
+_TOP_FIELDS = {
+    "name", "boundary", "obstacles", "density", "grid_cell_size", "candidate_spacing",
+    "team_size", "sensor", "refine", "seed",
+}  # the JSON fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully validated run description, kept as plain JSON-shaped data.
+    """A fully validated run: the grid, which keeps the space, the sensor and the settings.
 
-    The density builder, space and grid made while proving a scenario
-    constructible are kept on the object, so ``build_space`` and
-    ``build_grid`` hand those back instead of building them again; they are
-    no part of the data, its equality or its JSON form, and live exactly as
-    long as this object.
+    The ``build_*`` getters hand back the kept objects; ``build_candidates``
+    lays the candidate lattice on the kept space.
     """
 
     name: str
-    boundary: tuple
-    obstacles: tuple
-    density: dict
-    grid_cell_size: float
+    grid: QuadratureGrid
+    sensor: SensorModel
     candidate_spacing: float
     team_size: int
-    sensor: dict
     refine: dict
     seed: int
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "boundary": [list(v) for v in self.boundary],
-            "obstacles": [[list(v) for v in o] for o in self.obstacles],
-            "density": dict(self.density),
-            "grid_cell_size": self.grid_cell_size,
-            "candidate_spacing": self.candidate_spacing,
-            "team_size": self.team_size,
-            "sensor": dict(self.sensor),
-            "refine": dict(self.refine),
-            "seed": self.seed,
-        }
-
-    # -- construction --------------------------------------------------------
 
     def build_space(self) -> MissionSpace:
-        if "space" not in self._built:
-            boundary = _tagged("boundary", Polygon, self.boundary)
-            obstacles = [
-                _tagged(f"obstacles[{k}]", Polygon, o) for k, o in enumerate(self.obstacles)
-            ]
-            self._built["space"] = _tagged("obstacles", MissionSpace, boundary, obstacles)
-        return self._built["space"]
-
-    def build_density(self):
-        if "density" not in self._built:
-            self._built["density"] = _density(self.density, "density")
-        return self._built["density"]()
+        return self.grid.space
 
     def build_grid(self, space: MissionSpace | None = None) -> QuadratureGrid:
         """The kept grid, on the kept space."""
-        space = self._kept_space(space)
-        if "grid" not in self._built:
-            density = self.build_density()
-            try:
-                self._built["grid"] = QuadratureGrid(space, self.grid_cell_size, density)
-            except CoverplanError as exc:
-                field = "density" if isinstance(exc, InfiniteMassError) else "grid_cell_size"
-                raise ScenarioError(str(exc), field=field) from exc
-        return self._built["grid"]
+        self._kept_space(space)
+        return self.grid
 
     def build_sensor(self) -> SensorModel:
-        return SensorModel(decay=float(self.sensor["decay"]), radius=float(self.sensor["radius"]))
+        return self.sensor
 
     def build_candidates(self, space: MissionSpace | None = None) -> np.ndarray:
         """The candidate lattice on the kept space."""
-        space = self._kept_space(space)
+        self._kept_space(space)
+        space = self.grid.space
         return _tagged("candidate_spacing", candidate_lattice, space, self.candidate_spacing)
 
-    def _kept_space(self, space) -> MissionSpace:
-        """The kept space; ``space``, which ``perfbench`` still passes, may only be that space."""
-        kept = self.build_space()
-        if space is not None and space is not kept:
+    def _kept_space(self, space):
+        """``space``, which ``perfbench`` still passes, may only be the kept space."""
+        if space is not None and space is not self.grid.space:
             raise InvalidParameterError("a scenario builds only on the space it keeps")
-        return kept
-
-
-_TOP_FIELDS = {f.name for f in fields(Scenario) if f.init}  # the JSON fields
 
 
 def _tagged(path: str, build, *args):
@@ -242,30 +203,33 @@ def scenario_from_dict(data: dict, **overrides) -> Scenario:
     obstacles = data.get("obstacles", [])
     if not isinstance(obstacles, list):
         raise ScenarioError("expected a list of polygons", field="obstacles")
-    obstacles = tuple(_want_ring(o, f"obstacles[{k}]") for k, o in enumerate(obstacles))
-    density = data.get("density", {"type": "uniform", "value": 1.0})
-    make_density = _density(density, "density")
+    obstacles = [_want_ring(o, f"obstacles[{k}]") for k, o in enumerate(obstacles)]
+    make_density = _density(data.get("density", {"type": "uniform", "value": 1.0}), "density")
     cell = _want_number(data.get("grid_cell_size", 1.0), "grid_cell_size", "length")
     spacing = _want_number(data.get("candidate_spacing", 5.0), "candidate_spacing", "length")
     team = _want_number(data["team_size"], "team_size", "team size")
     sensor = _want_object(data["sensor"], "sensor", _SENSOR_FIELDS, _SENSOR_FIELDS)
-    sensor = {
-        "decay": _want_number(sensor["decay"], "sensor.decay", "decay"),
-        "radius": _want_number(sensor["radius"], "sensor.radius", "length"),
-    }
+    sensor = SensorModel(
+        decay=_want_number(sensor["decay"], "sensor.decay", "decay"),
+        radius=_want_number(sensor["radius"], "sensor.radius", "length"),
+    )
     refine = _want_object(data.get("refine", {}), "refine", {"max_iterations"})
     if "max_iterations" in refine:
         _want_number(refine["max_iterations"], "refine.max_iterations", "count")
     seed = _want_number(data.get("seed", 0), "seed", "seed")
 
-    scenario = Scenario(
-        name, boundary, obstacles, dict(density), cell, spacing, team, sensor, dict(refine), seed
-    )
-    scenario._built["density"] = make_density
-    # the space and grid built here are kept for the scenario's commands
-    if not np.any(scenario.build_grid().feasible):
+    boundary = _tagged("boundary", Polygon, boundary)
+    obstacles = [_tagged(f"obstacles[{k}]", Polygon, o) for k, o in enumerate(obstacles)]
+    space = _tagged("obstacles", MissionSpace, boundary, obstacles)
+    density = make_density()
+    try:
+        grid = QuadratureGrid(space, cell, density)
+    except CoverplanError as exc:
+        field = "density" if isinstance(exc, InfiniteMassError) else "grid_cell_size"
+        raise ScenarioError(str(exc), field=field) from exc
+    if not np.any(grid.feasible):
         raise ScenarioError("no feasible grid cell; space is fully blocked")
-    return scenario
+    return Scenario(name, grid, sensor, spacing, team, dict(refine), seed)
 
 
 def parse_scenario(path, **overrides) -> Scenario:
@@ -278,10 +242,6 @@ def parse_scenario(path, **overrides) -> Scenario:
     except (ValueError, RecursionError) as exc:  # also not UTF-8, or too long or deep to load
         raise ScenarioError(f"malformed JSON in {p}: {exc}") from exc
     return scenario_from_dict(data, **overrides)
-
-
-def save_scenario(scenario: Scenario, path):
-    Path(path).write_text(json.dumps(scenario.to_dict(), indent=2) + "\n")
 
 
 def bundled_scenario_path(name: str) -> Path:

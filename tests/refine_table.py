@@ -33,7 +33,7 @@ def _cases(extra):
     for name in BUNDLED:
         sc = parse_scenario(bundled_scenario_path(name))
         for decay in DECAYS:
-            yield f"{name}@{decay}", sc, SensorModel(decay=decay, radius=sc.sensor["radius"])
+            yield f"{name}@{decay}", sc, SensorModel(decay=decay, radius=sc.sensor.radius)
     for path in extra:
         sc = parse_scenario(path)
         yield sc.name, sc, sc.build_sensor()

@@ -55,7 +55,7 @@ def _gga(name, decay):
     key = (name, decay)
     if key not in _gga_cache:
         sc, space, grid, cand = _load(name)
-        sensor = SensorModel(decay=decay, radius=sc.sensor["radius"])
+        sensor = SensorModel(decay=decay, radius=sc.sensor.radius)
         seed = greedy_place(space, grid, sensor, cand, sc.team_size)
         refined = refine(seed.positions, grid, sensor, **sc.refine)
         _gga_cache[key] = (seed, refined)

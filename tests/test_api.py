@@ -18,12 +18,14 @@ from coverplan import (
     Polygon,
     QuadratureGrid,
     RefineResult,
+    Scenario,
     UniformDensity,
     bound_report,
     curvature,
     elemental_curvature,
     geometry,
     greedy,
+    scenario_from_dict,
     sweep_bounds,
 )
 from coverplan.errors import ENVELOPE
@@ -57,6 +59,15 @@ def test_removed_names_stay_removed(empty_rect):
     assert "domain" not in bound_report(probs, grid, 2).as_dict()
     with pytest.raises(TypeError):
         bound_report(probs, grid, 2, "omega")
+    # a scenario keeps what it built, not a copy of its file
+    assert "save_scenario" not in coverplan.__all__ and not hasattr(coverplan, "save_scenario")
+    sc = scenario_from_dict({"boundary": [[0, 0], [4, 0], [4, 4]], "team_size": 1,
+                             "sensor": {"decay": 0.1, "radius": 3.0}})
+    for name in ("to_dict", "build_density", "_built"):
+        assert not hasattr(sc, name), name
+    assert [f.name for f in dataclasses.fields(Scenario)] == [
+        "name", "grid", "sensor", "candidate_spacing", "team_size", "refine", "seed"
+    ]
 
 
 def test_the_shadow_kernel_is_imported_on_first_use_only():

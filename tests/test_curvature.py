@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,7 +342,7 @@ def test_bound_report_matches_stacked_products_along_sweeps(monkeypatch, paramet
     table = sweep_bounds(cache, grid, sc.team_size, sensor, parameter, values)
     assert len(table) == len(values)
     for v, got in table:
-        probs = cache.probs(SensorModel(**{**sc.sensor, parameter: v}))
+        probs = cache.probs(replace(sc.sensor, **{parameter: v}))
         assert_same_report(got, stacked_report(monkeypatch, probs, grid, sc.team_size))
 
 

@@ -217,7 +217,7 @@ def test_refine_agents_never_merge(empty_rect):
     result = refine(start, grid, sensor, max_iterations=50)
     for step in result.steps:
         d = np.linalg.norm(step.positions[0] - step.positions[1])
-        assert d >= gradient.COLLISION_RADIUS
+        assert d >= 1e-6 * grid.cell_size
 
 
 def others_miss(rows, i):
@@ -520,6 +520,7 @@ def reference_refine(initial, grid, sensor, max_iterations):
     value = coverage_from_rows(grid, rows)
     steps = [gradient.RefineStep(0, pos.copy(), value, np.zeros(n))]
     reason = "max_iterations"
+    mean_density = grid.total_mass() / (grid.feasible_count * grid.cell_size**2)
     for it in range(1, max_iterations + 1):
         grads = np.zeros((n, 2))
         for i in range(n):
@@ -529,7 +530,7 @@ def reference_refine(initial, grid, sensor, max_iterations):
         norms = np.linalg.norm(grads, axis=1)
         if it == 1:
             steps[0].grad_norms = norms.copy()
-        if float(np.max(norms)) <= 1e-3 * grid.cell_size:
+        if float(np.max(norms)) <= 1e-3 * grid.cell_size * mean_density:
             reason = "converged"
             break
         moved, pos, rows, value = _reference_joint_step(
@@ -542,10 +543,10 @@ def reference_refine(initial, grid, sensor, max_iterations):
     return gradient.RefineResult(steps, reason, **tally)
 
 
-def _reference_propose(pos, i, direction, scale, space):
-    q = project_feasible(pos[i] + scale * direction, space)
+def _reference_propose(pos, i, direction, scale, grid):
+    q = project_feasible(pos[i] + scale * direction, grid.space)
     others = np.delete(pos, i, 0)
-    if len(others) and np.min(np.linalg.norm(others - q[None, :], axis=1)) < gradient.COLLISION_RADIUS:
+    if len(others) and np.min(np.linalg.norm(others - q[None, :], axis=1)) < 1e-6 * grid.cell_size:
         return None
     return q
 
@@ -560,7 +561,7 @@ def _reference_joint_step(pos, rows, value, grid, sensor, tally, grads):
     for scale in gradient._scales(grid.cell_size, tally):
         cand = pos.copy()
         for i in moving:
-            q = _reference_propose(cand, i, dirs[i], scale, grid.space)
+            q = _reference_propose(cand, i, dirs[i], scale, grid)
             if q is None:
                 tally["forfeits"] += 1
             else:
@@ -751,10 +752,11 @@ def test_the_rescue_skips_a_still_agent_and_forfeits_a_step_onto_another(empty_r
 
 
 def test_the_joint_proposal_forfeits_a_step_onto_another_agent(empty_rect):
+    grid, _, _ = make_problem(empty_rect)
     pos = np.array([[5.0, 5.0], [5.5, 5.0]])
     tally = {"forfeits": 0}
     cand = gradient._joint_proposal(pos, [0], np.array([[1.0, 0.0], [0.0, 0.0]]), 0.5,
-                                    empty_rect, tally)
+                                    grid, tally)
     assert cand.tobytes() == pos.tobytes()
     assert tally == {"forfeits": 1}
 

@@ -5,12 +5,13 @@ probability unchanged to the bit, and multiplies the cell weights by s^2
 exactly.  So greedy picks, curvature bounds and refine's whole trajectory
 must match the unscaled run: positions times s, objective values times s^2,
 gradient norms times s, and the same counts.  Scaling a uniform density by
-m = 2^k multiplies the cell weights by m exactly, so greedy and the bounds
-must match too, with objective values times m.
+m = 2^k multiplies the cell weights by m exactly, so greedy, the bounds and
+refine must match too, with objective values and gradient norms times m.
 """
 
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from coverplan import (
     bound_report,
     bundled_scenario_path,
+    cli,
     detection_matrix,
     greedy_place,
     refine,
@@ -62,10 +64,10 @@ def _place(name, s, m=1.0):
 
 
 @functools.lru_cache(maxsize=None)
-def _refined(name, s):
-    """Refine from greedy's placement on a bundled scenario scaled by s."""
-    sc, _, grid, seed, _ = _place(name, s)
-    return refine(seed.positions, grid, sc.build_sensor(), **sc.refine)
+def _refined(name, s, m=1.0):
+    """Refine from greedy's placement on a bundled scenario scaled by s and m."""
+    sc, _, grid, seed, _ = _place(name, s, m)
+    return refine(seed.positions, grid, sc.sensor, **sc.refine)
 
 
 def _same_bits(a, b):
@@ -95,15 +97,46 @@ def test_greedy_and_bounds_are_free_of_the_density_unit(name, m):
     assert report_m == report
 
 
-@pytest.mark.parametrize("s", FACTORS)
-@pytest.mark.parametrize("name", BUNDLED)
-def test_refine_is_scale_equivariant(name, s):
+def _assert_same_refine(name, s, m=1.0):
+    """Refine on the scenario scaled by s and m matches the unscaled run, scaled."""
     want = _refined(name, 1.0)
-    got = _refined(name, s)
+    got = _refined(name, s, m)
     counts = ("reason", "rows", "halvings", "rescues", "forfeits")
     assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
     assert [st.iteration for st in got.steps] == [st.iteration for st in want.steps]
     for a, b in zip(got.steps, want.steps):
         _same_bits(a.positions / s, b.positions)
-        _same_bits(a.value / s**2, b.value)
-        _same_bits(a.grad_norms / s, b.grad_norms)
+        _same_bits(a.value / (s**2 * m), b.value)
+        _same_bits(a.grad_norms / (s * m), b.grad_norms)
+
+
+@pytest.mark.parametrize("s", FACTORS)
+@pytest.mark.parametrize("name", BUNDLED)
+def test_refine_is_scale_equivariant(name, s):
+    _assert_same_refine(name, s)
+
+
+@pytest.mark.parametrize("m", MASS_FACTORS)
+@pytest.mark.parametrize("name", BUNDLED)
+def test_refine_is_free_of_the_density_unit(name, m):
+    # the stopping tolerance scales with the mean density, as the gradient norms do
+    _assert_same_refine(name, 1.0, m)
+
+
+def test_refine_separates_agents_by_a_fraction_of_a_cell(tmp_path, capsys):
+    # at s = 2^-25 greedy's picks lie 5 s apart, under 1e-6: an absolute
+    # collision radius took them for one agent and gga exited 2
+    s = 2.0**-25
+    box = {
+        "boundary": [[0, 0], [20, 0], [20, 10], [0, 10]],
+        "obstacles": [[[8, 3], [12, 3], [12, 7], [8, 7]]],
+        "team_size": 3,
+        "sensor": {"decay": 0.15, "radius": 30.0},
+        "candidate_spacing": 5.0,
+    }
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(scaled(box, s)))
+    assert cli.main(["gga", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    greedy, refined = (float(v) for v in re.findall(r"coverage: (\S+)", out))
+    assert refined >= greedy > 0

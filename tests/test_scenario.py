@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import warnings
+from dataclasses import FrozenInstanceError
 from inspect import signature
 from pathlib import Path
 
@@ -17,10 +18,10 @@ from coverplan import (
     InvalidParameterError,
     Scenario,
     ScenarioError,
+    SensorModel,
     bundled_scenario_path,
     parse_scenario,
     refine,
-    save_scenario,
     scenario_from_dict,
 )
 
@@ -41,7 +42,7 @@ def variant(**changes):
 def test_minimal_scenario_builds():
     sc = scenario_from_dict(BASE)
     assert sc.team_size == 3
-    assert sc.grid_cell_size == 1.0
+    assert sc.grid.cell_size == 1.0
     space = sc.build_space()
     grid = sc.build_grid()
     assert grid.cell_count == 200
@@ -74,6 +75,16 @@ def test_a_scenario_builds_on_the_space_it_keeps_only():
     for build in (sc.build_grid, sc.build_candidates):
         with pytest.raises(InvalidParameterError, match="^a scenario builds only on the space"):
             build(other)
+
+
+def test_the_getters_return_the_kept_objects():
+    # any other space raises: test_a_scenario_builds_on_the_space_it_keeps_only
+    sc = scenario_from_dict(BASE)
+    assert sc.build_space() is sc.grid.space
+    assert sc.build_grid() is sc.grid and sc.build_grid(sc.build_space()) is sc.grid
+    assert sc.build_sensor() is sc.sensor
+    with pytest.raises(FrozenInstanceError):
+        sc.team_size = 9
 
 
 def test_bundled_path_rejects_unknown():
@@ -311,7 +322,6 @@ def test_an_integer_density_number_is_taken_as_its_float(key, big):
     }
     as_int = scenario_from_dict(variant(density={**spec, key: big}))
     as_float = scenario_from_dict(variant(density={**spec, key: float(big)}))
-    assert as_int.density[key] == big
     mass = [sc.build_grid().total_mass() for sc in (as_int, as_float)]
     assert mass[0] == mass[1] > 0
 
@@ -490,24 +500,6 @@ def test_scenario_needs_a_feasible_cell():
         scenario_from_dict(bad)
 
 
-def test_round_trip_identity(tmp_path):
-    d = variant(
-        obstacles=[[[5, 3], [8, 3], [8, 7], [5, 7]]],
-        density={"type": "gaussian_mixture", "baseline": 0.5,
-                 "components": [{"center": [4, 4], "weight": 2.0, "sigma": 3.0}]},
-        grid_cell_size=0.5,
-        candidate_spacing=2.0,
-        refine={"max_iterations": 25},
-        seed=42,
-    )
-    sc = scenario_from_dict(d)
-    path = tmp_path / "round.json"
-    save_scenario(sc, path)
-    again = parse_scenario(path)
-    assert again == sc
-    assert again.to_dict() == sc.to_dict()
-
-
 def test_parse_reports_file_problems(tmp_path):
     with pytest.raises(ScenarioError, match="missing.json"):
         parse_scenario(tmp_path / "missing.json")
@@ -532,11 +524,11 @@ def test_with_overrides():
     data = variant()
     out = scenario_from_dict(data, team_size=5, decay=0.7, radius=9.0, grid_cell_size=2.0)
     assert out.team_size == 5
-    assert out.sensor["decay"] == 0.7
-    assert out.sensor["radius"] == 9.0
-    assert out.grid_cell_size == 2.0
+    assert out.sensor == SensorModel(decay=0.7, radius=9.0)
+    assert out.grid.cell_size == 2.0
     # untouched fields survive, None is a no-op
-    assert out.boundary == scenario_from_dict(BASE).boundary
+    base = scenario_from_dict(BASE).grid.space.boundary.vertices
+    assert np.array_equal(out.grid.space.boundary.vertices, base)
     assert scenario_from_dict(BASE, team_size=None).team_size == 3
     # the caller's dict is not mutated
     assert data == BASE
@@ -592,11 +584,3 @@ def test_sampled_origin_must_be_numbers(bad):
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(variant(density=spec))
     assert info.value.field == "density.origin[0]"
-
-
-def test_scenario_is_plain_data():
-    sc = scenario_from_dict(BASE)
-    assert isinstance(sc.boundary, tuple)
-    with pytest.raises(Exception):
-        sc.team_size = 9  # frozen
-    json.dumps(sc.to_dict())  # plain JSON-ready data all the way down
